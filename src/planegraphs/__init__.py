@@ -2,8 +2,8 @@
 
 Explicit constructions for cycles (pancyclicity of AG(2,q) and PG(2,q)),
 wheels, and gears; primitive-pair certificates over GF(q); a brute-force
-embedding oracle for small planes; and a verifier every construction must
-pass before it is emitted.
+embedding oracle for small planes; and a verifier every construction
+passes, once, in ``graphs.emit`` before it is returned.
 """
 
 from .gf import (
@@ -27,6 +27,7 @@ from .gf import (
 from .plane import (
     AffinePoint,
     CoordPlane,
+    FormatError,
     GenericPlane,
     GenericView,
     PlaneReport,
@@ -37,12 +38,14 @@ from .plane import (
     save_plane,
 )
 from .graphs import (
+    ConstructionFailed,
     Embedding,
     Graph,
     ImpossibleDegree,
     VerifyReport,
     cycle_graph,
     edge_list_graph,
+    emit,
     gear_graph,
     make_embedding,
     read_embedding,
@@ -68,9 +71,7 @@ from .cycles import (
     singer_difference_set,
 )
 from .wheelgear import (
-    ConstructionFailed,
-    GearPlan,
-    WheelPlan,
+    Plan,
     arc_points,
     gear,
     gear_from_wheel,

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .cycles import NoCertificate, ag_cycle, cyclic_plane, pg_cycle
 from .gf import (
@@ -25,26 +26,26 @@ from .gf import (
     prime_powers_in,
 )
 from .graphs import (
-    ImpossibleDegree,
+    ConstructionFailed,
+    FormatError,
     cycle_graph,
     gear_graph,
     graph_from_json,
-    make_embedding,
     read_embedding,
     verify_embedding,
     wheel_graph,
     write_embedding,
 )
-from .oracle import DEFAULT_BUDGET, exists_embedding
+from .oracle import DEFAULT_BUDGET, exists_embedding, exists_in_coords
 from .plane import (
-    GenericPlane,
+    CoordPlane,
     ag_from_field,
     check_plane_axioms,
     load_plane,
     pg_from_field,
     save_plane,
 )
-from .wheelgear import ConstructionFailed, gear_plan, wheel_plan
+from .wheelgear import gear_plan, wheel_plan
 
 
 def _usage_error(msg: str) -> int:
@@ -98,7 +99,10 @@ def _cmd_plane(args) -> int:
     if args.mode == "check":
         if not args.file:
             return _usage_error("plane check needs a file argument")
-        plane = load_plane(args.file)
+        try:
+            plane = load_plane(args.file)
+        except (FormatError, OSError) as e:
+            return _usage_error(f"cannot read plane: {e}")
         rep = check_plane_axioms(plane)
         status = "pass" if rep.ok else "fail"
         print(f"{status}: {rep.points} points, {rep.lines} lines, "
@@ -154,18 +158,7 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_wheel(args) -> int:
-    if prime_power(args.q) is None:
-        return _usage_error(f"q={args.q} is not a prime power")
-    try:
-        plan = wheel_plan(args.q, args.n)
-    except (ImpossibleDegree, ValueError) as e:
-        return _usage_error(str(e))
-    except ConstructionFailed as e:
-        return _fail(str(e))
-    out = args.out or f"wheel_q{args.q}_n{args.n}.json"
-    write_embedding(plan.embedding, out)
-    print(f"W_{args.n} in pg:{args.q} via {plan.route} -> {out}")
-    return 0
+    return _write_plan(args, wheel_plan, "W", "wheel")
 
 
 def _cmd_gear(args) -> int:
@@ -173,17 +166,19 @@ def _cmd_gear(args) -> int:
         return _gear_sweep(args)
     if args.q is None or args.n is None:
         return _usage_error("gear needs --q and --n (or the sweep mode)")
+    return _write_plan(args, gear_plan, "G", "gear")
+
+
+def _write_plan(args, build, letter: str, stem: str) -> int:
     if prime_power(args.q) is None:
         return _usage_error(f"q={args.q} is not a prime power")
     try:
-        plan = gear_plan(args.q, args.n)
-    except (ImpossibleDegree, ValueError) as e:
+        plan = build(args.q, args.n)
+    except ValueError as e:  # ImpossibleDegree included; ConstructionFailed reaches main
         return _usage_error(str(e))
-    except ConstructionFailed as e:
-        return _fail(str(e))
-    out = args.out or f"gear_q{args.q}_n{args.n}.json"
+    out = args.out or f"{stem}_q{args.q}_n{args.n}.json"
     write_embedding(plan.embedding, out)
-    print(f"G_{args.n} in pg:{args.q} via {plan.route} -> {out}")
+    print(f"{letter}_{args.n} in pg:{args.q} via {plan.route} -> {out}")
     return 0
 
 
@@ -236,11 +231,10 @@ def _parse_graph_ref(ref: str):
 
 
 def _parse_plane_ref(ref: str):
-    """Returns (generic_plane, view, coord, model, q); the view and the
-    coordinate plane are None except for pg/ag references."""
+    """Returns (plane, model): a CoordPlane for pg/ag references, else a
+    GenericPlane."""
     if ref.endswith(".json"):
-        plane = load_plane(ref)
-        return plane, None, None, "GENERIC", plane.q
+        return load_plane(ref), "GENERIC"
     kind, _, param = ref.partition(":")
     if not param.isdigit():
         raise ValueError(f"bad plane reference {ref!r} (want model:q or a .json file)")
@@ -248,31 +242,24 @@ def _parse_plane_ref(ref: str):
     if prime_power(q) is None:
         raise ValueError(f"q={q} is not a prime power")
     if kind == "cyclic":
-        return cyclic_plane(q), None, None, "CYCLIC", q
+        return cyclic_plane(q), "CYCLIC"
     if kind in ("pg", "ag"):
-        builder = {"pg": pg_from_field, "ag": ag_from_field}[kind]
-        coord = builder(q)
-        view = coord.to_generic()
-        return view.plane, view, coord, kind.upper(), q
+        return {"pg": pg_from_field, "ag": ag_from_field}[kind](q), kind.upper()
     raise ValueError(f"unknown plane model {kind!r}")
 
 
 def _cmd_oracle(args) -> int:
     try:
         graph = _parse_graph_ref(args.graph)
-        plane, view, coord, model, q = _parse_plane_ref(args.plane)
+        plane, model = _parse_plane_ref(args.plane)
     except (ValueError, OSError) as e:
         return _usage_error(str(e))
-    res = exists_embedding(graph, plane, budget=args.budget)
+    search = exists_in_coords if isinstance(plane, CoordPlane) else exists_embedding
+    res = search(graph, plane, budget=args.budget)
     doc = {"status": res.status, "expansions": res.expansions}
     if res.status == "found":
-        emb = res.embedding
-        if view is not None:
-            imgs = [view.point_triples[i] for i in emb.vertex_images]
-            emb = make_embedding(model, q, graph, imgs, plane=coord)
-        elif model == "CYCLIC":
-            # generic point ids on the cyclic plane are the residues themselves
-            emb = make_embedding(model, q, graph, emb.vertex_images, plane=plane)
+        # point ids on the cyclic plane are the residues themselves
+        emb = replace(res.embedding, model=model)
         out = args.out or "oracle_embedding.json"
         write_embedding(emb, out)
         doc["out"] = out
@@ -283,19 +270,23 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         emb = read_embedding(args.file)
-    except (ValueError, OSError, KeyError) as e:
+    except (FormatError, OSError) as e:
         return _usage_error(f"cannot read embedding: {e}")
-    if emb.model == "GENERIC":
-        if not args.plane:
+    try:
+        if emb.model != "GENERIC":
+            builder = {"CYCLIC": cyclic_plane, "AG": ag_from_field, "PG": pg_from_field}
+            plane = builder[emb.model](emb.q)
+        elif args.plane:
+            plane = load_plane(args.plane)
+        else:
             return _usage_error("generic embeddings need --plane pointing at the plane file")
-        plane = load_plane(args.plane)
-    elif emb.model == "CYCLIC":
-        plane = cyclic_plane(emb.q)
-    elif emb.model == "AG":
-        plane = ag_from_field(emb.q)
-    else:
-        plane = pg_from_field(emb.q)
-    rep = verify_embedding(emb.graph, emb, plane)
+    except (ValueError, OSError) as e:
+        # a malformed plane file, or an order no plane of the package has
+        return _usage_error(f"cannot read plane: {e}")
+    try:
+        rep = verify_embedding(emb.graph, emb, plane)
+    except ValueError as e:
+        return _fail(f"not an embedding in this plane: {e}")
     if rep.ok:
         print(f"pass: {emb.graph.kind} on {emb.model}:{emb.q}, "
               f"{emb.graph.n_vertices} vertices, {len(emb.graph.edges)} lines")

@@ -7,14 +7,16 @@ base path of q+1 points whose return to the vertical axis is multiplication
 by a constant; when that constant generates GF(q)*, glued paths sweep the
 whole affine plane.  Everything longer or shorter is surgery on that chain.
 
-Each constructor re-verifies its output as an embedding before returning.
+Each public constructor returns a chain only after its embedding has
+passed ``graphs.emit`` once, in the plane the chain is returned in.
+Intermediate chains that are never returned are not verified on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .gf import (
     DegenerateAlpha,
@@ -26,12 +28,11 @@ from .gf import (
     make_field,
     prime_power,
 )
-from .graphs import Embedding, cycle_graph, make_embedding, verify_embedding
-from .oracle import exists_embedding
+from .graphs import ConstructionFailed, Embedding, cycle_graph, emit
+from .oracle import exists_in_coords
 from .plane import (
     LINE_INF,
     AffinePoint,
-    CoordPlane,
     GenericPlane,
     affine_coords,
     affine_triple,
@@ -165,9 +166,11 @@ def base_path(q: int, labeling=None, beta=1) -> BasePath:
     ret = lab.class_line_through(1, cur)
     q0 = intersect(spec, ret, lab.through_o_line(0))
 
-    for i, P in enumerate(pts):
-        assert incident(spec, P, lab.through_o_line(i))
-    assert len(set(pts)) == n and origin not in pts
+    # the long chain and the gear routes rely on P_i lying on l_i
+    if len(set(pts)) != n or not all(
+        incident(spec, P, lab.through_o_line(i)) for i, P in enumerate(pts)
+    ):
+        raise ConstructionFailed(f"base path from beta={b!r} leaves its pencil")
     x0, y0 = affine_coords(spec, q0)
     mult = spec.element(y0) / b
 
@@ -241,33 +244,18 @@ class CycleChain:
             return cyclic_plane(self.q)
         raise ValueError(f"unknown chain model {self.model!r}")
 
-    def to_embedding(self, plane=None) -> Embedding:
-        plane = plane if plane is not None else self.default_plane()
-        graph = cycle_graph(self.length)
-        return make_embedding(
-            self.model if self.model != "CYCLIC" else "CYCLIC",
-            self.q,
-            graph,
-            self.points,
-            plane=plane,
-        )
+    def to_embedding(self) -> Embedding:
+        """The chain as an embedding of C_length; its lines are the edge images."""
+        L, lines = self.length, self.lines
+        # cycle_graph(L).edges is sorted: (0,1), (0,L-1), (1,2), ..., (L-2,L-1);
+        # a lines tuple of the wrong length gives the wrong number of images
+        edge_images = lines[:1] + lines[L - 1 :] + lines[1 : L - 1]
+        return Embedding(self.model, self.q, cycle_graph(L), self.points, edge_images)
 
 
-def _verify_chain(chain: CycleChain, plane=None) -> CycleChain:
-    assert len(chain.points) == len(chain.lines)
-    plane = plane if plane is not None else chain.default_plane()
-    L = chain.length
-    if chain.model in ("AG", "PG"):
-        spec = plane.spec
-        for i in range(L):
-            want = line_through(spec, chain.points[i], chain.points[(i + 1) % L])
-            assert chain.lines[i] == want, f"chain line {i} is not the joining line"
-    else:
-        for i in range(L):
-            li = plane.line_between(chain.points[i], chain.points[(i + 1) % L])
-            assert chain.lines[i] == li, f"chain line {i} mismatches the plane"
-    rep = verify_embedding(cycle_graph(L), chain.to_embedding(plane), plane)
-    assert rep.ok, rep.violations
+def _emit_chain(chain: CycleChain, k: int) -> CycleChain:
+    # the requested k, so that a chain of the wrong length fails
+    emit(cycle_graph(k), chain.to_embedding(), chain.default_plane())
     return chain
 
 
@@ -278,44 +266,45 @@ def _verify_chain(chain: CycleChain, plane=None) -> CycleChain:
 def long_cycle(q: int, labeling=None) -> CycleChain:
     """Glue the beta-orbit of base paths along their class-1 return lines."""
     lab = _resolve_labeling(q, labeling)
+    chain = _long_chain(q, lab)
+    return _emit_chain(chain, chain.length)
+
+
+def _long_chain(q: int, lab: SlopeLabeling) -> CycleChain:
     spec = lab.spec
     first = base_path(q, lab, spec.one_el)
     m = first.multiplier
-    order = element_order(m)
     points, lines = [], []
     b = spec.one_el
-    for t in range(order):
+    for t in range(element_order(m)):
         path = first if t == 0 else base_path(q, lab, b)
         points.extend(P.triple() for P in path.points)
         lines.extend(path.links)
         lines.append(path.return_line)
         b = m * b
-    assert b == spec.one_el
-    chain = CycleChain("AG", q, tuple(points), tuple(lines))
-    assert chain.length == (q + 1) * order
-    origin = (0, 0, 1)
-    assert all(not incident(spec, origin, l) for l in chain.lines)
-    return _verify_chain(chain, ag_from_field(q))
+    return CycleChain("AG", q, tuple(points), tuple(lines))
 
 
 def cycle_q2(q: int, labeling=None) -> CycleChain:
     """Reroute one chain edge through the origin, covering all of AG(2,q)."""
     lab = _resolve_labeling(q, labeling)
-    chain = long_cycle(q, lab)
+    return _emit_chain(_through_origin(q, lab, _long_chain(q, lab)), q * q)
+
+
+def _through_origin(q: int, lab: SlopeLabeling, chain: CycleChain) -> CycleChain:
     if chain.length != q * q - 1:
         raise ValueError("rerouting needs the full-orbit long cycle")
     # drop the edge P_0(beta=1) -- P_1 and run both ends into O instead
     points = ((0, 0, 1),) + chain.points[1:] + (chain.points[0],)
     lines = (lab.through_o_line(1),) + chain.lines[1:] + (lab.through_o_line(0),)
-    out = CycleChain("AG", q, points, lines)
-    assert out.length == q * q
-    return _verify_chain(out, ag_from_field(q))
+    return CycleChain("AG", q, points, lines)
 
 
 @lru_cache(maxsize=None)
 def _default_chain(q: int):
+    # the unverified long chain every surgery starts from, built once per q
     lab = labeling_for(q)
-    return lab, long_cycle(q, lab)
+    return lab, _long_chain(q, lab)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +336,10 @@ def _ellipse_points(q: int, spec: FieldSpec) -> list:
                         xe, ye = spec.element(x), spec.element(y)
                         if xe * xe + be * xe * ye + ce * ye * ye == one:
                             pts.append(affine_triple(spec, x, y))
-                assert len(pts) == q + 1, "norm-one circle must have q+1 points"
+                if len(pts) != q + 1:
+                    raise ConstructionFailed(f"norm-one circle over GF({q}) has {len(pts)} points")
                 return pts
-    raise AssertionError("no irreducible quadratic found")
+    raise ConstructionFailed(f"no irreducible quadratic over GF({q})")
 
 
 def _ellipse_chain(q: int, spec: FieldSpec) -> CycleChain:
@@ -363,46 +353,45 @@ def _ellipse_chain(q: int, spec: FieldSpec) -> CycleChain:
 # pancyclicity constructors
 
 
-def _oracle_chain(q: int, k: int, model: str) -> CycleChain:
-    view = (ag_from_field(q) if model == "AG" else pg_from_field(q)).to_generic()
-    res = exists_embedding(cycle_graph(k), view.plane)
+def _oracle_chain(k: int, plane) -> CycleChain:
+    res = exists_in_coords(cycle_graph(k), plane)
     if res.status != "found":
-        raise ValueError(f"search gave {res.status} for a {k}-cycle in {model}(2,{q})")
-    spec = make_field(*prime_power(q))
-    pts = [view.point_triples[i] for i in res.embedding.vertex_images]
-    lines = [line_through(spec, pts[i], pts[(i + 1) % k]) for i in range(k)]
-    chain = CycleChain(model, q, tuple(pts), tuple(lines))
-    plane = ag_from_field(q) if model == "AG" else pg_from_field(q)
-    return _verify_chain(chain, plane)
+        raise ConstructionFailed(f"search gave {res.status} for a {k}-cycle in {plane}")
+    pts, e = res.embedding.vertex_images, res.embedding.edge_images
+    # back from sorted edge order to traversal order (see CycleChain.to_embedding)
+    return CycleChain(plane.model, plane.q, pts, e[:1] + e[2:] + e[1:2])
 
 
 def ag_cycle(q: int, k: int) -> CycleChain:
     """A k-cycle in AG(2,q) for any feasible k (3 <= k <= q^2)."""
+    return _emit_chain(_ag_chain(q, k), k)
+
+
+def _ag_chain(q: int, k: int) -> CycleChain:
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")
     if not 3 <= k <= q * q:
         raise ValueError(f"k={k} outside 3..{q * q}")
     if q in (2, 3):
-        return _oracle_chain(q, k, "AG")
+        return _oracle_chain(k, ag_from_field(q))
     spec = make_field(*pp)
     if k <= q:
-        return _verify_chain(_parabola_chain(q, k, spec), ag_from_field(q))
+        return _parabola_chain(q, k, spec)
     if k == q + 1:
-        return _verify_chain(_ellipse_chain(q, spec), ag_from_field(q))
+        return _ellipse_chain(q, spec)
     lab, chain = _default_chain(q)
     if k == q * q - 1:
         return chain
     if k == q * q:
-        return cycle_q2(q, lab)
-    return _verify_chain(_surgery_chain(q, k, lab, chain), ag_from_field(q))
+        return _through_origin(q, lab, chain)
+    return _surgery_chain(q, k, lab, chain)
 
 
 def _surgery_chain(q: int, k: int, lab: SlopeLabeling, chain: CycleChain) -> CycleChain:
     # open the long chain after k-1 points and close through O; when the
     # natural closing class collides with the opening line, skip one period
     # ahead along a through-O line instead
-    spec = lab.spec
     ch, cl = chain.points, chain.lines
     N = q * q - 1
     n = q + 1
@@ -416,7 +405,6 @@ def _surgery_chain(q: int, k: int, lab: SlopeLabeling, chain: CycleChain) -> Cyc
     j2 = (k - 3 + n) % N
     j3 = (k - 2 + n) % N
     jump = lab.through_o_line(c)
-    assert incident(spec, ch[k - 3], jump) and incident(spec, ch[j2], jump)
     pts = (O,) + ch[1 : k - 2] + (ch[j2], ch[j3])
     lines = (
         (lab.through_o_line(1),)
@@ -437,11 +425,13 @@ def pg_cycle(q: int, k: int) -> CycleChain:
     if k == top:
         return singer_cycle(q)
     if q in (2, 3):
-        return _oracle_chain(q, k, "PG")
-    if k <= q * q:
-        ag = ag_cycle(q, k)
-        return _verify_chain(CycleChain("PG", q, ag.points, ag.lines), pg_from_field(q))
-    return _verify_chain(_ladder_chain(q, k), pg_from_field(q))
+        chain = _oracle_chain(k, pg_from_field(q))
+    elif k <= q * q:
+        ag = _ag_chain(q, k)
+        chain = CycleChain("PG", q, ag.points, ag.lines)
+    else:
+        chain = _ladder_chain(q, k)
+    return _emit_chain(chain, k)
 
 
 def _ladder_chain(q: int, k: int) -> CycleChain:
@@ -502,7 +492,6 @@ def _ladder_chain(q: int, k: int) -> CycleChain:
         tp, tl = tail(i + 1)
         pts = seg_pts + (d[3], d[2], O, Q(i)) + tuple(tp) + (ch[0],)
         lines = seg_lines + (LINE_INF, l[2], l[i]) + tuple(tl) + (cl[N - 1], cl[0])
-    assert len(pts) == k and len(lines) == k, (k, len(pts), len(lines))
     return CycleChain("PG", q, tuple(pts), tuple(lines))
 
 
@@ -537,7 +526,6 @@ def _full_rung(q: int, lab: SlopeLabeling, chain: CycleChain) -> CycleChain:
     for i in range(4, q + 1):
         pts += [R(i), d[(i + 1) % n]]
         lines += [Lam(i - 1), l[(i + 1) % n]]
-    assert len(pts) == q * q + q and len(lines) == q * q + q
     return CycleChain("PG", q, tuple(pts), tuple(lines))
 
 
@@ -562,16 +550,16 @@ def singer_difference_set(q: int) -> tuple:
     for _ in range(q - 1):
         sub.append(x)
         x = x * gn
-    assert len({e.enc for e in sub}) == q
     span = {(u + v * g).enc for u in sub for v in sub}
-    assert len(span) == q * q
     D = []
     x = big.one_el
     for i in range(n):
         if x.enc in span:
             D.append(i)
         x = x * g
-    assert len(D) == q + 1
+    # cyclic_plane takes the translates of D as the lines of PG(2,q)
+    if len({e.enc for e in sub}) != q or len(span) != q * q or len(D) != q + 1:
+        raise ConstructionFailed(f"no planar difference set came out of GF({q}^3)")
     return tuple(D)
 
 
@@ -595,11 +583,6 @@ def singer_cycle(q: int) -> CycleChain:
     index = {line: i for i, line in enumerate(plane.lines)}
     lines = []
     for i in range(n):
-        t = (i - d2) % n
-        translate = tuple(sorted((d + t) % n for d in D))
-        li = index[translate]
-        assert i in translate and (i + 1) % n in translate
-        lines.append(li)
-    assert len(set(lines)) == n
-    chain = CycleChain("CYCLIC", q, tuple(range(n)), tuple(lines))
-    return _verify_chain(chain, plane)
+        # the translate of D by i - d2 holds d2 + (i - d2) = i and i + 1
+        lines.append(index[tuple(sorted((d + i - d2) % n for d in D))])
+    return _emit_chain(CycleChain("CYCLIC", q, tuple(range(n)), tuple(lines)), n)

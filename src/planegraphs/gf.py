@@ -265,13 +265,6 @@ class FieldSpec:
     def element(self, enc: int) -> "FieldElement":
         return FieldElement(self, self.decode(enc))
 
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        t = tuple(c % self.p for c in coeffs)
-        if len(t) > self.a:
-            t = _pmod(self.p, t, self.modulus)
-        t = t + (0,) * (self.a - len(t))
-        return FieldElement(self, t)
-
     @property
     def zero_el(self) -> "FieldElement":
         return FieldElement(self, (0,) * self.a)
@@ -320,9 +313,6 @@ class FieldSpec:
             return pow(x, self.p - 2, self.p)
         r = _pinv(self.p, _trim(self.decode(x)), self.modulus)
         return self.encode(r + (0,) * (self.a - len(r)))
-
-    def ediv(self, x: int, y: int) -> int:
-        return self.emul(x, self.einv(y))
 
 
 class FieldElement:
@@ -531,7 +521,6 @@ def consecutive_primitive_pair(spec: FieldSpec) -> FieldElement:
 
 ROUTE_ODD_GAMMA = "ODD_GAMMA"
 ROUTE_EVEN_GOLOMB = "EVEN_GOLOMB"
-ROUTE_BRUTE_SMALL = "BRUTE_SMALL"  # reserved route tag; current searches never emit it
 ROUTE_NOT_FOUND = "NOT_FOUND"
 
 

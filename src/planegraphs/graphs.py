@@ -12,11 +12,15 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .plane import CoordPlane, GenericPlane, incident, is_affine, line_through
+from .plane import CoordPlane, FormatError, GenericPlane, format_errors, is_affine, line_through
 
 
 class ImpossibleDegree(ValueError):
     """A vertex needs more lines through its image than the plane has."""
+
+
+class ConstructionFailed(RuntimeError):
+    """No verifier-passing embedding came out of the attempted routes."""
 
 
 @dataclass(frozen=True)
@@ -95,16 +99,17 @@ def edge_list_graph(edges, n_vertices: Optional[int] = None) -> Graph:
 
 
 def graph_from_json(doc: dict) -> Graph:
-    kind = doc.get("kind")
-    if kind == "CYCLE":
-        return cycle_graph(doc["k"])
-    if kind == "WHEEL":
-        return wheel_graph(doc["n"])
-    if kind == "GEAR":
-        return gear_graph(doc["n"])
-    if kind == "EDGE_LIST":
-        return edge_list_graph([tuple(e) for e in doc["edges"]], doc.get("vertices"))
-    raise ValueError(f"unknown graph kind {kind!r}")
+    with format_errors("graph"):
+        kind = doc.get("kind")
+        if kind == "CYCLE":
+            return cycle_graph(doc["k"])
+        if kind == "WHEEL":
+            return wheel_graph(doc["n"])
+        if kind == "GEAR":
+            return gear_graph(doc["n"])
+        if kind == "EDGE_LIST":
+            return edge_list_graph([tuple(e) for e in doc["edges"]], doc.get("vertices"))
+        raise FormatError(f"unknown graph kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +122,6 @@ class Embedding:
     graph: Graph
     vertex_images: tuple  # indexed by vertex id; triples or int ids
     edge_images: tuple  # aligned with graph.edges
-
-    def image_of(self, v: int):
-        return self.vertex_images[v]
-
-    def line_of(self, u: int, v: int):
-        e = (u, v) if u < v else (v, u)
-        return self.edge_images[self.graph.edges.index(e)]
 
 
 @dataclass
@@ -155,6 +153,8 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
         raise ValueError("embedding was built for a different graph")
     if len(emb.vertex_images) != graph.n_vertices:
         raise ValueError("one image per vertex required")
+    if len(emb.edge_images) != len(graph.edges):
+        raise ValueError("one image per edge required")
 
     violations = []
     if isinstance(plane, CoordPlane):
@@ -183,6 +183,25 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
     return VerifyReport(
         vertices_injective, edges_well_defined, edges_injective, degree_bound_ok, violations
     )
+
+
+def emit(graph: Graph, emb: Embedding, plane) -> Embedding:
+    """Return a constructed embedding once it passes the verifier.
+
+    This is the one check between a construction and its caller, so it
+    raises instead of asserting: it holds under ``python -O`` too.  A
+    failed verification, or an embedding that does not even fit the graph
+    or the plane, raises ConstructionFailed.
+    """
+    try:
+        rep = verify_embedding(graph, emb, plane)
+    except ValueError as e:
+        raise ConstructionFailed(f"{graph.kind} in {plane}: {e}") from e
+    if not rep.ok:
+        raise ConstructionFailed(
+            f"{graph.kind} in {plane} fails verification: " + "; ".join(rep.violations)
+        )
+    return emb
 
 
 def _verify_coord(graph, emb, plane, violations) -> list:
@@ -249,8 +268,14 @@ def _img_json(img):
     return list(img) if isinstance(img, tuple) else img
 
 
-def _img_load(raw):
-    return tuple(raw) if isinstance(raw, list) else raw
+def _img_load(raw, model: str):
+    # coordinate models store integer triples, the others integer ids
+    if model in ("PG", "AG"):
+        if isinstance(raw, list) and len(raw) == 3 and all(type(c) is int for c in raw):
+            return tuple(raw)
+    elif type(raw) is int:
+        return raw
+    raise FormatError(f"{raw!r} is not an image in a {model} embedding")
 
 
 def write_embedding(emb: Embedding, path) -> None:
@@ -259,34 +284,35 @@ def write_embedding(emb: Embedding, path) -> None:
 
 
 def read_embedding(path) -> Embedding:
-    with open(path) as fh:
+    """Load an embedding file; a malformed document raises FormatError."""
+    with open(path) as fh, format_errors(f"embedding file {path}"):
         doc = json.load(fh)
-    plane = doc.get("plane", {})
-    model, q = plane.get("model"), plane.get("q")
-    if model not in ("PG", "AG", "CYCLIC", "GENERIC"):
-        raise ValueError(f"unknown plane model {model!r}")
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"bad plane order {q!r}")
-    graph = graph_from_json(doc["graph"])
-    vimg: dict = {}
-    for item in doc["vertices"]:
-        v, raw = item
-        if v in vimg:
-            raise ValueError(f"vertex {v} listed twice")
-        vimg[v] = _img_load(raw)
-    if sorted(vimg) != list(range(graph.n_vertices)):
-        raise ValueError("vertex list must cover 0..n-1 exactly once")
-    eimg = {}
-    for item in doc["edges"]:
-        (u, v), raw = item
-        e = (u, v) if u < v else (v, u)
-        if e not in graph.edges:
-            raise ValueError(f"edge {e} is not in the graph")
-        if e in eimg:
-            raise ValueError(f"edge {e} listed twice")
-        eimg[e] = _img_load(raw)
-    if set(eimg) != set(graph.edges):
-        raise ValueError("edge list must cover every graph edge")
+        plane = doc.get("plane", {})
+        model, q = plane.get("model"), plane.get("q")
+        if model not in ("PG", "AG", "CYCLIC", "GENERIC"):
+            raise FormatError(f"unknown plane model {model!r}")
+        if not isinstance(q, int) or q < 2:
+            raise FormatError(f"bad plane order {q!r}")
+        graph = graph_from_json(doc["graph"])
+        vimg: dict = {}
+        for item in doc["vertices"]:
+            v, raw = item
+            if v in vimg:
+                raise FormatError(f"vertex {v} listed twice")
+            vimg[v] = _img_load(raw, model)
+        if sorted(vimg) != list(range(graph.n_vertices)):
+            raise FormatError("vertex list must cover 0..n-1 exactly once")
+        eimg = {}
+        for item in doc["edges"]:
+            (u, v), raw = item
+            e = (u, v) if u < v else (v, u)
+            if e not in graph.edges:
+                raise FormatError(f"edge {e} is not in the graph")
+            if e in eimg:
+                raise FormatError(f"edge {e} listed twice")
+            eimg[e] = _img_load(raw, model)
+        if set(eimg) != set(graph.edges):
+            raise FormatError("edge list must cover every graph edge")
     return Embedding(
         model=model,
         q=q,

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Embedding, Graph, make_embedding, verify_embedding
-from .plane import GenericPlane
+from .graphs import Embedding, Graph, emit, make_embedding
+from .plane import CoordPlane, GenericPlane
 
 DEFAULT_BUDGET = 10**8
 
@@ -135,10 +135,26 @@ def exists_embedding(
         return OracleResult(STATUS_BUDGET, None, count[0])
     if not found:
         return OracleResult(STATUS_NOTFOUND, None, count[0])
-    emb = make_embedding("GENERIC", plane.q, graph, tuple(img), plane=plane)
-    rep = verify_embedding(graph, emb, plane)
-    assert rep.ok, rep.violations
+    emb = emit(graph, make_embedding("GENERIC", plane.q, graph, tuple(img), plane=plane), plane)
     return OracleResult(STATUS_FOUND, emb, count[0])
+
+
+def exists_in_coords(
+    graph: Graph, coord: CoordPlane, budget: int = DEFAULT_BUDGET
+) -> OracleResult:
+    """Search a coordinate plane through its generic view.
+
+    A found embedding comes back in coordinates: the search's verified
+    result with its point ids mapped to triples.  The coordinate copy is
+    not verified again here; constructors hand it to ``graphs.emit``.
+    """
+    view = coord.to_generic()
+    res = exists_embedding(graph, view.plane, budget)
+    if res.embedding is None:
+        return res
+    imgs = [view.point_triples[i] for i in res.embedding.vertex_images]
+    emb = make_embedding(coord.model, coord.q, graph, imgs, plane=coord)
+    return OracleResult(res.status, emb, res.expansions)
 
 
 def pancyclicity_table(

@@ -13,6 +13,7 @@ id tuples.  It is what the search oracle and the file format speak.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -91,11 +92,6 @@ def parallel_line(spec: FieldSpec, l: Triple, P: Triple) -> Triple:
     return line_through(spec, d, P)
 
 
-def direction_of_slope(spec: FieldSpec, s: Optional[int]) -> Triple:
-    # slope None encodes the vertical direction
-    return DIR_VERTICAL if s is None else (1, s, 0)
-
-
 @dataclass(frozen=True)
 class AffinePoint:
     x: FieldElement
@@ -163,16 +159,6 @@ class GenericView:
     point_triples: tuple
     line_triples: tuple
 
-    def pid(self, P: Triple) -> int:
-        idx = self._index()
-        return idx[P]
-
-    def _index(self):
-        # index map is rebuilt on demand; views are short-lived helpers
-        if not hasattr(self, "_idx"):
-            object.__setattr__(self, "_idx", {t: i for i, t in enumerate(self.point_triples)})
-        return self._idx
-
 
 class CoordPlane:
     """PG(2,q) or its affine part AG(2,q), with arithmetic incidence tests."""
@@ -220,10 +206,6 @@ class CoordPlane:
             return False
         return True
 
-    def line_points(self, l: Triple) -> list:
-        out = [P for P in self.points() if incident(self.spec, P, l)]
-        return out
-
     def to_generic(self) -> GenericView:
         pts = self.points()
         index = {P: i for i, P in enumerate(pts)}
@@ -259,6 +241,22 @@ def ag_from_field(q: int) -> CoordPlane:
 
 # ---------------------------------------------------------------------------
 # axiom checking and file io for generic planes
+
+
+class FormatError(ValueError):
+    """A plane or embedding document is malformed."""
+
+
+@contextmanager
+def format_errors(what: str):
+    """Report any error a malformed document provokes as one FormatError."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed {what}: {e}") from e
+
 
 _MAX_VIOLATIONS = 50
 
@@ -363,16 +361,17 @@ def save_plane(plane: GenericPlane, path) -> None:
 
 
 def load_plane(path) -> GenericPlane:
-    with open(path) as fh:
+    """Load a plane file; a malformed document raises FormatError."""
+    with open(path) as fh, format_errors(f"plane file {path}"):
         doc = json.load(fh)
-    if not isinstance(doc, dict) or not {"q", "points", "lines"} <= set(doc):
-        raise ValueError("plane file needs keys q, points, lines")
-    n = doc["points"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("points must be a positive integer")
-    lines = []
-    for i, l in enumerate(doc["lines"]):
-        if not isinstance(l, list) or not all(isinstance(p, int) for p in l):
-            raise ValueError(f"line {i} is not a list of point ids")
-        lines.append(tuple(sorted(l)))
+        if not isinstance(doc, dict) or not {"q", "points", "lines"} <= set(doc):
+            raise FormatError("plane file needs keys q, points, lines")
+        n = doc["points"]
+        if not isinstance(n, int) or n < 1:
+            raise FormatError("points must be a positive integer")
+        lines = []
+        for i, l in enumerate(doc["lines"]):
+            if not isinstance(l, list) or not all(isinstance(p, int) for p in l):
+                raise FormatError(f"line {i} is not a list of point ids")
+            lines.append(tuple(sorted(l)))
     return GenericPlane(q=doc["q"], n_points=n, lines=tuple(lines))

@@ -6,8 +6,9 @@ W_{q+1}, which uses the spoke-pencil construction with a searched closing
 vertex.  Gears split by size: small ones are wheels with alternate spokes
 removed, mid-range ones braid two disjoint base paths through infinite
 points, and the maximum gear alternates directions with affine points
-chosen greedily.  Every route ends in the verifier; no route emits an
-unchecked embedding.
+chosen greedily.  Every route hands its embedding to ``graphs.emit``,
+which verifies it once and returns it in a ``Plan`` or raises
+ConstructionFailed; no route returns an unchecked embedding.
 """
 
 from __future__ import annotations
@@ -15,19 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import SlopeLabeling, base_path, labeling_for
+from .cycles import base_path, labeling_for
 from .gf import make_field, prime_power
 from .graphs import (
+    ConstructionFailed,
     Embedding,
+    Graph,
     ImpossibleDegree,
+    emit,
     gear_graph,
     make_embedding,
     verify_embedding,
     wheel_graph,
 )
-from .oracle import exists_embedding
+from .oracle import exists_embedding, exists_in_coords
 from .plane import (
-    LINE_INF,
     CoordPlane,
     GenericPlane,
     affine_triple,
@@ -38,10 +41,6 @@ from .plane import (
     line_through,
     pg_from_field,
 )
-
-
-class ConstructionFailed(RuntimeError):
-    """No verifier-passing embedding came out of the attempted routes."""
 
 
 ROUTE_ARC = "ARC"
@@ -55,7 +54,9 @@ ROUTE_ORACLE = "ORACLE"
 
 
 @dataclass(frozen=True)
-class WheelPlan:
+class Plan:
+    """A verified wheel or gear embedding with the route that built it."""
+
     center: object
     rim: tuple
     spokes: tuple
@@ -63,27 +64,31 @@ class WheelPlan:
     embedding: Embedding
 
 
-@dataclass(frozen=True)
-class GearPlan:
-    center: object
-    rim: tuple
-    spokes: tuple
-    route: str
-    embedding: Embedding
-
-
-def _spoke_lines(emb: Embedding, graph) -> tuple:
-    return tuple(
-        img for (u, v), img in zip(graph.edges, emb.edge_images) if 0 in (u, v)
+def _plan(graph: Graph, emb: Embedding, plane, route: str) -> Plan:
+    emb = emit(graph, emb, plane)
+    return Plan(
+        center=emb.vertex_images[0],
+        rim=emb.vertex_images[1:],
+        spokes=tuple(img for (u, v), img in zip(graph.edges, emb.edge_images) if u == 0),
+        route=route,
+        embedding=emb,
     )
 
 
-def _center_raw_incidence(emb: Embedding, plane) -> int:
-    center = emb.vertex_images[0]
-    used = set(emb.edge_images)
-    if isinstance(plane, CoordPlane):
-        return sum(1 for l in used if incident(plane.spec, center, l))
-    return sum(1 for li in used if center in plane.lines[li])
+def _sized_graph(kind: str, n: int, q: int) -> Graph:
+    # the degree bound comes first, so an absurd n builds no graph
+    if n > q + 1:
+        raise ImpossibleDegree(f"{kind} center degree {n} exceeds the pencil size {q + 1}")
+    return wheel_graph(n) if kind == "wheel" else gear_graph(n)  # ValueError for n < 3
+
+
+def _searched(graph: Graph, plane) -> Embedding:
+    """The exhaustive oracle's embedding, in coordinates for a CoordPlane."""
+    search = exists_in_coords if isinstance(plane, CoordPlane) else exists_embedding
+    res = search(graph, plane)
+    if res.status != "found":
+        raise ConstructionFailed(f"{graph.kind.lower()} search ended with {res.status}")
+    return res.embedding
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +109,6 @@ def arc_points(q: int) -> list:
     pts.append((0, 1, 0))
     if q % 2 == 0:
         pts.append((1, 0, 0))
-    if q <= 16:
-        # cheap insurance on the no-three-collinear property
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                l = line_through(spec, pts[i], pts[j])
-                assert sum(1 for P in pts if incident(spec, P, l)) == 2
     return pts
 
 
@@ -121,7 +120,7 @@ def wheel(q: int, n: int, plane=None) -> Embedding:
     return wheel_plan(q, n, plane).embedding
 
 
-def wheel_plan(q: int, n: int, plane=None) -> WheelPlan:
+def wheel_plan(q: int, n: int, plane=None) -> Plan:
     """Embed the wheel W_n (center 0, rim 1..n) in PG(2,q), or in a loaded
     generic plane when one is passed.
 
@@ -144,32 +143,22 @@ def wheel_plan(q: int, n: int, plane=None) -> WheelPlan:
         return _wheel_generic(plane, n)
     if prime_power(q) is None:
         raise ValueError(f"q={q} is not a prime power")
-    if n < 3:
-        raise ValueError("wheel rim needs at least 3 vertices")
-    if n > q + 1:
-        raise ImpossibleDegree(f"wheel center degree {n} exceeds the pencil size {q + 1}")
+    graph = _sized_graph("wheel", n, q)
     pgp = pg_from_field(q)
-    graph = wheel_graph(n)
+    emb, route = _wheel_route(q, pgp, graph)
+    return _plan(graph, emb, pgp, route)
+
+
+def _wheel_route(q: int, pgp: CoordPlane, graph) -> tuple:
+    """(embedding, route) for W_n in PG(2,q), not yet verified."""
+    n = graph.param
     if q % 2 == 1 and n == q + 1:
         emb = _wheel_explicit(q, pgp, graph)
-        route = ROUTE_EXPLICIT
-        if emb is None:
-            emb = _wheel_oracle(q, pgp, graph)
-            route = ROUTE_ORACLE
-    else:
-        arc = arc_points(q)
-        assert len(arc) >= n + 1
-        emb = make_embedding("PG", q, graph, arc[: n + 1], plane=pgp)
-        route = ROUTE_ARC
-    rep = verify_embedding(graph, emb, pgp)
-    assert rep.ok, rep.violations
-    return WheelPlan(
-        center=emb.vertex_images[0],
-        rim=emb.vertex_images[1:],
-        spokes=_spoke_lines(emb, graph),
-        route=route,
-        embedding=emb,
-    )
+        if emb is not None:
+            return emb, ROUTE_EXPLICIT
+        return _searched(graph, pgp), ROUTE_ORACLE
+    # the arc has q+1 points (q+2 for even q) and serves n <= q (n <= q+1 for even q)
+    return make_embedding("PG", q, graph, arc_points(q)[: n + 1], plane=pgp), ROUTE_ARC
 
 
 def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Optional[Embedding]:
@@ -199,21 +188,8 @@ def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Optional[Embedding]:
     return None
 
 
-def _wheel_oracle(q: int, pgp: CoordPlane, graph) -> Embedding:
-    view = pgp.to_generic()
-    res = exists_embedding(graph, view.plane)
-    if res.status != "found":
-        raise ConstructionFailed(f"wheel search ended with {res.status}")
-    imgs = [view.point_triples[i] for i in res.embedding.vertex_images]
-    return make_embedding("PG", q, graph, imgs, plane=pgp)
-
-
-def _wheel_generic(plane: GenericPlane, n: int) -> WheelPlan:
-    if n < 3:
-        raise ValueError("wheel rim needs at least 3 vertices")
-    if n > plane.q + 1:
-        raise ImpossibleDegree(f"wheel center degree {n} exceeds the pencil size {plane.q + 1}")
-    graph = wheel_graph(n)
+def _wheel_generic(plane: GenericPlane, n: int) -> Plan:
+    graph = _sized_graph("wheel", n, plane.q)
     arc = []
     for p in range(plane.n_points):
         ok = True
@@ -229,28 +205,13 @@ def _wheel_generic(plane: GenericPlane, n: int) -> WheelPlan:
             arc.append(p)
         if len(arc) == n + 1:
             break
-    route = ROUTE_ARC
     if len(arc) == n + 1:
         try:
             emb = make_embedding("GENERIC", plane.q, graph, arc, plane=plane)
-        except ValueError:
-            emb = None
-    else:
-        emb = None
-    if emb is None or not verify_embedding(graph, emb, plane).ok:
-        res = exists_embedding(graph, plane)
-        if res.status != "found":
-            raise ConstructionFailed(f"wheel search ended with {res.status}")
-        emb, route = res.embedding, ROUTE_ORACLE
-    rep = verify_embedding(graph, emb, plane)
-    assert rep.ok, rep.violations
-    return WheelPlan(
-        center=emb.vertex_images[0],
-        rim=emb.vertex_images[1:],
-        spokes=_spoke_lines(emb, graph),
-        route=route,
-        embedding=emb,
-    )
+            return _plan(graph, emb, plane, ROUTE_ARC)
+        except (ConstructionFailed, ValueError):
+            pass
+    return _plan(graph, _searched(graph, plane), plane, ROUTE_ORACLE)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +222,20 @@ def gear(q: int, n: int, plane=None) -> Embedding:
     return gear_plan(q, n, plane).embedding
 
 
-def gear_plan(q: int, n: int, plane=None) -> GearPlan:
+def gear_plan(q: int, n: int, plane=None) -> Plan:
     if isinstance(plane, GenericPlane):
         return _gear_generic(plane, n)
     if prime_power(q) is None:
         raise ValueError(f"q={q} is not a prime power")
-    if n < 3:
-        raise ValueError("gear needs at least 3 spokes")
-    if n > q + 1:
-        raise ImpossibleDegree(f"gear center degree {n} exceeds the pencil size {q + 1}")
+    graph = _sized_graph("gear", n, q)
     pgp = pg_from_field(q)
-    graph = gear_graph(n)
     if q <= 4 or (q, n) == (5, 4):
-        emb, route = _gear_oracle(q, n, pgp, graph), ROUTE_ORACLE
+        emb, route = _searched(graph, pgp), ROUTE_ORACLE
     elif n <= (q + 1) // 2:
-        emb, route = _gear_from_wheel(q, n, pgp, graph), ROUTE_FROM_WHEEL
+        # same vertex numbering; the gear simply forgets the even-rim spokes
+        wheel_emb, _ = _wheel_route(q, pgp, wheel_graph(2 * n))
+        emb = make_embedding("PG", q, graph, wheel_emb.vertex_images, plane=pgp)
+        route = ROUTE_FROM_WHEEL
     elif n <= q:
         lab = labeling_for(q)
         if n % 2 == 0:
@@ -283,41 +243,16 @@ def gear_plan(q: int, n: int, plane=None) -> GearPlan:
         else:
             emb, route = _gear_paths_odd(q, n, lab, pgp, graph), ROUTE_PATHS_ODD
         if emb is None:
-            if q < 8:
-                emb, route = _gear_oracle(q, n, pgp, graph), ROUTE_ORACLE
-            else:
+            if q >= 8:
                 raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
+            emb, route = _searched(graph, pgp), ROUTE_ORACLE
     else:
         lab = labeling_for(q)
         if q % 2 == 0:
             emb, route = _gear_max_even(q, lab, pgp, graph), ROUTE_MAX_EVEN
         else:
             emb, route = _gear_max_odd(q, lab, pgp, graph), ROUTE_MAX_ODD
-    rep = verify_embedding(graph, emb, pgp)
-    assert rep.ok, rep.violations
-    assert _center_raw_incidence(emb, pgp) == n, "a rim edge runs through the center"
-    return GearPlan(
-        center=emb.vertex_images[0],
-        rim=emb.vertex_images[1:],
-        spokes=_spoke_lines(emb, graph),
-        route=route,
-        embedding=emb,
-    )
-
-
-def _gear_oracle(q: int, n: int, pgp: CoordPlane, graph) -> Embedding:
-    view = pgp.to_generic()
-    res = exists_embedding(graph, view.plane)
-    if res.status != "found":
-        raise ConstructionFailed(f"gear search ended with {res.status}")
-    imgs = [view.point_triples[i] for i in res.embedding.vertex_images]
-    return make_embedding("PG", q, graph, imgs, plane=pgp)
-
-
-def _gear_from_wheel(q: int, n: int, pgp: CoordPlane, graph) -> Embedding:
-    big = wheel(q, 2 * n)
-    # same vertex numbering; the gear simply forgets the even-rim spokes
-    return make_embedding("PG", q, graph, big.vertex_images, plane=pgp)
+    return _plan(graph, emb, pgp, route)
 
 
 def _gear_paths_even(q, n, lab, pgp, graph) -> Optional[Embedding]:
@@ -407,7 +342,7 @@ def _gear_max_even(q, lab, pgp, graph) -> Embedding:
             used.add(pt)
             break
         else:
-            raise AssertionError("greedy rim choice exhausted the plane")
+            raise ConstructionFailed(f"greedy rim choice exhausted PG(2,{q})")
     rim = []
     for i in range(n2):
         rim += [lab.direction_point(i), A[i]]
@@ -436,7 +371,7 @@ def _gear_max_odd(q, lab, pgp, graph) -> Embedding:
             used.add(pt)
             break
         else:
-            raise AssertionError("greedy rim choice exhausted the plane")
+            raise ConstructionFailed(f"greedy rim choice exhausted PG(2,{q})")
     # the class-0/class-1 corner vertex goes last, when its avoidances are known
     l0, l1 = lab.through_o_line(0), lab.through_o_line(1)
     av0 = lab.class_line_through(0, A[q])
@@ -451,52 +386,29 @@ def _gear_max_odd(q, lab, pgp, graph) -> Embedding:
         A[0] = pt
         break
     else:
-        raise AssertionError("no corner vertex available")
+        raise ConstructionFailed(f"no corner vertex available in PG(2,{q})")
     rim = []
     for i in range(n2):
         rim += [lab.direction_point(i), A[i]]
     return make_embedding("PG", q, graph, [O] + rim, plane=pgp)
 
 
-def _gear_generic(plane: GenericPlane, n: int) -> GearPlan:
-    if n < 3:
-        raise ValueError("gear needs at least 3 spokes")
-    if n > plane.q + 1:
-        raise ImpossibleDegree(f"gear center degree {n} exceeds the pencil size {plane.q + 1}")
-    graph = gear_graph(n)
-    emb = None
-    route = ROUTE_FROM_WHEEL
+def _gear_generic(plane: GenericPlane, n: int) -> Plan:
+    graph = _sized_graph("gear", n, plane.q)
     if 2 * n <= plane.q + 1:
         try:
             big = wheel_plan(plane.q, 2 * n, plane).embedding
             emb = make_embedding("GENERIC", plane.q, graph, big.vertex_images, plane=plane)
+            return _plan(graph, emb, plane, ROUTE_FROM_WHEEL)
         except (ConstructionFailed, ValueError):
-            emb = None
-    if emb is None or not verify_embedding(graph, emb, plane).ok:
-        res = exists_embedding(graph, plane)
-        if res.status != "found":
-            raise ConstructionFailed(f"gear search ended with {res.status}")
-        emb, route = res.embedding, ROUTE_ORACLE
-    rep = verify_embedding(graph, emb, plane)
-    assert rep.ok, rep.violations
-    return GearPlan(
-        center=emb.vertex_images[0],
-        rim=emb.vertex_images[1:],
-        spokes=_spoke_lines(emb, graph),
-        route=route,
-        embedding=emb,
-    )
+            pass
+    return _plan(graph, _searched(graph, plane), plane, ROUTE_ORACLE)
 
 
 def gear_from_wheel(q: int, n: int) -> Embedding:
     if not 3 <= n <= (q + 1) // 2:
         raise ValueError(f"wheel route needs 3 <= n <= {(q + 1) // 2}")
-    pgp = pg_from_field(q)
-    graph = gear_graph(n)
-    emb = _gear_from_wheel(q, n, pgp, graph)
-    rep = verify_embedding(graph, emb, pgp)
-    assert rep.ok, rep.violations
-    return emb
+    return gear_plan(q, n).embedding
 
 
 def gear_paths(q: int, n: int) -> Embedding:
@@ -504,22 +416,7 @@ def gear_paths(q: int, n: int) -> Embedding:
         raise ValueError("path routes need q > 4")
     if not (q + 1) // 2 < n <= q:
         raise ValueError(f"path route needs {(q + 1) // 2} < n <= {q}")
-    pgp = pg_from_field(q)
-    graph = gear_graph(n)
-    if (q, n) == (5, 4):
-        emb = _gear_oracle(q, n, pgp, graph)
-    else:
-        lab = labeling_for(q)
-        builder = _gear_paths_even if n % 2 == 0 else _gear_paths_odd
-        emb = builder(q, n, lab, pgp, graph)
-        if emb is None:
-            if q < 8:
-                emb = _gear_oracle(q, n, pgp, graph)
-            else:
-                raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
-    rep = verify_embedding(graph, emb, pgp)
-    assert rep.ok, rep.violations
-    return emb
+    return gear_plan(q, n).embedding
 
 
 def gear_max(q: int) -> Embedding:

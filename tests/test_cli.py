@@ -1,10 +1,15 @@
 """End-to-end command line checks, run in process through main()."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from planegraphs.cli import main
+from planegraphs.cycles import ag_cycle
+from planegraphs.graphs import embedding_to_json
 
 
 def run(capsys, *argv):
@@ -159,6 +164,71 @@ def test_oracle_generic_plane_file(tmp_path, capsys):
     assert rc == 2  # generic model requires the plane file
     rc, out, _ = run(capsys, "verify", str(f), "--plane", str(plane_file))
     assert rc == 0 and out.startswith("pass:")
+
+
+def test_malformed_files_exit_two(tmp_path, capsys):
+    f = tmp_path / "c5.json"
+    assert run(capsys, "cycle", "--q", "5", "--k", "5", "--out", str(f))[0] == 0
+    good = json.loads(f.read_text())
+    damaged = {
+        "vertices": dict(good, vertices=[1, 2, 3]),
+        "k": dict(good, graph={"kind": "CYCLE", "k": "x"}),
+        "plane": dict(good, plane="PG"),
+        "image": dict(good, vertices=[[0, [1, 2]]] + good["vertices"][1:]),
+    }
+    for name, doc in damaged.items():
+        bad = tmp_path / f"bad_{name}.json"
+        bad.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "verify", str(bad))
+        assert rc == 2 and "cannot read embedding" in err, name
+
+    p = tmp_path / "pg3.json"
+    assert run(capsys, "plane", "export", "--q", "3", "--out", str(p))[0] == 0
+    text = p.read_text()
+    doc = json.loads(text)
+    doc["lines"][0][0] = "x"
+    for name, body in (("truncated", text[: len(text) // 2]), ("nonint", json.dumps(doc))):
+        bad = tmp_path / f"plane_{name}.json"
+        bad.write_text(body)
+        rc, _, err = run(capsys, "plane", "check", str(bad))
+        assert rc == 2 and "cannot read plane" in err, name
+
+    bad = tmp_path / "bad_order.json"
+    bad.write_text(json.dumps(dict(good, plane={"model": "AG", "q": 6})))
+    rc, _, err = run(capsys, "verify", str(bad))
+    assert rc == 2 and "cannot read plane" in err
+
+
+_C6_AG4 = json.loads(embedding_to_json(ag_cycle(4, 6).to_embedding()))
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _slots(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _slots(child, path + (key,))
+
+
+@given(data=st.data())
+def test_damaged_embedding_never_crashes_verify(tmp_path_factory, data):
+    doc = json.loads(json.dumps(_C6_AG4))
+    path = data.draw(st.sampled_from(list(_slots(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_JSON)
+    f = tmp_path_factory.mktemp("damage") / "e.json"
+    f.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["verify", str(f)])
+    assert rc in (0, 1, 2)
 
 
 def test_verify_catches_tampering(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from planegraphs.graphs import (
     Embedding,
+    FormatError,
     cycle_graph,
     edge_list_graph,
     gear_graph,
@@ -132,6 +133,18 @@ def test_read_embedding_rejects_damage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        read_embedding(bad)
+
+    # damage that would otherwise surface as a TypeError or AttributeError
+    damage = {"vertices": [1, 2, 3], "graph": {"kind": "CYCLE", "k": "x"}, "plane": "PG"}
+    for key, value in damage.items():
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            read_embedding(bad)
+    bad.write_text(path.read_text()[:-10])  # truncated JSON
+    with pytest.raises(FormatError):
         read_embedding(bad)
 
 

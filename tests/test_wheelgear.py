@@ -1,7 +1,13 @@
 """Wheel and gear constructions: routes, invariants, refusals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from planegraphs.gf import prime_powers_in
 from planegraphs.graphs import ImpossibleDegree, gear_graph, verify_embedding, wheel_graph
 from planegraphs.plane import incident, line_through, pg_from_field
 from planegraphs.wheelgear import (
@@ -24,8 +30,9 @@ def test_arc_sizes():
     assert len(arc_points(8)) == 10
 
 
-@pytest.mark.parametrize("q", [5, 8])
+@pytest.mark.parametrize("q", prime_powers_in(2, 16))
 def test_arc_no_three_collinear(q):
+    # the conic plus its nucleus (q even) is an arc; wheel_plan relies on it
     spec = pg_from_field(q).spec
     arc = arc_points(q)
     for i in range(len(arc)):
@@ -65,6 +72,52 @@ def test_wheels_embed_and_verify(q):
         assert len(plan.spokes) == n
         for l in plan.spokes:
             assert incident(plane.spec, plan.center, l)
+
+
+def _collinear_arc(q):
+    # arc point 2 moved onto the line through points 0 and 1, so the spokes
+    # to rim vertices 1 and 2 of a wheel built on it share a line
+    pts = arc_points(q)
+    plane = pg_from_field(q)
+    l = line_through(plane.spec, pts[0], pts[1])
+    pts[2] = next(P for P in plane.points() if incident(plane.spec, P, l) and P not in pts[:2])
+    return pts
+
+
+def test_verifier_failure_raises(monkeypatch):
+    monkeypatch.setattr("planegraphs.wheelgear.arc_points", _collinear_arc)
+    with pytest.raises(ConstructionFailed, match="edge lines collide"):
+        wheel_plan(5, 4)
+
+
+_UNDER_O = """
+import os
+import planegraphs.wheelgear as wg
+from test_wheelgear import _collinear_arc
+wg.arc_points = _collinear_arc
+try:
+    wg.wheel_plan(5, 4)
+except wg.ConstructionFailed as e:
+    print("ConstructionFailed:", e)
+from planegraphs.cli import main
+print("exit code", main(["wheel", "--q", "5", "--n", "4", "--out", os.devnull]))
+"""
+
+
+def test_verifier_failure_raises_under_python_O():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("ConstructionFailed:"), out.stdout
+    assert "edge lines collide" in out.stdout
+    assert out.stdout.endswith("exit code 1\n"), out.stdout
 
 
 def test_wheel_four_needs_order_four():
