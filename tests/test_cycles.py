@@ -196,6 +196,25 @@ def test_singer_q2_normalized():
     assert singer_difference_set(2) == (0, 1, 3)
 
 
+# frozen: the difference set each order gets from first_primitive of GF(q^3)
+FROZEN_SINGER = {
+    2: (0, 1, 3),
+    3: (0, 1, 3, 9),
+    4: (0, 1, 6, 8, 18),
+    5: (0, 1, 4, 10, 12, 17),
+    7: (0, 1, 7, 24, 36, 38, 49, 54),
+    8: (0, 1, 11, 20, 38, 43, 59, 67, 71),
+    9: (0, 1, 6, 10, 23, 26, 34, 41, 53, 55),
+    11: (0, 1, 3, 15, 46, 71, 75, 84, 94, 101, 112, 128),
+    13: (0, 1, 5, 13, 65, 68, 93, 111, 113, 122, 146, 152, 162, 169),
+}
+
+
+@pytest.mark.parametrize("q,D", sorted(FROZEN_SINGER.items()))
+def test_singer_difference_set_frozen(q, D):
+    assert singer_difference_set(q) == D
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_cyclic_plane_is_projective(q):
     plane = cyclic_plane(q)

@@ -45,6 +45,55 @@ def test_modulus_choice(q, coeffs):
     assert spec.modulus == coeffs
 
 
+# frozen: encoding of the first primitive element of each composite order
+FROZEN_FIRST_PRIMITIVE = {
+    4: 2, 8: 2, 9: 4, 16: 2, 25: 6, 27: 3, 32: 2, 49: 9, 64: 2, 81: 3,
+    121: 15, 125: 9, 128: 2, 243: 3, 256: 3, 512: 7, 729: 3,
+}
+
+
+@pytest.mark.parametrize("q,enc", sorted(FROZEN_FIRST_PRIMITIVE.items()))
+def test_first_primitive_frozen(q, enc):
+    assert first_primitive(make_field(*prime_power(q))).enc == enc
+
+
+# frozen: the certificate row of every composite prime power up to 1024
+FROZEN_COMPOSITE_CERTIFICATES = """\
+{"q":4,"route":"EVEN_GOLOMB","alpha":2,"gamma":3,"ord":3}
+{"q":8,"route":"EVEN_GOLOMB","alpha":2,"gamma":2,"ord":7}
+{"q":9,"route":"ODD_GAMMA","alpha":4,"gamma":8,"ord":8}
+{"q":16,"route":"EVEN_GOLOMB","alpha":2,"gamma":11,"ord":15}
+{"q":25,"route":"ODD_GAMMA","alpha":9,"gamma":18,"ord":24}
+{"q":27,"route":"ODD_GAMMA","alpha":10,"gamma":10,"ord":26}
+{"q":32,"route":"EVEN_GOLOMB","alpha":2,"gamma":23,"ord":31}
+{"q":49,"route":"ODD_GAMMA","alpha":9,"gamma":29,"ord":48}
+{"q":64,"route":"EVEN_GOLOMB","alpha":32,"gamma":4,"ord":63}
+{"q":81,"route":"ODD_GAMMA","alpha":3,"gamma":46,"ord":80}
+{"q":121,"route":"ODD_GAMMA","alpha":18,"gamma":27,"ord":120}
+{"q":125,"route":"ODD_GAMMA","alpha":9,"gamma":97,"ord":124}
+{"q":128,"route":"EVEN_GOLOMB","alpha":2,"gamma":42,"ord":127}
+{"q":169,"route":"ODD_GAMMA","alpha":15,"gamma":75,"ord":168}
+{"q":243,"route":"ODD_GAMMA","alpha":26,"gamma":158,"ord":242}
+{"q":256,"route":"EVEN_GOLOMB","alpha":18,"gamma":238,"ord":255}
+{"q":289,"route":"ODD_GAMMA","alpha":19,"gamma":28,"ord":288}
+{"q":343,"route":"ODD_GAMMA","alpha":25,"gamma":274,"ord":342}
+{"q":361,"route":"ODD_GAMMA","alpha":22,"gamma":97,"ord":360}
+{"q":512,"route":"EVEN_GOLOMB","alpha":18,"gamma":73,"ord":511}
+{"q":529,"route":"ODD_GAMMA","alpha":34,"gamma":403,"ord":528}
+{"q":625,"route":"ODD_GAMMA","alpha":31,"gamma":316,"ord":624}
+{"q":729,"route":"ODD_GAMMA","alpha":3,"gamma":68,"ord":728}
+{"q":841,"route":"ODD_GAMMA","alpha":32,"gamma":270,"ord":840}
+{"q":961,"route":"ODD_GAMMA","alpha":35,"gamma":523,"ord":960}
+{"q":1024,"route":"EVEN_GOLOMB","alpha":22,"gamma":356,"ord":1023}
+"""
+
+
+def test_composite_certificate_lines_frozen():
+    composite = [q for q in prime_powers_in(4, 1024) if prime_power(q)[1] > 1]
+    got = "".join(certificate_line(q, hypothesis_j_search(q)) + "\n" for q in composite)
+    assert got == FROZEN_COMPOSITE_CERTIFICATES
+
+
 def test_prime_power_parsing():
     assert prime_power(7) == (7, 1)
     assert prime_power(8) == (2, 3)
@@ -157,7 +206,7 @@ def test_certificates_exist_through_512():
     assert missing == []
 
 
-@pytest.mark.parametrize("q", [8, 9, 25])
+@pytest.mark.parametrize("q", [8, 9, 25, 512, 729])
 def test_field_axioms_random(q):
     spec = make_field(*prime_power(q))
 
