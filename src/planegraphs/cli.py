@@ -230,11 +230,22 @@ def _parse_graph_ref(ref: str):
     return builder(n)
 
 
+def _load_indexed_plane(path):
+    """A plane file the search and the verifier can index: unlike ``plane
+    check``, which lists them as violations, it refuses point ids outside
+    0..points-1."""
+    plane = load_plane(path)
+    n = plane.n_points
+    if any(not 0 <= p < n for line in plane.lines for p in line):
+        raise FormatError(f"plane file {path} references a point outside 0..{n - 1}")
+    return plane
+
+
 def _parse_plane_ref(ref: str):
     """Returns (plane, model): a CoordPlane for pg/ag references, else a
     GenericPlane."""
     if ref.endswith(".json"):
-        return load_plane(ref), "GENERIC"
+        return _load_indexed_plane(ref), "GENERIC"
     kind, _, param = ref.partition(":")
     if not param.isdigit():
         raise ValueError(f"bad plane reference {ref!r} (want model:q or a .json file)")
@@ -277,7 +288,7 @@ def _cmd_verify(args) -> int:
             builder = {"CYCLIC": cyclic_plane, "AG": ag_from_field, "PG": pg_from_field}
             plane = builder[emb.model](emb.q)
         elif args.plane:
-            plane = load_plane(args.plane)
+            plane = _load_indexed_plane(args.plane)
         else:
             return _usage_error("generic embeddings need --plane pointing at the plane file")
     except (ValueError, OSError) as e:

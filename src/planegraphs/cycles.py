@@ -41,6 +41,7 @@ from .plane import (
     incident,
     intersect,
     line_through,
+    parabola_points,
     parallel_line,
     pg_from_field,
 )
@@ -68,9 +69,9 @@ class SlopeLabeling:
         a = alpha if isinstance(alpha, FieldElement) else spec.element(alpha)
         q = spec.q
         if kind == "A":
-            slopes = [None] + [(a**i).enc for i in range(1, q)] + [0]
+            slopes = [None] + [spec.epow(a.enc, i) for i in range(1, q)] + [0]
         elif kind == "B":
-            slopes = [None] + [(a**i).enc for i in range(1, q - 1)] + [0, 1]
+            slopes = [None] + [spec.epow(a.enc, i) for i in range(1, q - 1)] + [0, 1]
         else:
             raise ValueError(f"unknown labeling kind {kind!r}")
         body = [s for s in slopes if s is not None]
@@ -311,42 +312,29 @@ def _default_chain(q: int):
 # arcs for the short cycles
 
 
-def _parabola_chain(q: int, k: int, spec: FieldSpec) -> CycleChain:
-    pts = []
-    for t in range(k):
-        e = spec.element(t)
-        pts.append(affine_triple(spec, e.enc, (e * e).enc))
+def _polygon_chain(q: int, spec: FieldSpec, pts: list) -> CycleChain:
+    # the cycle through pts in order, closed by the line from the last to the first
+    k = len(pts)
     lines = [line_through(spec, pts[i], pts[(i + 1) % k]) for i in range(k)]
     return CycleChain("AG", q, tuple(pts), tuple(lines))
 
 
 def _ellipse_points(q: int, spec: FieldSpec) -> list:
     # first irreducible x^2 + bx + c by (b, c) order, then its unit circle
+    add, mul = spec.eadd, spec.emul
     for b in range(q):
         for c in range(q):
-            be, ce = spec.element(b), spec.element(c)
-            if all(
-                not (spec.element(t) ** 2 + be * spec.element(t) + ce).is_zero
-                for t in range(q)
-            ):
-                pts = []
-                one = spec.one_el
-                for x in range(q):
-                    for y in range(q):
-                        xe, ye = spec.element(x), spec.element(y)
-                        if xe * xe + be * xe * ye + ce * ye * ye == one:
-                            pts.append(affine_triple(spec, x, y))
+            if all(add(add(mul(t, t), mul(b, t)), c) for t in range(q)):
+                pts = [
+                    affine_triple(spec, x, y)
+                    for x in range(q)
+                    for y in range(q)
+                    if add(add(mul(x, x), mul(mul(b, x), y)), mul(mul(c, y), y)) == 1
+                ]
                 if len(pts) != q + 1:
                     raise ConstructionFailed(f"norm-one circle over GF({q}) has {len(pts)} points")
                 return pts
     raise ConstructionFailed(f"no irreducible quadratic over GF({q})")
-
-
-def _ellipse_chain(q: int, spec: FieldSpec) -> CycleChain:
-    pts = _ellipse_points(q, spec)
-    k = q + 1
-    lines = [line_through(spec, pts[i], pts[(i + 1) % k]) for i in range(k)]
-    return CycleChain("AG", q, tuple(pts), tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +365,9 @@ def _ag_chain(q: int, k: int) -> CycleChain:
         return _oracle_chain(k, ag_from_field(q))
     spec = make_field(*pp)
     if k <= q:
-        return _parabola_chain(q, k, spec)
+        return _polygon_chain(q, spec, parabola_points(spec, k))
     if k == q + 1:
-        return _ellipse_chain(q, spec)
+        return _polygon_chain(q, spec, _ellipse_points(q, spec))
     lab, chain = _default_chain(q)
     if k == q * q - 1:
         return chain
@@ -542,23 +530,24 @@ def singer_difference_set(q: int) -> tuple:
         raise ValueError(f"q={q} is not a prime power")
     p, a = pp
     big = make_field(p, 3 * a)
-    g = first_primitive(big)
+    add, mul = big.eadd, big.emul
+    g = first_primitive(big).enc
     n = q * q + q + 1
-    gn = g**n
-    sub = [big.zero_el]
-    x = big.one_el
+    gn = big.epow(g, n)
+    sub = [0]
+    x = 1
     for _ in range(q - 1):
         sub.append(x)
-        x = x * gn
-    span = {(u + v * g).enc for u in sub for v in sub}
+        x = mul(x, gn)
+    span = {add(u, mul(v, g)) for u in sub for v in sub}
     D = []
-    x = big.one_el
+    x = 1
     for i in range(n):
-        if x.enc in span:
+        if x in span:
             D.append(i)
-        x = x * g
+        x = mul(x, g)
     # cyclic_plane takes the translates of D as the lines of PG(2,q)
-    if len({e.enc for e in sub}) != q or len(span) != q * q or len(D) != q + 1:
+    if len(set(sub)) != q or len(span) != q * q or len(D) != q + 1:
         raise ConstructionFailed(f"no planar difference set came out of GF({q}^3)")
     return tuple(D)
 

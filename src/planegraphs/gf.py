@@ -1,10 +1,14 @@
 """Finite fields GF(p^a) with a canonical integer encoding.
 
-Elements are residue polynomials over GF(p) reduced by a fixed monic
-irreducible modulus of degree a.  The encoding of an element with
-coefficients (c0, c1, ..., c_{a-1}), constant term first, is
-sum(c_i * p^i), so encodings run 0..q-1 and sort the same way the
-coefficient vectors do when read as base-p numerals.
+An element is stored as its encoding, an int in 0..q-1, and all
+arithmetic works on encodings in ``FieldSpec``.  For a = 1 the encoding
+is the residue itself and the operations are native modular arithmetic.
+For a > 1 the element is the residue polynomial with coefficients
+(c0, c1, ..., c_{a-1}), constant term first, modulo a fixed monic
+irreducible of degree a, and its encoding is sum(c_i * p^i), so
+encodings sort the same way the coefficient vectors do when read as
+base-p numerals.  ``FieldElement`` wraps one encoding for operator
+arithmetic; each of its operators is one ``FieldSpec`` call.
 
 The modulus is chosen deterministically: the first monic irreducible of
 degree a whose non-leading coefficient vector has the smallest encoding.
@@ -102,15 +106,6 @@ def _trim(t):
     while n and t[n - 1] == 0:
         n -= 1
     return t[:n]
-
-
-def _padd(p, s, t):
-    if len(s) < len(t):
-        s, t = t, s
-    out = list(s)
-    for i, c in enumerate(t):
-        out[i] = (out[i] + c) % p
-    return _trim(tuple(out))
 
 
 def _pmul(p, s, t):
@@ -248,8 +243,6 @@ class FieldSpec:
     def decode(self, enc: int) -> tuple:
         if not 0 <= enc < self.q:
             raise ValueError(f"encoding {enc} out of range for GF({self.q})")
-        if self.a == 1:
-            return (enc,)
         digits = []
         for _ in range(self.a):
             enc, d = divmod(enc, self.p)
@@ -263,25 +256,23 @@ class FieldSpec:
         return e
 
     def element(self, enc: int) -> "FieldElement":
-        return FieldElement(self, self.decode(enc))
+        if not 0 <= enc < self.q:
+            raise ValueError(f"encoding {enc} out of range for GF({self.q})")
+        return FieldElement(self, enc)
 
     @property
     def zero_el(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.a)
+        return FieldElement(self, 0)
 
     @property
     def one_el(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.a - 1))
+        return FieldElement(self, 1)
 
     @property
     def minus_one_el(self) -> "FieldElement":
-        return FieldElement(self, (self.p - 1,) + (0,) * (self.a - 1))
+        return FieldElement(self, self.p - 1)
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for enc in range(self.q):
-            yield self.element(enc)
-
-    # enc-level arithmetic, used by the geometry layer
+    # arithmetic on encodings: the one implementation of the field
 
     def eadd(self, x: int, y: int) -> int:
         if self.a == 1:
@@ -303,99 +294,72 @@ class FieldSpec:
     def emul(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x * y) % self.p
-        r = _pmod(self.p, _pmul(self.p, self.decode(x), self.decode(y)), self.modulus)
-        return self.encode(r + (0,) * (self.a - len(r)))
+        r = _pmul(self.p, self.decode(x), self.decode(y))
+        return self.encode(_pmod(self.p, r, self.modulus))
 
     def einv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.a == 1:
             return pow(x, self.p - 2, self.p)
-        r = _pinv(self.p, _trim(self.decode(x)), self.modulus)
-        return self.encode(r + (0,) * (self.a - len(r)))
+        return self.encode(_pinv(self.p, _trim(self.decode(x)), self.modulus))
+
+    def epow(self, x: int, e: int) -> int:
+        if e < 0:
+            x, e = self.einv(x), -e
+        if self.a == 1:
+            return pow(x, e, self.p)
+        # one decode and one encode around the whole square-and-multiply
+        return self.encode(_ppowmod(self.p, self.decode(x), e, self.modulus))
 
 
 class FieldElement:
-    """One element of GF(p^a); immutable, hashable, with operator arithmetic."""
+    """One element of GF(p^a): its spec and its encoding; immutable, hashable,
+    with operator arithmetic done by the spec."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "enc")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple):
+    def __init__(self, spec: FieldSpec, enc: int):
         self.spec = spec
-        self.coeffs = coeffs
-
-    @property
-    def enc(self) -> int:
-        return self.spec.encode(self.coeffs)
+        self.enc = enc
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.enc == 0
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and self.enc == other.enc
         )
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.a, self.coeffs))
+        return hash((self.spec.p, self.spec.a, self.enc))
 
     def __repr__(self):
         return f"GF({self.spec.q}):{self.enc}"
 
-    def _wrap(self, coeffs):
-        return FieldElement(self.spec, coeffs + (0,) * (self.spec.a - len(coeffs)))
-
     def __add__(self, other):
-        p = self.spec.p
-        return self._wrap(
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(self.spec, self.spec.eadd(self.enc, other.enc))
 
     def __sub__(self, other):
-        p = self.spec.p
-        return self._wrap(
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(self.spec, self.spec.esub(self.enc, other.enc))
 
     def __neg__(self):
-        p = self.spec.p
-        return self._wrap(tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.spec, self.spec.eneg(self.enc))
 
     def __mul__(self, other):
-        s = self.spec
-        if s.a == 1:
-            return FieldElement(s, ((self.coeffs[0] * other.coeffs[0]) % s.p,))
-        r = _pmod(s.p, _pmul(s.p, self.coeffs, other.coeffs), s.modulus)
-        return self._wrap(r)
+        return FieldElement(self.spec, self.spec.emul(self.enc, other.enc))
 
     def inverse(self) -> "FieldElement":
-        s = self.spec
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        if s.a == 1:
-            return FieldElement(s, (pow(self.coeffs[0], s.p - 2, s.p),))
-        return self._wrap(_pinv(s.p, _trim(self.coeffs), s.modulus))
+        return FieldElement(self.spec, self.spec.einv(self.enc))
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __pow__(self, e: int):
-        s = self.spec
-        if e < 0:
-            return self.inverse() ** (-e)
-        if s.a == 1:
-            return FieldElement(s, (pow(self.coeffs[0], e, s.p),))
-        r = s.one_el
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
+        return FieldElement(self.spec, self.spec.epow(self.enc, e))
 
 
 @lru_cache(maxsize=None)
@@ -432,12 +396,9 @@ def element_order(x: FieldElement) -> int:
     if x.is_zero:
         raise ValueError("order of zero is undefined")
     n = x.spec.q - 1
-    if n == 0:
-        return 1
-    one = x.spec.one_el
     t = n
     for ell in factorize(n):
-        while t % ell == 0 and x ** (t // ell) == one:
+        while t % ell == 0 and x.spec.epow(x.enc, t // ell) == 1:
             t //= ell
     return t
 
@@ -446,19 +407,13 @@ def is_primitive(x: FieldElement, _factors=None) -> bool:
     if x.is_zero:
         return False
     n = x.spec.q - 1
-    if n == 1:
-        return True  # GF(2): the unit generates the trivial group
-    one = x.spec.one_el
     factors = _factors if _factors is not None else tuple(factorize(n))
-    for ell in factors:
-        if x ** (n // ell) == one:
-            return False
-    return True
+    return all(x.spec.epow(x.enc, n // ell) != 1 for ell in factors)
 
 
 def primitive_iter(spec: FieldSpec) -> Iterator[FieldElement]:
     """Primitive elements in increasing encoding order."""
-    factors = tuple(factorize(spec.q - 1)) if spec.q > 2 else ()
+    factors = tuple(factorize(spec.q - 1))
     for enc in range(1, spec.q):
         x = spec.element(enc)
         if is_primitive(x, factors):

@@ -74,6 +74,11 @@ def affine_triple(spec: FieldSpec, x: int, y: int) -> Triple:
     return canon(spec, (x, y, 1))
 
 
+def parabola_points(spec: FieldSpec, k: int) -> list:
+    """The points (t, t^2) of the parabola y = x^2 for t = 0..k-1."""
+    return [affine_triple(spec, t, spec.emul(t, t)) for t in range(k)]
+
+
 def affine_coords(spec: FieldSpec, P: Triple) -> tuple:
     """Recover (x, y) encodings from a canonical affine triple."""
     if P[2] == 0:
@@ -157,7 +162,6 @@ class GenericView:
 
     plane: GenericPlane
     point_triples: tuple
-    line_triples: tuple
 
 
 class CoordPlane:
@@ -209,20 +213,16 @@ class CoordPlane:
     def to_generic(self) -> GenericView:
         pts = self.points()
         index = {P: i for i, P in enumerate(pts)}
-        lines = []
-        line_triples = []
-        for l in self.lines():
-            ids = tuple(sorted(index[P] for P in pts if incident(self.spec, P, l)))
-            lines.append(ids)
-            line_triples.append(l)
-        order = sorted(range(len(lines)), key=lambda i: lines[i])
+        lines = sorted(
+            tuple(sorted(index[P] for P in pts if incident(self.spec, P, l))) for l in self.lines()
+        )
         plane = GenericPlane(
             q=self.q,
             n_points=len(pts),
-            lines=tuple(lines[i] for i in order),
+            lines=tuple(lines),
             transitive=True,
         )
-        return GenericView(plane, tuple(pts), tuple(line_triples[i] for i in order))
+        return GenericView(plane, tuple(pts))
 
 
 def pg_from_field(q: int) -> CoordPlane:

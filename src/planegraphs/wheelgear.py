@@ -14,7 +14,7 @@ ConstructionFailed; no route returns an unchecked embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator
 
 from .cycles import base_path, labeling_for
 from .gf import make_field, prime_power
@@ -26,7 +26,6 @@ from .graphs import (
     emit,
     gear_graph,
     make_embedding,
-    verify_embedding,
     wheel_graph,
 )
 from .oracle import exists_embedding, exists_in_coords
@@ -39,6 +38,7 @@ from .plane import (
     intersect,
     is_affine,
     line_through,
+    parabola_points,
     pg_from_field,
 )
 
@@ -75,6 +75,21 @@ def _plan(graph: Graph, emb: Embedding, plane, route: str) -> Plan:
     )
 
 
+def _first_plan(graph: Graph, candidates, plane) -> Plan:
+    """The plan of the first (embedding, route) candidate that passes ``emit``.
+
+    Each candidate is verified once, the winner included.  When every
+    candidate fails, the last failure is raised.
+    """
+    failure = ConstructionFailed(f"no {graph.kind.lower()} candidate in {plane}")
+    for emb, route in candidates:
+        try:
+            return _plan(graph, emb, plane, route)
+        except ConstructionFailed as e:
+            failure = e
+    raise failure
+
+
 def _sized_graph(kind: str, n: int, q: int) -> Graph:
     # the degree bound comes first, so an absurd n builds no graph
     if n > q + 1:
@@ -101,11 +116,7 @@ def arc_points(q: int) -> list:
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")
-    spec = make_field(*pp)
-    pts = []
-    for t in range(q):
-        e = spec.element(t)
-        pts.append(affine_triple(spec, e.enc, (e * e).enc))
+    pts = parabola_points(make_field(*pp), q)
     pts.append((0, 1, 0))
     if q % 2 == 0:
         pts.append((1, 0, 0))
@@ -145,25 +156,21 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
         raise ValueError(f"q={q} is not a prime power")
     graph = _sized_graph("wheel", n, q)
     pgp = pg_from_field(q)
-    emb, route = _wheel_route(q, pgp, graph)
-    return _plan(graph, emb, pgp, route)
+    if _arc_serves(q, n):
+        emb = make_embedding("PG", q, graph, arc_points(q)[: n + 1], plane=pgp)
+        return _plan(graph, emb, pgp, ROUTE_ARC)
+    return _first_plan(graph, _wheel_explicit(q, pgp, graph), pgp)
 
 
-def _wheel_route(q: int, pgp: CoordPlane, graph) -> tuple:
-    """(embedding, route) for W_n in PG(2,q), not yet verified."""
-    n = graph.param
-    if q % 2 == 1 and n == q + 1:
-        emb = _wheel_explicit(q, pgp, graph)
-        if emb is not None:
-            return emb, ROUTE_EXPLICIT
-        return _searched(graph, pgp), ROUTE_ORACLE
+def _arc_serves(q: int, n: int) -> bool:
     # the arc has q+1 points (q+2 for even q) and serves n <= q (n <= q+1 for even q)
-    return make_embedding("PG", q, graph, arc_points(q)[: n + 1], plane=pgp), ROUTE_ARC
+    return q % 2 == 0 or n <= q
 
 
-def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Optional[Embedding]:
+def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Iterator[tuple]:
     # odd q, n = q+1: rim points alternate between a fixed line's pencil
-    # cut and a transversal m, closed off by a searched vertex T
+    # cut and a transversal m, closed off by a searched vertex T; the
+    # oracle is the last candidate
     spec = pgp.spec
     O = (0, 0, 1)
     P = sorted(t for t in pgp.points() if not is_affine(t))  # points of the infinite line
@@ -182,10 +189,8 @@ def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Optional[Embedding]:
             if T == O or T == P[q] or T in zig:
                 continue
             rim = zig + [T]
-            emb = make_embedding("PG", q, graph, [O] + rim, plane=pgp)
-            if verify_embedding(graph, emb, pgp).ok:
-                return emb
-    return None
+            yield make_embedding("PG", q, graph, [O] + rim, plane=pgp), ROUTE_EXPLICIT
+    yield _searched(graph, pgp), ROUTE_ORACLE
 
 
 def _wheel_generic(plane: GenericPlane, n: int) -> Plan:
@@ -232,20 +237,16 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
     if q <= 4 or (q, n) == (5, 4):
         emb, route = _searched(graph, pgp), ROUTE_ORACLE
     elif n <= (q + 1) // 2:
-        # same vertex numbering; the gear simply forgets the even-rim spokes
-        wheel_emb, _ = _wheel_route(q, pgp, wheel_graph(2 * n))
-        emb = make_embedding("PG", q, graph, wheel_emb.vertex_images, plane=pgp)
+        # same vertex numbering; the gear simply forgets the even-rim spokes.
+        # The arc needs no check as a wheel, the explicit wheel's candidates do.
+        if _arc_serves(q, 2 * n):
+            images = arc_points(q)[: 2 * n + 1]
+        else:
+            images = wheel_plan(q, 2 * n).embedding.vertex_images
+        emb = make_embedding("PG", q, graph, images, plane=pgp)
         route = ROUTE_FROM_WHEEL
     elif n <= q:
-        lab = labeling_for(q)
-        if n % 2 == 0:
-            emb, route = _gear_paths_even(q, n, lab, pgp, graph), ROUTE_PATHS_EVEN
-        else:
-            emb, route = _gear_paths_odd(q, n, lab, pgp, graph), ROUTE_PATHS_ODD
-        if emb is None:
-            if q >= 8:
-                raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
-            emb, route = _searched(graph, pgp), ROUTE_ORACLE
+        return _first_plan(graph, _gear_paths(q, n, pgp, graph), pgp)
     else:
         lab = labeling_for(q)
         if q % 2 == 0:
@@ -255,7 +256,16 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
     return _plan(graph, emb, pgp, route)
 
 
-def _gear_paths_even(q, n, lab, pgp, graph) -> Optional[Embedding]:
+def _gear_paths(q, n, pgp, graph) -> Iterator[tuple]:
+    # the braided base paths, then the oracle below q = 8
+    paths = _gear_paths_even if n % 2 == 0 else _gear_paths_odd
+    yield from paths(q, n, labeling_for(q), pgp, graph)
+    if q >= 8:
+        raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
+    yield _searched(graph, pgp), ROUTE_ORACLE
+
+
+def _gear_paths_even(q, n, lab, pgp, graph) -> Iterator[tuple]:
     spec = lab.spec
     O = (0, 0, 1)
     d0, d1 = lab.direction_point(0), lab.direction_point(1)
@@ -272,13 +282,10 @@ def _gear_paths_even(q, n, lab, pgp, graph) -> Optional[Embedding]:
             if incident(spec, Q[1], close_vert):
                 continue  # the two vertical connectors would coincide
             rim = P[: n - 1] + [d0] + Q[1:n] + [d1]
-            emb = make_embedding("PG", q, graph, [O] + rim, plane=pgp)
-            if verify_embedding(graph, emb, pgp).ok:
-                return emb
-    return None
+            yield make_embedding("PG", q, graph, [O] + rim, plane=pgp), ROUTE_PATHS_EVEN
 
 
-def _gear_paths_odd(q, n, lab, pgp, graph) -> Optional[Embedding]:
+def _gear_paths_odd(q, n, lab, pgp, graph) -> Iterator[tuple]:
     spec = lab.spec
     O = (0, 0, 1)
     d0 = lab.direction_point(0)
@@ -308,9 +315,7 @@ def _gear_paths_odd(q, n, lab, pgp, graph) -> Optional[Embedding]:
                     emb = make_embedding("PG", q, graph, [O] + rim, plane=pgp)
                 except ValueError:
                     continue
-                if verify_embedding(graph, emb, pgp).ok:
-                    return emb
-    return None
+                yield emb, ROUTE_PATHS_ODD
 
 
 def _affine_points_sorted(pgp: CoordPlane) -> list:

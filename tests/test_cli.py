@@ -198,6 +198,20 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(bad))
     assert rc == 2 and "cannot read plane" in err
 
+    # lines that name points past "points": listed by plane check, refused
+    # by the commands that hand the plane to the search or the verifier
+    bad = tmp_path / "plane_range.json"
+    bad.write_text(json.dumps(dict(json.loads(text), points=5)))
+    rc, out, _ = run(capsys, "plane", "check", str(bad))
+    assert rc == 1 and "references point 5 outside 0..4" in out
+    rc, _, err = run(capsys, "oracle", "--graph", "cycle:4", "--plane", str(bad))
+    assert rc == 2 and "outside 0..4" in err
+    c3 = tmp_path / "c3.json"
+    assert run(capsys, "oracle", "--graph", "cycle:3", "--plane", str(p), "--out", str(c3))[0] == 0
+    assert [img for _, img in json.loads(c3.read_text())["vertices"]] == [0, 1, 4]
+    rc, _, err = run(capsys, "verify", str(c3), "--plane", str(bad))
+    assert rc == 2 and "cannot read plane" in err
+
 
 _C6_AG4 = json.loads(embedding_to_json(ag_cycle(4, 6).to_embedding()))
 

@@ -219,6 +219,7 @@ def test_field_axioms_random(q):
         if not a.is_zero:
             assert a * a.inverse() == spec.element(1)
             assert (a ** (q - 1)) == spec.element(1)
+            assert a ** -1 == a.inverse()
 
     inner()
 
