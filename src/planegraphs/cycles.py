@@ -29,7 +29,7 @@ from .gf import (
     prime_power,
 )
 from .graphs import ConstructionFailed, Embedding, cycle_graph, emit
-from .oracle import exists_in_coords
+from .oracle import search_unverified
 from .plane import (
     LINE_INF,
     AffinePoint,
@@ -342,7 +342,8 @@ def _ellipse_points(q: int, spec: FieldSpec) -> list:
 
 
 def _oracle_chain(k: int, plane) -> CycleChain:
-    res = exists_in_coords(cycle_graph(k), plane)
+    # unverified: _emit_chain verifies the chain once
+    res = search_unverified(cycle_graph(k), plane)
     if res.status != "found":
         raise ConstructionFailed(f"search gave {res.status} for a {k}-cycle in {plane}")
     pts, e = res.embedding.vertex_images, res.embedding.edge_images

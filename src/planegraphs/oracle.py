@@ -28,24 +28,17 @@ class OracleResult:
     expansions: int
 
 
-class _Budget(Exception):
-    pass
-
-
-def _vertex_order(graph: Graph) -> list:
-    # max-degree vertex first, then BFS; repeats per component
-    deg = [0] * graph.n_vertices
+def _placement(graph: Graph) -> tuple:
+    """The order vertices are placed in (max-degree vertex first, then BFS;
+    repeats per component) and, for each, its neighbours placed before it."""
     adj = [[] for _ in range(graph.n_vertices)]
     for u, v in graph.edges:
-        deg[u] += 1
-        deg[v] += 1
         adj[u].append(v)
         adj[v].append(u)
     for a in adj:
         a.sort()
     order, seen = [], set()
-    seeds = sorted(range(graph.n_vertices), key=lambda v: (-deg[v], v))
-    for s in seeds:
+    for s in sorted(range(graph.n_vertices), key=lambda v: (-len(adj[v]), v)):
         if s in seen:
             continue
         queue = [s]
@@ -57,86 +50,82 @@ def _vertex_order(graph: Graph) -> list:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-    return order
+    pos = {v: i for i, v in enumerate(order)}
+    return order, [[w for w in adj[v] if pos[w] < pos[v]] for v in order]
 
 
-def exists_embedding(
-    graph: Graph, plane: GenericPlane, budget: int = DEFAULT_BUDGET
-) -> OracleResult:
-    """Depth-first search for an embedding; deterministic candidate order."""
+def _search(graph: Graph, plane: GenericPlane, budget: int) -> OracleResult:
+    """Depth-first search with an explicit stack over int bitmasks.
+
+    A vertex's candidates are the unused points that an unused line joins
+    to each placed neighbour, tried by increasing point id; the first vertex
+    of a transitive plane is pinned to point 0.  Each candidate tried is one
+    expansion.  A found embedding is not verified here.
+    """
     if graph.n_vertices > plane.n_points or len(graph.edges) > len(plane.lines):
         return OracleResult(STATUS_NOTFOUND, None, 0)
     if graph.max_degree > plane.max_pencil:
         return OracleResult(STATUS_NOTFOUND, None, 0)
 
-    order = _vertex_order(graph)
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [[] for _ in range(graph.n_vertices)]
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    # neighbors already placed when a vertex comes up
-    back = [sorted(w for w in adj[v] if pos[w] < pos[v]) for v in order]
+    n, (order, back) = plane.n_points, _placement(graph)
+    masks = [sum(1 << p for p in set(line)) for line in plane.lines]
+    # each point's lines as (line bit, point mask) pairs
+    pencil = [[(1 << li, masks[li]) for li in plane.lines_through(p)] for p in range(n)]
+    joins, m = plane.joins(), len(order)
 
     img = [-1] * graph.n_vertices
-    used_pts: set = set()
-    used_lines: set = set()
-    count = [0]
-
-    def candidates(i: int) -> list:
-        v = order[i]
-        anchors = back[i]
-        if not anchors:
-            if i == 0 and plane.transitive:
-                return [0]
-            return [p for p in range(plane.n_points) if p not in used_pts]
-        pool = None
-        for u in anchors:
-            reach = set()
-            for li in plane.lines_through(img[u]):
-                if li not in used_lines:
-                    reach.update(plane.lines[li])
-            pool = reach if pool is None else pool & reach
-            if not pool:
-                return []
-        return sorted(p for p in pool if p not in used_pts)
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for p in candidates(i):
-            count[0] += 1
-            if count[0] > budget:
-                raise _Budget
-            lines_here = []
-            ok = True
-            for u in back[i]:
-                li = plane.line_between(img[u], p)
-                if li is None or li in used_lines or li in lines_here:
-                    ok = False
-                    break
-                lines_here.append(li)
-            if not ok:
+    pools, taken = [0] * m, [0] * m  # per depth: untried candidates, lines claimed
+    used_pts = used_lines = depth = count = 0
+    while depth < m:
+        if not back[depth]:
+            pool = 1 if depth == 0 and plane.transitive else ~used_pts & ((1 << n) - 1)
+        else:
+            pool = ~used_pts
+            for u in back[depth]:
+                reach = 0
+                for bit, mask in pencil[img[u]]:
+                    if not used_lines & bit:
+                        reach |= mask
+                pool &= reach
+        while True:
+            if not pool:  # back up a level
+                depth -= 1
+                if depth < 0:
+                    return OracleResult(STATUS_NOTFOUND, None, count)
+                used_pts ^= 1 << img[order[depth]]
+                used_lines ^= taken[depth]
+                pool = pools[depth]
                 continue
-            img[v] = p
-            used_pts.add(p)
-            used_lines.update(lines_here)
-            if place(i + 1):
-                return True
-            img[v] = -1
-            used_pts.discard(p)
-            used_lines.difference_update(lines_here)
-        return False
+            if count >= budget:
+                return OracleResult(STATUS_BUDGET, None, count)
+            count += 1
+            low = pool & -pool
+            pool ^= low
+            p, here = low.bit_length() - 1, 0
+            for u in back[depth]:
+                li = joins[img[u] * n + p]
+                if li is None or (used_lines | here) >> li & 1:
+                    break
+                here |= 1 << li
+            else:
+                img[order[depth]] = p
+                used_pts |= low
+                used_lines |= here
+                pools[depth], taken[depth] = pool, here
+                depth += 1
+                break
+    emb = make_embedding("GENERIC", plane.q, graph, tuple(img), plane=plane)
+    return OracleResult(STATUS_FOUND, emb, count)
 
-    try:
-        found = place(0)
-    except _Budget:
-        return OracleResult(STATUS_BUDGET, None, count[0])
-    if not found:
-        return OracleResult(STATUS_NOTFOUND, None, count[0])
-    emb = emit(graph, make_embedding("GENERIC", plane.q, graph, tuple(img), plane=plane), plane)
-    return OracleResult(STATUS_FOUND, emb, count[0])
+
+def exists_embedding(
+    graph: Graph, plane: GenericPlane, budget: int = DEFAULT_BUDGET
+) -> OracleResult:
+    """Depth-first search for an embedding; a found one is verified once."""
+    res = _search(graph, plane, budget)
+    if res.embedding is not None:
+        emit(graph, res.embedding, plane)
+    return res
 
 
 def exists_in_coords(
@@ -145,11 +134,22 @@ def exists_in_coords(
     """Search a coordinate plane through its generic view.
 
     A found embedding comes back in coordinates: the search's verified
-    result with its point ids mapped to triples.  The coordinate copy is
-    not verified again here; constructors hand it to ``graphs.emit``.
+    result with its point ids mapped to triples, not verified again.
     """
+    return _in_coords(exists_embedding, graph, coord, budget)
+
+
+def search_unverified(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """The search on a generic or coordinate plane, its result unverified:
+    for constructors, which hand it to ``graphs.emit``."""
+    if isinstance(plane, CoordPlane):
+        return _in_coords(_search, graph, plane, budget)
+    return _search(graph, plane, budget)
+
+
+def _in_coords(search, graph: Graph, coord: CoordPlane, budget: int) -> OracleResult:
     view = coord.to_generic()
-    res = exists_embedding(graph, view.plane, budget)
+    res = search(graph, view.plane, budget)
     if res.embedding is None:
         return res
     imgs = [view.point_triples[i] for i in res.embedding.vertex_images]

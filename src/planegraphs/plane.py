@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .gf import FieldElement, FieldSpec, make_field, prime_power
@@ -134,18 +135,25 @@ class GenericPlane:
             self._cache["through"] = tab
         return tab[pid]
 
-    def line_between(self, u: int, v: int) -> Optional[int]:
-        pair = self._cache.get("pair")
-        if pair is None:
-            pair = {}
+    def joins(self) -> list:
+        """The joining-line table: ``joins()[u * n_points + v]`` is the id of
+        the first line through points u and v, or None."""
+        tab = self._cache.get("joins")
+        if tab is None:
+            n = self.n_points
+            tab = [None] * (n * n)
             for li, line in enumerate(self.lines):
+                line = [p for p in line if 0 <= p < n]  # a damaged file may stray
                 for i, p in enumerate(line):
                     for r in line[i + 1 :]:
-                        pair.setdefault((p, r), li)
-            self._cache["pair"] = pair
-        if u > v:
-            u, v = v, u
-        return pair.get((u, v))
+                        if tab[p * n + r] is None:
+                            tab[p * n + r] = tab[r * n + p] = li
+            self._cache["joins"] = tab
+        return tab
+
+    def line_between(self, u: int, v: int) -> Optional[int]:
+        n = self.n_points
+        return self.joins()[u * n + v] if 0 <= u < n and 0 <= v < n else None
 
     @property
     def max_pencil(self) -> int:
@@ -187,20 +195,6 @@ class CoordPlane:
         pts.sort()
         return pts
 
-    def lines(self) -> list:
-        sp = self.spec
-        q = self.q
-        ls = []
-        for b in range(q):
-            for c in range(q):
-                ls.append(canon(sp, (1, b, c)))
-        for c in range(q):
-            ls.append(canon(sp, (0, 1, c)))
-        if self.model == "PG":
-            ls.append(LINE_INF)
-        ls.sort()
-        return ls
-
     def contains(self, P: Triple) -> bool:
         if len(P) != 3 or not all(0 <= v < self.q for v in P) or not any(P):
             return False
@@ -211,18 +205,41 @@ class CoordPlane:
         return True
 
     def to_generic(self) -> GenericView:
-        pts = self.points()
-        index = {P: i for i, P in enumerate(pts)}
-        lines = sorted(
-            tuple(sorted(index[P] for P in pts if incident(self.spec, P, l))) for l in self.lines()
-        )
-        plane = GenericPlane(
-            q=self.q,
-            n_points=len(pts),
-            lines=tuple(lines),
-            transitive=True,
-        )
-        return GenericView(plane, tuple(pts))
+        """The plane as point ids 0..N-1 in sorted triple order; one shared
+        view per (model, field)."""
+        return _generic_view(self.model, self.spec)
+
+
+@lru_cache(maxsize=None)
+def _generic_view(model: str, spec: FieldSpec) -> GenericView:
+    # each line's points are solved for directly: q field steps per line
+    q, neg, add, mul = spec.q, spec.eneg, spec.eadd, spec.emul
+    pts = CoordPlane(model, spec).points()
+    index = {P: i for i, P in enumerate(pts)}
+    aff = [index[affine_triple(spec, x, y)] for x in range(q) for y in range(q)]
+    lines = []
+    for b in range(q):
+        for c in range(q):
+            # x + by + c = 0, and (-b : 1 : 0) at infinity
+            ids = [aff[neg(add(mul(b, y), c)) * q + y] for y in range(q)]
+            if model == "PG":
+                ids.append(index[canon(spec, (neg(b), 1, 0))])
+            lines.append(ids)
+    for c in range(q):
+        # y + c = 0, and (1 : 0 : 0) at infinity
+        ids = [aff[x * q + neg(c)] for x in range(q)]
+        if model == "PG":
+            ids.append(index[(1, 0, 0)])
+        lines.append(ids)
+    if model == "PG":
+        lines.append([index[DIR_VERTICAL]] + [index[(1, s, 0)] for s in range(q)])
+    plane = GenericPlane(
+        q=q,
+        n_points=len(pts),
+        lines=tuple(sorted(tuple(sorted(ids)) for ids in lines)),
+        transitive=True,
+    )
+    return GenericView(plane, tuple(pts))
 
 
 def pg_from_field(q: int) -> CoordPlane:

@@ -28,7 +28,7 @@ from .graphs import (
     make_embedding,
     wheel_graph,
 )
-from .oracle import exists_embedding, exists_in_coords
+from .oracle import search_unverified
 from .plane import (
     CoordPlane,
     GenericPlane,
@@ -98,9 +98,9 @@ def _sized_graph(kind: str, n: int, q: int) -> Graph:
 
 
 def _searched(graph: Graph, plane) -> Embedding:
-    """The exhaustive oracle's embedding, in coordinates for a CoordPlane."""
-    search = exists_in_coords if isinstance(plane, CoordPlane) else exists_embedding
-    res = search(graph, plane)
+    """The exhaustive oracle's embedding, in coordinates for a CoordPlane;
+    unverified, since ``_plan`` verifies it."""
+    res = search_unverified(graph, plane)
     if res.status != "found":
         raise ConstructionFailed(f"{graph.kind.lower()} search ended with {res.status}")
     return res.embedding

@@ -7,6 +7,7 @@ being frozen here.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -73,8 +74,28 @@ def test_static_prunes_cost_nothing():
 def test_budget_exhaustion():
     res = exists_embedding(cycle_graph(13), _pg(3), budget=5)
     assert res.status == "budget"
-    assert res.expansions >= 5
+    assert res.expansions == 5  # only the candidates actually examined
     assert res.embedding is None
+    # a search that needs exactly its budget still finishes
+    full = exists_embedding(cycle_graph(13), _pg(3))
+    assert exists_embedding(cycle_graph(13), _pg(3), budget=full.expansions) == full
+
+
+@pytest.fixture
+def shallow_stack():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_deep_graph_needs_no_recursion(shallow_stack):
+    # 150 vertices, one search level each: far deeper than the stack allows
+    graph = cycle_graph(150)
+    plane = cyclic_plane(13)
+    res = exists_embedding(graph, plane, budget=10_000)
+    assert (res.status, res.expansions) == ("found", 151)
+    assert verify_embedding(graph, res.embedding, plane).ok
 
 
 def test_pancyclicity_tables():

@@ -150,3 +150,30 @@ def test_two_points_one_line(i, j):
     assert {i, j} <= set(view.plane.lines[li])
     hits = [k for k, l in enumerate(view.plane.lines) if {i, j} <= set(l)]
     assert hits == [li]
+
+
+def _incidence_lines(coord):
+    # the brute-force view: every point tested against every line
+    q = coord.q
+    lines = [(1, b, c) for b in range(q) for c in range(q)] + [(0, 1, c) for c in range(q)]
+    if coord.model == "PG":
+        lines.append(LINE_INF)
+    pts = coord.points()
+    index = {P: i for i, P in enumerate(pts)}
+    return tuple(
+        sorted(
+            tuple(sorted(index[P] for P in pts if incident(coord.spec, P, l)))
+            for l in lines
+        )
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("builder", [pg_from_field, ag_from_field])
+def test_to_generic_matches_incidence(builder, q):
+    coord = builder(q)
+    view = coord.to_generic()
+    assert view.point_triples == tuple(coord.points())
+    assert view.plane.lines == _incidence_lines(coord)
+    # one shared view per plane
+    assert builder(q).to_generic() is view

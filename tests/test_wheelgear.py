@@ -234,3 +234,16 @@ def test_generic_plane_routes():
     assert gplan.route in ("FROM_WHEEL", "ORACLE")
     with pytest.raises(ImpossibleDegree):
         gear_plan(0, 7, plane=gp)
+
+
+def test_oracle_route_verifies_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_embedding(*args)
+
+    monkeypatch.setattr("planegraphs.graphs.verify_embedding", counting)
+    plan = gear_plan(4, 3)
+    assert plan.route == "ORACLE"
+    assert len(calls) == 1
