@@ -12,6 +12,9 @@ from hypothesis import given, strategies as st
 from planegraphs.gf import (
     ConjectureViolation,
     DegenerateAlpha,
+    FieldSpec,
+    _pmod,
+    _pmul,
     certificate_line,
     consecutive_primitive_pair,
     element_order,
@@ -233,3 +236,127 @@ def test_gamma_fixed_field_total(e):
     one = spec.element(1)
     denom = (one - a) * (one + a) * (one + a)
     assert g * denom == -a
+
+
+# ---------------------------------------------------------------------------
+# every encoded-int operation against the polynomial helpers on decoded tuples
+
+COMPOSITE_UP_TO_81 = [q for q in prime_powers_in(4, 81) if prime_power(q)[1] > 1]
+
+
+def _fresh(q):
+    """A new spec of GF(q): nothing it caches is shared with make_field's."""
+    p, a = prime_power(q)
+    return FieldSpec(p, a, q, make_field(p, a).modulus)
+
+
+class _Reference:
+    """GF(q) by coefficient tuples, with inverses found by brute force."""
+
+    def __init__(self, q):
+        self.spec = _fresh(q)  # decode and encode only
+        self.p = self.spec.p
+
+    def add(self, x, y, sign=1):
+        s, t = self.spec.decode(x), self.spec.decode(y)
+        return self.spec.encode(tuple((u + sign * v) % self.p for u, v in zip(s, t)))
+
+    def mul(self, x, y):
+        s, t = self.spec.decode(x), self.spec.decode(y)
+        return self.spec.encode(_pmod(self.p, _pmul(self.p, s, t), self.spec.modulus))
+
+    def inv(self, x):
+        return next(y for y in range(1, self.spec.q) if self.mul(x, y) == 1)
+
+    def powers(self, x, top):
+        out = [1]
+        for _ in range(top):
+            out.append(self.mul(out[-1], x))
+        return out
+
+
+def _check_binary(q, xs, ys):
+    ref = _Reference(q)
+    cases = (
+        ("eadd", lambda x, y: ref.add(x, y)),
+        ("esub", lambda x, y: ref.add(x, y, -1)),
+        ("emul", ref.mul),
+    )
+    for op, want in cases:
+        # a fresh spec per operation: its first q - 1 calls run before any
+        # table exists, the later ones after
+        fn = getattr(_fresh(q), op)
+        for x in xs:
+            for y in ys:
+                assert fn(x, y) == want(x, y), (q, op, x, y)
+
+
+def _check_unary(q, xs):
+    ref = _Reference(q)
+    for op in ("eneg", "einv"):
+        spec = _fresh(q)
+        for _ in range(2):  # a cold pass and a warm one
+            for x in xs:
+                if op == "eneg":
+                    assert spec.eneg(x) == ref.add(0, x, -1), (q, x)
+                elif x == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        spec.einv(0)
+                else:
+                    assert spec.einv(x) == ref.inv(x), (q, x)
+
+
+def _check_pow(q, xs):
+    ref = _Reference(q)
+    spec = _fresh(q)
+    exps = (0, 1, 2, q - 2, q - 1, q, q + 1, 2 * q + 3)
+    for _ in range(2):
+        for x in xs:
+            pw = ref.powers(x, max(exps))
+            for e in exps:
+                assert spec.epow(x, e) == pw[e], (q, x, e)
+            if x == 0:
+                with pytest.raises(ZeroDivisionError):
+                    spec.epow(0, -1)
+                continue
+            for e in (1, 2, q - 1, q + 1):
+                assert spec.epow(x, -e) == ref.inv(pw[e]), (q, x, -e)
+
+
+@pytest.mark.parametrize("q", COMPOSITE_UP_TO_81)
+def test_all_pairs_match_polynomials(q):
+    xs = range(q)
+    _check_binary(q, xs, xs)
+    _check_unary(q, xs)
+    _check_pow(q, xs)
+
+
+@pytest.mark.parametrize("q", [512, 729])
+def test_sample_matches_polynomials(q):
+    # zero, one, minus one, the top encoding, and a fixed spread
+    xs = sorted({0, 1, 2, q - 2, q - 1, prime_power(q)[0] - 1} | set(range(3, q, 37)))
+    _check_binary(q, xs, xs)
+    _check_unary(q, xs)
+    _check_pow(q, xs[:8])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27])
+def test_out_of_range_encodings_rejected(q):
+    bad = (-1, q, q + 1, -q)
+    spec = _fresh(q)
+    for warm in (False, True):
+        if warm:
+            for x in range(q):  # enough operations for tables to pay
+                for y in range(q):
+                    spec.emul(x, y)
+        for b in bad:
+            for call in (
+                lambda: spec.eadd(b, 1), lambda: spec.eadd(1, b),
+                lambda: spec.esub(b, 1), lambda: spec.esub(1, b),
+                lambda: spec.emul(b, 1), lambda: spec.emul(1, b),
+                lambda: spec.eneg(b), lambda: spec.einv(b),
+                lambda: spec.epow(b, 0), lambda: spec.epow(b, 3),
+                lambda: spec.epow(b, -1),
+            ):
+                with pytest.raises(ValueError):
+                    call()
