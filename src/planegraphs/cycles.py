@@ -566,13 +566,7 @@ def cyclic_plane(q: int) -> GenericPlane:
 
 def singer_cycle(q: int) -> CycleChain:
     """The Hamiltonian cycle 0,1,...,n-1 of the cyclic plane model."""
-    D = singer_difference_set(q)
     n = q * q + q + 1
     plane = cyclic_plane(q)
-    d2 = min(d for d in D if (d + 1) % n in D)
-    index = {line: i for i, line in enumerate(plane.lines)}
-    lines = []
-    for i in range(n):
-        # the translate of D by i - d2 holds d2 + (i - d2) = i and i + 1
-        lines.append(index[tuple(sorted((d + i - d2) % n for d in D))])
+    lines = [plane.line_between(i, (i + 1) % n) for i in range(n)]
     return _emit_chain(CycleChain("CYCLIC", q, tuple(range(n)), tuple(lines)), n)

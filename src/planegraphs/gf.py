@@ -10,6 +10,15 @@ encodings sort the same way the coefficient vectors do when read as
 base-p numerals.  ``FieldElement`` wraps one encoding for operator
 arithmetic; each of its operators is one ``FieldSpec`` call.
 
+A composite spec computes on polynomials (inverses by Fermat, x^(q-2))
+until it has done q operations that way.  At the q-th it builds, once,
+exp and log tables of its ``first_primitive`` in ``array('i')``, and
+every later operation is a table lookup.  A field used only briefly, as
+in a certificate sweep, never pays for tables.  In characteristic 2 the
+encoding is the coefficient bit vector, so addition and subtraction are
+XOR throughout and do not count; in odd characteristic they go through a
+Zech logarithm table, log(1 + g^k), once the tables exist.
+
 The modulus is chosen deterministically: the first monic irreducible of
 degree a whose non-leading coefficient vector has the smallest encoding.
 Every run of every machine therefore agrees on the arithmetic tables.
@@ -18,6 +27,7 @@ Every run of every machine therefore agrees on the arithmetic tables.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -157,41 +167,6 @@ def _ppowmod(p, base, e, m):
     return r
 
 
-def _pinv(p, s, m):
-    # extended Euclid: find u with u*s = 1 (mod m)
-    if not s:
-        raise ZeroDivisionError("inverse of zero field element")
-    r0, r1 = m, s
-    u0, u1 = (), (1,)
-    while r1:
-        # r0 = q*r1 + r2
-        q = []
-        r2 = list(r0)
-        d1 = len(r1) - 1
-        inv_lead = pow(r1[-1], p - 2, p)
-        while len(r2) - 1 >= d1 and any(r2):
-            d2 = len(r2) - 1
-            if r2[d2] == 0:
-                r2.pop()
-                continue
-            c = (r2[d2] * inv_lead) % p
-            shift = d2 - d1
-            while len(q) <= shift:
-                q.append(0)
-            q[shift] = c
-            for i, b in enumerate(r1):
-                r2[shift + i] = (r2[shift + i] - c * b) % p
-            r2.pop()
-        r2 = _trim(tuple(r2))
-        qt = _trim(tuple(q))
-        r0, r1 = r1, r2
-        u0, u1 = u1, _psub(p, u0, _pmul(p, qt, u1))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible")
-    c = pow(r0[0], p - 2, p)
-    return _trim(tuple((x * c) % p for x in u0))
-
-
 def _psub(p, s, t):
     if len(s) < len(t):
         s = s + (0,) * (len(t) - len(s))
@@ -272,21 +247,76 @@ class FieldSpec:
     def minus_one_el(self) -> "FieldElement":
         return FieldElement(self, self.p - 1)
 
-    # arithmetic on encodings: the one implementation of the field
+    # arithmetic on encodings: the one implementation of the field.  A
+    # composite spec does its first q - 1 operations on polynomials and
+    # then switches to the tables ``_warm`` builds.  ``_tables`` and
+    # ``_cold_ops`` are caches, not fields: a composite spec writes them
+    # to its own __dict__, and prime specs never read the class defaults.
+
+    _tables = None
+    _cold_ops = 0
+
+    def _warm(self):
+        """Count one operation without tables; build them at the q-th.
+
+        The build costs about q polynomial steps, so a field used less
+        never pays for it and one used more pays at most double (the
+        ski-rental rule).  ``first_primitive`` runs cold operations of its
+        own, which count past q, so the build happens once.
+        """
+        ops = self.__dict__["_cold_ops"] = self._cold_ops + 1
+        if ops == self.q:
+            p, n = self.p, self.q - 1
+            g = self.decode(first_primitive(self).enc)
+            # exp has two periods, so sums of two logs need no reduction
+            exp = array("i", bytes(8 * n))
+            log = array("i", bytes(4 * self.q))
+            zech = None
+            x = (1,)
+            for i in range(n):
+                exp[i] = exp[i + n] = e = self.encode(x)
+                log[e] = i
+                x = _pmod(p, _pmul(p, x, g), self.modulus)
+            if p != 2:
+                # Zech logarithm: g^zech[k] = 1 + g^k, or -1 where that is 0;
+                # adding 1 changes only the constant digit of the encoding
+                zech = array("i", bytes(8 * n))
+                for k in range(n):
+                    e = exp[k] + 1 if exp[k] % p != p - 1 else exp[k] + 1 - p
+                    zech[k] = zech[k + n] = log[e] if e else -1
+            self.__dict__["_tables"] = (exp, log, zech, n // 2)  # -1 = g^(n/2)
+        return self._tables
+
+    def _add(self, x: int, y: int, neg: bool) -> int:
+        # x + y, or x - y when neg; XOR in characteristic 2
+        q = self.q
+        if not (0 <= x < q and 0 <= y < q):
+            self.decode(x), self.decode(y)  # raises ValueError
+        if self.p == 2:
+            return x ^ y
+        t = self._tables or self._warm()
+        if t is None:
+            s, u, p = self.decode(x), self.decode(y), self.p
+            sign = -1 if neg else 1
+            return self.encode(tuple((s[i] + sign * u[i]) % p for i in range(self.a)))
+        exp, log, zech, half = t
+        if not y:
+            return x
+        ly = log[y] + half if neg else log[y]
+        if not x:
+            return exp[ly]
+        z = zech[ly - log[x]]  # a negative index wraps to the same residue
+        return exp[log[x] + z] if z >= 0 else 0
 
     def eadd(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x + y) % self.p
-        s = self.decode(x)
-        t = self.decode(y)
-        return self.encode(tuple((s[i] + t[i]) % self.p for i in range(self.a)))
+        return self._add(x, y, False)
 
     def esub(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x - y) % self.p
-        s = self.decode(x)
-        t = self.decode(y)
-        return self.encode(tuple((s[i] - t[i]) % self.p for i in range(self.a)))
+        return self._add(x, y, True)
 
     def eneg(self, x: int) -> int:
         return self.esub(0, x)
@@ -294,23 +324,44 @@ class FieldSpec:
     def emul(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x * y) % self.p
-        r = _pmul(self.p, self.decode(x), self.decode(y))
-        return self.encode(_pmod(self.p, r, self.modulus))
+        t = self._tables or self._warm()
+        if t is None:
+            r = _pmul(self.p, self.decode(x), self.decode(y))
+            return self.encode(_pmod(self.p, r, self.modulus))
+        q = self.q
+        if not (0 <= x < q and 0 <= y < q):
+            self.decode(x), self.decode(y)  # raises ValueError
+        if x and y:
+            exp, log = t[0], t[1]
+            return exp[log[x] + log[y]]
+        return 0
 
     def einv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.a == 1:
             return pow(x, self.p - 2, self.p)
-        return self.encode(_pinv(self.p, _trim(self.decode(x)), self.modulus))
+        t = self._tables or self._warm()
+        if t is None:
+            return self.epow(x, self.q - 2)
+        if not 0 < x < self.q:
+            self.decode(x)  # raises ValueError
+        return t[0][self.q - 1 - t[1][x]]
 
     def epow(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.einv(x), -e
         if self.a == 1:
             return pow(x, e, self.p)
-        # one decode and one encode around the whole square-and-multiply
-        return self.encode(_ppowmod(self.p, self.decode(x), e, self.modulus))
+        t = self._tables or self._warm()
+        if t is None:
+            # one decode and one encode around the whole square-and-multiply
+            return self.encode(_ppowmod(self.p, self.decode(x), e, self.modulus))
+        if not 0 <= x < self.q:
+            self.decode(x)  # raises ValueError
+        if x:
+            return t[0][t[1][x] * e % (self.q - 1)]
+        return 0 if e else 1
 
 
 class FieldElement:

@@ -153,7 +153,28 @@ class GenericPlane:
 
     def line_between(self, u: int, v: int) -> Optional[int]:
         n = self.n_points
-        return self.joins()[u * n + v] if 0 <= u < n and 0 <= v < n else None
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        if not self.cyclic:
+            return self.joins()[u * n + v]
+        if u == v:
+            return None
+        # the lines are the translates of a planar difference set D (any
+        # one of them will do), so the line through u and v is D + (u - d)
+        # for the one d in D with d - d' = u - v, d' in D: two tables of n
+        # entries, not n^2
+        tabs = self._cache.get("differences")
+        if tabs is None:
+            D = self.lines[0]
+            first = [0] * n
+            for d in D:
+                for e in D:
+                    first[(d - e) % n] = d
+            index = {line: li for li, line in enumerate(self.lines)}
+            line_of = [index[tuple(sorted((d + t) % n for d in D))] for t in range(n)]
+            tabs = self._cache["differences"] = (first, line_of)
+        first, line_of = tabs
+        return line_of[(u - first[(u - v) % n]) % n]
 
     @property
     def max_pencil(self) -> int:

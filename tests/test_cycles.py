@@ -223,6 +223,24 @@ def test_cyclic_plane_is_projective(q):
     assert rep.ok, rep.violations
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_cyclic_line_between_agrees_with_joins(q):
+    plane = cyclic_plane(q)
+    n = plane.n_points
+    joins = plane.joins()
+    for u in range(n):
+        for v in range(n):
+            assert plane.line_between(u, v) == joins[u * n + v], (u, v)
+
+
+def test_singer_cycle_49_verifies_without_pair_table():
+    chain = singer_cycle(49)
+    emb = chain.to_embedding()
+    plane = cyclic_plane(49)
+    assert verify_embedding(emb.graph, emb, plane).ok
+    assert "joins" not in plane._cache
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_singer_cycle_full_rung(q):
     chain = singer_cycle(q)
