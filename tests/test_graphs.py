@@ -152,3 +152,56 @@ def test_make_embedding_needs_plane():
     graph = cycle_graph(3)
     with pytest.raises(ValueError):
         make_embedding("PG", 3, graph, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+
+
+def _parity_cases():
+    from planegraphs.cycles import ag_cycle
+    from planegraphs.graphs import ConstructionFailed
+    from planegraphs.plane import ag_from_field
+    from planegraphs.wheelgear import gear_plan, wheel_plan
+
+    for q in (3, 4, 5):
+        pgp = pg_from_field(q)
+        for build in (wheel_plan, gear_plan):
+            for n in range(3, q + 2):
+                try:
+                    yield pgp, build(q, n).embedding
+                except ConstructionFailed:  # W_4 in PG(2,3) does not exist
+                    pass
+    for q in (4, 5):
+        agp = ag_from_field(q)
+        for k in range(3, q * q + 1):
+            yield agp, ag_cycle(q, k).to_embedding()
+
+
+def _in_point_ids(emb, view):
+    index = {P: i for i, P in enumerate(view.point_triples)}
+    ids = tuple(index[P] for P in emb.vertex_images)
+    lines = tuple(view.plane.line_between(ids[u], ids[v]) for u, v in emb.graph.edges)
+    return Embedding("GENERIC", emb.q, emb.graph, ids, lines)
+
+
+def _damaged(emb):
+    """The embedding as built, with one edge image replaced by another edge's,
+    and with vertex 1 sent onto vertex 0's image."""
+    yield emb
+    edges = list(emb.edge_images)
+    edges[0] = edges[1]
+    yield Embedding(emb.model, emb.q, emb.graph, emb.vertex_images, tuple(edges))
+    verts = list(emb.vertex_images)
+    verts[1] = verts[0]
+    yield Embedding(emb.model, emb.q, emb.graph, tuple(verts), emb.edge_images)
+
+
+def test_verifier_agrees_on_both_plane_kinds():
+    seen = 0
+    for coord, emb in _parity_cases():
+        view = coord.to_generic()
+        ids = _in_point_ids(emb, view)
+        for i, (a, b) in enumerate(zip(_damaged(emb), _damaged(ids))):
+            ra = verify_embedding(emb.graph, a, coord)
+            rb = verify_embedding(emb.graph, b, view.plane)
+            assert (ra.ok, len(ra.violations)) == (rb.ok, len(rb.violations)), (coord, emb.graph)
+            assert ra.ok == (i == 0), (coord, emb.graph, i, ra.violations)
+        seen += 1
+    assert seen == 2 * (2 + 3 + 4) - 1 + 14 + 23
