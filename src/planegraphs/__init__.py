@@ -67,6 +67,7 @@ from .cycles import (
     long_cycle,
     path_closed_form,
     pg_cycle,
+    plane_for,
     singer_cycle,
     singer_difference_set,
 )
@@ -74,9 +75,6 @@ from .wheelgear import (
     Plan,
     arc_points,
     gear,
-    gear_from_wheel,
-    gear_max,
-    gear_paths,
     gear_plan,
     wheel,
     wheel_plan,

@@ -13,9 +13,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
-from .cycles import NoCertificate, ag_cycle, cyclic_plane, pg_cycle
+from .cycles import NoCertificate, ag_cycle, pg_cycle, plane_for
 from .gf import (
     certificate_line,
     first_primitive,
@@ -36,15 +35,8 @@ from .graphs import (
     wheel_graph,
     write_embedding,
 )
-from .oracle import DEFAULT_BUDGET, exists_embedding, exists_in_coords
-from .plane import (
-    CoordPlane,
-    ag_from_field,
-    check_plane_axioms,
-    load_plane,
-    pg_from_field,
-    save_plane,
-)
+from .oracle import DEFAULT_BUDGET, exists_embedding
+from .plane import check_plane_axioms, load_plane, save_plane
 from .wheelgear import gear_plan, wheel_plan
 
 
@@ -90,8 +82,7 @@ def _cmd_plane(args) -> int:
             return _usage_error("plane export needs --q and --out")
         if prime_power(args.q) is None:
             return _usage_error(f"q={args.q} is not a prime power")
-        builder = {"pg": pg_from_field, "ag": ag_from_field}[args.model]
-        view = builder(args.q).to_generic()
+        view = plane_for(args.model.upper(), args.q).to_generic()
         save_plane(view.plane, args.out)
         print(f"{args.model}:{args.q} -> {args.out} "
               f"({view.plane.n_points} points, {len(view.plane.lines)} lines)")
@@ -242,37 +233,30 @@ def _load_indexed_plane(path):
 
 
 def _parse_plane_ref(ref: str):
-    """Returns (plane, model): a CoordPlane for pg/ag references, else a
-    GenericPlane."""
     if ref.endswith(".json"):
-        return _load_indexed_plane(ref), "GENERIC"
+        return _load_indexed_plane(ref)
     kind, _, param = ref.partition(":")
     if not param.isdigit():
         raise ValueError(f"bad plane reference {ref!r} (want model:q or a .json file)")
     q = int(param)
     if prime_power(q) is None:
         raise ValueError(f"q={q} is not a prime power")
-    if kind == "cyclic":
-        return cyclic_plane(q), "CYCLIC"
-    if kind in ("pg", "ag"):
-        return {"pg": pg_from_field, "ag": ag_from_field}[kind](q), kind.upper()
-    raise ValueError(f"unknown plane model {kind!r}")
+    if kind not in ("pg", "ag", "cyclic"):
+        raise ValueError(f"unknown plane model {kind!r}")
+    return plane_for(kind.upper(), q)
 
 
 def _cmd_oracle(args) -> int:
     try:
         graph = _parse_graph_ref(args.graph)
-        plane, model = _parse_plane_ref(args.plane)
+        plane = _parse_plane_ref(args.plane)
     except (ValueError, OSError) as e:
         return _usage_error(str(e))
-    search = exists_in_coords if isinstance(plane, CoordPlane) else exists_embedding
-    res = search(graph, plane, budget=args.budget)
+    res = exists_embedding(graph, plane, budget=args.budget)
     doc = {"status": res.status, "expansions": res.expansions}
     if res.status == "found":
-        # point ids on the cyclic plane are the residues themselves
-        emb = replace(res.embedding, model=model)
         out = args.out or "oracle_embedding.json"
-        write_embedding(emb, out)
+        write_embedding(res.embedding, out)
         doc["out"] = out
     print(json.dumps(doc, separators=(",", ":")))
     return 0
@@ -285,8 +269,7 @@ def _cmd_verify(args) -> int:
         return _usage_error(f"cannot read embedding: {e}")
     try:
         if emb.model != "GENERIC":
-            builder = {"CYCLIC": cyclic_plane, "AG": ag_from_field, "PG": pg_from_field}
-            plane = builder[emb.model](emb.q)
+            plane = plane_for(emb.model, emb.q)
         elif args.plane:
             plane = _load_indexed_plane(args.plane)
         else:

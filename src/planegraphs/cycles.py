@@ -237,13 +237,7 @@ class CycleChain:
         return len(self.points)
 
     def default_plane(self):
-        if self.model == "AG":
-            return ag_from_field(self.q)
-        if self.model == "PG":
-            return pg_from_field(self.q)
-        if self.model == "CYCLIC":
-            return cyclic_plane(self.q)
-        raise ValueError(f"unknown chain model {self.model!r}")
+        return plane_for(self.model, self.q)
 
     def to_embedding(self) -> Embedding:
         """The chain as an embedding of C_length; its lines are the edge images."""
@@ -559,9 +553,16 @@ def cyclic_plane(q: int) -> GenericPlane:
     D = singer_difference_set(q)
     n = q * q + q + 1
     lines = sorted(tuple(sorted((d + t) % n for d in D)) for t in range(n))
-    return GenericPlane(
-        q=q, n_points=n, lines=tuple(lines), cyclic=True, transitive=True
-    )
+    return GenericPlane(q=q, n_points=n, lines=tuple(lines), model="CYCLIC", transitive=True)
+
+
+def plane_for(model: str, q: int):
+    """The plane a model name and an order stand for: PG(2,q), AG(2,q), or
+    PG(2,q) as the cyclic model."""
+    builder = {"PG": pg_from_field, "AG": ag_from_field, "CYCLIC": cyclic_plane}.get(model)
+    if builder is None:
+        raise ValueError(f"unknown plane model {model!r}")
+    return builder(q)
 
 
 def singer_cycle(q: int) -> CycleChain:

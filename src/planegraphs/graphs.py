@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .plane import CoordPlane, FormatError, GenericPlane, format_errors, is_affine, line_through
+from .plane import FormatError, format_errors
 
 
 class ImpossibleDegree(ValueError):
@@ -144,7 +144,8 @@ class VerifyReport:
 
 
 def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
-    """Check an embedding against the plane it claims to live in.
+    """Check an embedding against the plane it claims to live in, a
+    coordinate plane or a generic one.
 
     Structural mismatches (wrong plane, image outside the plane) raise;
     mathematical failures are collected into the report.
@@ -155,18 +156,22 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
         raise ValueError("one image per vertex required")
     if len(emb.edge_images) != len(graph.edges):
         raise ValueError("one image per edge required")
+    if emb.model != plane.model or emb.q != plane.q:
+        raise ValueError(f"embedding targets {emb.model}(2,{emb.q}), got {plane}")
+    for v, P in enumerate(emb.vertex_images):
+        if not plane.contains(P):
+            raise ValueError(f"vertex {v} image {P!r} is not a point of {plane}")
 
-    violations = []
-    if isinstance(plane, CoordPlane):
-        if emb.model != plane.model or emb.q != plane.q:
-            raise ValueError(f"embedding targets {emb.model}(2,{emb.q}), got {plane}")
-        recomputed = _verify_coord(graph, emb, plane, violations)
-    elif isinstance(plane, GenericPlane):
-        if emb.model not in ("CYCLIC", "GENERIC") or emb.q != plane.q:
-            raise ValueError(f"embedding targets {emb.model}(2,{emb.q}), not this plane")
-        recomputed = _verify_generic(graph, emb, plane, violations)
-    else:
-        raise TypeError(f"not a plane: {plane!r}")
+    violations, recomputed = [], []
+    for (u, v), stored in zip(graph.edges, emb.edge_images):
+        P, Q = emb.vertex_images[u], emb.vertex_images[v]
+        line = plane.line_between(P, Q)
+        recomputed.append(line)
+        if line is None:
+            why = " endpoints map to one point" if P == Q else f": no line joins points {P},{Q}"
+            violations.append(f"edge {(u, v)}{why}")
+        elif stored != line:
+            violations.append(f"edge {(u, v)} stores line {stored}, its endpoints span {line}")
 
     vertices_injective = len(set(emb.vertex_images)) == graph.n_vertices
     if not vertices_injective:
@@ -176,10 +181,9 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
     edges_injective = len(set(defined)) == len(defined)
     if not edges_injective:
         violations.append("edge lines collide")
-    bound = plane.q + 1 if isinstance(plane, CoordPlane) else plane.max_pencil
-    degree_bound_ok = graph.max_degree <= bound
+    degree_bound_ok = graph.max_degree <= plane.max_pencil
     if not degree_bound_ok:
-        violations.append(f"max degree {graph.max_degree} exceeds pencil size {bound}")
+        violations.append(f"max degree {graph.max_degree} exceeds pencil size {plane.max_pencil}")
     return VerifyReport(
         vertices_injective, edges_well_defined, edges_injective, degree_bound_ok, violations
     )
@@ -202,50 +206,6 @@ def emit(graph: Graph, emb: Embedding, plane) -> Embedding:
             f"{graph.kind} in {plane} fails verification: " + "; ".join(rep.violations)
         )
     return emb
-
-
-def _verify_coord(graph, emb, plane, violations) -> list:
-    sp = plane.spec
-    for v, P in enumerate(emb.vertex_images):
-        P = tuple(P)
-        if not plane.contains(P):
-            raise ValueError(f"vertex {v} image {P} is not a point of {plane}")
-    recomputed = []
-    for (u, v), stored in zip(graph.edges, emb.edge_images):
-        P, Q = tuple(emb.vertex_images[u]), tuple(emb.vertex_images[v])
-        if P == Q:
-            recomputed.append(None)
-            violations.append(f"edge {(u, v)} endpoints map to one point")
-            continue
-        l = line_through(sp, P, Q)
-        recomputed.append(l)
-        if tuple(stored) != l:
-            violations.append(f"edge {(u, v)} stores line {tuple(stored)}, spans {l}")
-        if plane.model == "AG" and not is_affine(P):
-            violations.append(f"vertex {u} image {P} is infinite")
-    return recomputed
-
-
-def _verify_generic(graph, emb, plane, violations) -> list:
-    for v, p in enumerate(emb.vertex_images):
-        if not isinstance(p, int) or not 0 <= p < plane.n_points:
-            raise ValueError(f"vertex {v} image {p!r} is not a point id")
-    recomputed = []
-    for (u, v), stored in zip(graph.edges, emb.edge_images):
-        a, b = emb.vertex_images[u], emb.vertex_images[v]
-        if a == b:
-            recomputed.append(None)
-            violations.append(f"edge {(u, v)} endpoints map to one point")
-            continue
-        li = plane.line_between(a, b)
-        if li is None:
-            recomputed.append(None)
-            violations.append(f"edge {(u, v)}: no line joins points {a},{b}")
-            continue
-        recomputed.append(li)
-        if stored != li:
-            violations.append(f"edge {(u, v)} stores line {stored}, joins on {li}")
-    return recomputed
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +282,17 @@ def read_embedding(path) -> Embedding:
     )
 
 
-def make_embedding(model: str, q: int, graph: Graph, vertex_images, plane=None) -> Embedding:
-    """Build an embedding from vertex images, deriving edge lines.
-
-    For PG/AG the lines are computed from coordinates; for generic models a
-    plane must be supplied to resolve line ids.
-    """
+def make_embedding(graph: Graph, vertex_images, plane) -> Embedding:
+    """Build an embedding in ``plane`` from vertex images, deriving edge
+    lines; its model and order are the plane's.  An edge whose images no
+    line joins raises ValueError."""
     vertex_images = tuple(
         tuple(i) if isinstance(i, (list, tuple)) else i for i in vertex_images
     )
     edge_images = []
-    if model in ("PG", "AG"):
-        if plane is None or not isinstance(plane, CoordPlane):
-            raise ValueError("coordinate embedding needs its CoordPlane")
-        for u, v in graph.edges:
-            edge_images.append(line_through(plane.spec, vertex_images[u], vertex_images[v]))
-    else:
-        if plane is None or not isinstance(plane, GenericPlane):
-            raise ValueError("generic embedding needs its GenericPlane")
-        for u, v in graph.edges:
-            li = plane.line_between(vertex_images[u], vertex_images[v])
-            if li is None:
-                raise ValueError(f"no line joins images of edge {(u, v)}")
-            edge_images.append(li)
-    return Embedding(model, q, graph, vertex_images, tuple(edge_images))
+    for u, v in graph.edges:
+        line = plane.line_between(vertex_images[u], vertex_images[v])
+        if line is None:
+            raise ValueError(f"no line joins images of edge {(u, v)}")
+        edge_images.append(line)
+    return Embedding(plane.model, plane.q, graph, vertex_images, tuple(edge_images))

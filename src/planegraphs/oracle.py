@@ -1,9 +1,10 @@
-"""Exhaustive embedding search over generic planes.
+"""Exhaustive embedding search over generic and coordinate planes.
 
 The oracle answers the ground-truth question: does this graph embed in
-this plane at all?  It is deliberately model-free (point ids only) and is
-used both as a fallback constructor for tiny planes and as the referee
-that constructive routes are tested against.
+this plane at all?  It searches in point ids only, a coordinate plane
+through its generic view, and is used both as a fallback constructor for
+tiny planes and as the referee that constructive routes are tested
+against.
 """
 
 from __future__ import annotations
@@ -114,46 +115,43 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> OracleResult:
                 pools[depth], taken[depth] = pool, here
                 depth += 1
                 break
-    emb = make_embedding("GENERIC", plane.q, graph, tuple(img), plane=plane)
-    return OracleResult(STATUS_FOUND, emb, count)
+    return OracleResult(STATUS_FOUND, make_embedding(graph, img, plane), count)
 
 
-def exists_embedding(
-    graph: Graph, plane: GenericPlane, budget: int = DEFAULT_BUDGET
-) -> OracleResult:
-    """Depth-first search for an embedding; a found one is verified once."""
-    res = _search(graph, plane, budget)
-    if res.embedding is not None:
-        emit(graph, res.embedding, plane)
-    return res
+def exists_embedding(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """Depth-first search for an embedding in a generic or coordinate plane.
 
-
-def exists_in_coords(
-    graph: Graph, coord: CoordPlane, budget: int = DEFAULT_BUDGET
-) -> OracleResult:
-    """Search a coordinate plane through its generic view.
-
-    A found embedding comes back in coordinates: the search's verified
-    result with its point ids mapped to triples, not verified again.
+    A found embedding is verified once, in point ids, and comes back in the
+    plane's own points: coordinates for a coordinate plane.
     """
-    return _in_coords(exists_embedding, graph, coord, budget)
+    ids, points = _id_plane(plane)
+    res = _search(graph, ids, budget)
+    if res.embedding is not None:
+        emit(graph, res.embedding, ids)
+    return _labelled(res, plane, points)
 
 
 def search_unverified(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """The search on a generic or coordinate plane, its result unverified:
-    for constructors, which hand it to ``graphs.emit``."""
+    """The search of ``exists_embedding``, its result unverified: for
+    constructors, which hand it to ``graphs.emit``."""
+    ids, points = _id_plane(plane)
+    return _labelled(_search(graph, ids, budget), plane, points)
+
+
+def _id_plane(plane) -> tuple:
+    # the plane the search runs on, and the coordinates of its point ids
     if isinstance(plane, CoordPlane):
-        return _in_coords(_search, graph, plane, budget)
-    return _search(graph, plane, budget)
+        view = plane.to_generic()
+        return view.plane, view.point_triples
+    return plane, None
 
 
-def _in_coords(search, graph: Graph, coord: CoordPlane, budget: int) -> OracleResult:
-    view = coord.to_generic()
-    res = search(graph, view.plane, budget)
-    if res.embedding is None:
+def _labelled(res: OracleResult, plane, points) -> OracleResult:
+    # a found embedding in point ids, relabelled with the points' coordinates
+    if points is None or res.embedding is None:
         return res
-    imgs = [view.point_triples[i] for i in res.embedding.vertex_images]
-    emb = make_embedding(coord.model, coord.q, graph, imgs, plane=coord)
+    emb = res.embedding
+    emb = make_embedding(emb.graph, [points[i] for i in emb.vertex_images], plane)
     return OracleResult(res.status, emb, res.expansions)
 
 

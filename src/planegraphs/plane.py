@@ -8,6 +8,10 @@ last coordinate is nonzero.
 
 GenericPlane forgets coordinates: points are 0..N-1 and lines are sorted
 id tuples.  It is what the search oracle and the file format speak.
+
+Both kinds of plane give what the verifier and the embedding builder ask
+of a plane: ``model``, ``q``, ``contains``, ``line_between`` (None when
+the points coincide or no line joins them) and ``max_pencil``.
 """
 
 from __future__ import annotations
@@ -119,8 +123,8 @@ class GenericPlane:
 
     q: int
     n_points: int
-    lines: tuple
-    cyclic: bool = False
+    lines: tuple = field(repr=False)
+    model: str = "GENERIC"  # or CYCLIC: the translates of a difference set
     transitive: bool = False
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -151,14 +155,15 @@ class GenericPlane:
             self._cache["joins"] = tab
         return tab
 
+    def contains(self, p) -> bool:
+        return isinstance(p, int) and 0 <= p < self.n_points
+
     def line_between(self, u: int, v: int) -> Optional[int]:
         n = self.n_points
-        if not (0 <= u < n and 0 <= v < n):
+        if u == v or not (0 <= u < n and 0 <= v < n):
             return None
-        if not self.cyclic:
+        if self.model != "CYCLIC":
             return self.joins()[u * n + v]
-        if u == v:
-            return None
         # the lines are the translates of a planar difference set D (any
         # one of them will do), so the line through u and v is D + (u - d)
         # for the one d in D with d - d' = u - v, d' in D: two tables of n
@@ -224,6 +229,13 @@ class CoordPlane:
         if self.model == "AG" and not is_affine(P):
             return False
         return True
+
+    def line_between(self, P: Triple, Q: Triple) -> Optional[Triple]:
+        return None if P == Q else line_through(self.spec, P, Q)
+
+    @property
+    def max_pencil(self) -> int:
+        return self.q + 1
 
     def to_generic(self) -> GenericView:
         """The plane as point ids 0..N-1 in sorted triple order; one shared
@@ -404,7 +416,9 @@ def load_plane(path) -> GenericPlane:
         doc = json.load(fh)
         if not isinstance(doc, dict) or not {"q", "points", "lines"} <= set(doc):
             raise FormatError("plane file needs keys q, points, lines")
-        n = doc["points"]
+        q, n = doc["q"], doc["points"]
+        if not isinstance(q, int) or q < 2:
+            raise FormatError(f"bad plane order {q!r}")
         if not isinstance(n, int) or n < 1:
             raise FormatError("points must be a positive integer")
         lines = []
@@ -412,4 +426,4 @@ def load_plane(path) -> GenericPlane:
             if not isinstance(l, list) or not all(isinstance(p, int) for p in l):
                 raise FormatError(f"line {i} is not a list of point ids")
             lines.append(tuple(sorted(l)))
-    return GenericPlane(q=doc["q"], n_points=n, lines=tuple(lines))
+    return GenericPlane(q=q, n_points=n, lines=tuple(lines))

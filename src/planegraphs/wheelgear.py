@@ -157,7 +157,7 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
     graph = _sized_graph("wheel", n, q)
     pgp = pg_from_field(q)
     if _arc_serves(q, n):
-        emb = make_embedding("PG", q, graph, arc_points(q)[: n + 1], plane=pgp)
+        emb = make_embedding(graph, arc_points(q)[: n + 1], pgp)
         return _plan(graph, emb, pgp, ROUTE_ARC)
     return _first_plan(graph, _wheel_explicit(q, pgp, graph), pgp)
 
@@ -189,7 +189,7 @@ def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Iterator[tuple]:
             if T == O or T == P[q] or T in zig:
                 continue
             rim = zig + [T]
-            yield make_embedding("PG", q, graph, [O] + rim, plane=pgp), ROUTE_EXPLICIT
+            yield make_embedding(graph, [O] + rim, pgp), ROUTE_EXPLICIT
     yield _searched(graph, pgp), ROUTE_ORACLE
 
 
@@ -212,7 +212,7 @@ def _wheel_generic(plane: GenericPlane, n: int) -> Plan:
             break
     if len(arc) == n + 1:
         try:
-            emb = make_embedding("GENERIC", plane.q, graph, arc, plane=plane)
+            emb = make_embedding(graph, arc, plane)
             return _plan(graph, emb, plane, ROUTE_ARC)
         except (ConstructionFailed, ValueError):
             pass
@@ -243,7 +243,7 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
             images = arc_points(q)[: 2 * n + 1]
         else:
             images = wheel_plan(q, 2 * n).embedding.vertex_images
-        emb = make_embedding("PG", q, graph, images, plane=pgp)
+        emb = make_embedding(graph, images, pgp)
         route = ROUTE_FROM_WHEEL
     elif n <= q:
         return _first_plan(graph, _gear_paths(q, n, pgp, graph), pgp)
@@ -282,7 +282,7 @@ def _gear_paths_even(q, n, lab, pgp, graph) -> Iterator[tuple]:
             if incident(spec, Q[1], close_vert):
                 continue  # the two vertical connectors would coincide
             rim = P[: n - 1] + [d0] + Q[1:n] + [d1]
-            yield make_embedding("PG", q, graph, [O] + rim, plane=pgp), ROUTE_PATHS_EVEN
+            yield make_embedding(graph, [O] + rim, pgp), ROUTE_PATHS_EVEN
 
 
 def _gear_paths_odd(q, n, lab, pgp, graph) -> Iterator[tuple]:
@@ -312,7 +312,7 @@ def _gear_paths_odd(q, n, lab, pgp, graph) -> Iterator[tuple]:
                 if T in P or T in Q:
                     continue
                 try:
-                    emb = make_embedding("PG", q, graph, [O] + rim, plane=pgp)
+                    emb = make_embedding(graph, [O] + rim, pgp)
                 except ValueError:
                     continue
                 yield emb, ROUTE_PATHS_ODD
@@ -351,7 +351,7 @@ def _gear_max_even(q, lab, pgp, graph) -> Embedding:
     rim = []
     for i in range(n2):
         rim += [lab.direction_point(i), A[i]]
-    return make_embedding("PG", q, graph, [O] + rim, plane=pgp)
+    return make_embedding(graph, [O] + rim, pgp)
 
 
 def _gear_max_odd(q, lab, pgp, graph) -> Embedding:
@@ -395,7 +395,7 @@ def _gear_max_odd(q, lab, pgp, graph) -> Embedding:
     rim = []
     for i in range(n2):
         rim += [lab.direction_point(i), A[i]]
-    return make_embedding("PG", q, graph, [O] + rim, plane=pgp)
+    return make_embedding(graph, [O] + rim, pgp)
 
 
 def _gear_generic(plane: GenericPlane, n: int) -> Plan:
@@ -403,28 +403,8 @@ def _gear_generic(plane: GenericPlane, n: int) -> Plan:
     if 2 * n <= plane.q + 1:
         try:
             big = wheel_plan(plane.q, 2 * n, plane).embedding
-            emb = make_embedding("GENERIC", plane.q, graph, big.vertex_images, plane=plane)
+            emb = make_embedding(graph, big.vertex_images, plane)
             return _plan(graph, emb, plane, ROUTE_FROM_WHEEL)
         except (ConstructionFailed, ValueError):
             pass
     return _plan(graph, _searched(graph, plane), plane, ROUTE_ORACLE)
-
-
-def gear_from_wheel(q: int, n: int) -> Embedding:
-    if not 3 <= n <= (q + 1) // 2:
-        raise ValueError(f"wheel route needs 3 <= n <= {(q + 1) // 2}")
-    return gear_plan(q, n).embedding
-
-
-def gear_paths(q: int, n: int) -> Embedding:
-    if q <= 4:
-        raise ValueError("path routes need q > 4")
-    if not (q + 1) // 2 < n <= q:
-        raise ValueError(f"path route needs {(q + 1) // 2} < n <= {q}")
-    return gear_plan(q, n).embedding
-
-
-def gear_max(q: int) -> Embedding:
-    if q <= 4:
-        raise ValueError("the maximum-gear construction needs q > 4")
-    return gear(q, q + 1)

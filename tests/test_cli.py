@@ -212,6 +212,17 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(c3), "--plane", str(bad))
     assert rc == 2 and "cannot read plane" in err
 
+    # a plane order that is not an integer >= 2, the rule embedding files follow
+    for q in ("x", 1, 2.0, None):
+        bad = tmp_path / "plane_order.json"
+        bad.write_text(json.dumps(dict(json.loads(text), q=q)))
+        rc, _, err = run(capsys, "plane", "check", str(bad))
+        assert rc == 2 and "bad plane order" in err, q
+        rc, _, err = run(capsys, "oracle", "--graph", "cycle:3", "--plane", str(bad))
+        assert rc == 2 and "bad plane order" in err, q
+        rc, _, err = run(capsys, "verify", str(c3), "--plane", str(bad))
+        assert rc == 2 and "bad plane order" in err, q
+
 
 _C6_AG4 = json.loads(embedding_to_json(ag_cycle(4, 6).to_embedding()))
 

@@ -23,7 +23,7 @@ from planegraphs.gf import (
     make_field,
     prime_power,
 )
-from planegraphs.graphs import verify_embedding
+from planegraphs.graphs import ConstructionFailed, Embedding, cycle_graph, emit, verify_embedding
 from planegraphs.plane import ag_from_field, check_plane_axioms, incident, pg_from_field
 
 
@@ -218,9 +218,20 @@ def test_singer_difference_set_frozen(q, D):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_cyclic_plane_is_projective(q):
     plane = cyclic_plane(q)
-    assert plane.cyclic and plane.transitive
+    assert plane.model == "CYCLIC" and plane.transitive
     rep = check_plane_axioms(plane)
     assert rep.ok, rep.violations
+
+
+def test_failure_message_names_the_plane_briefly():
+    # the plane's repr leaves out its lines: 757 of them for q = 27
+    plane = cyclic_plane(27)
+    graph = cycle_graph(3)
+    bad = Embedding("CYCLIC", 27, graph, (0, 0, 1), (0, 0, 0))
+    with pytest.raises(ConstructionFailed) as info:
+        emit(graph, bad, plane)
+    assert "fails verification" in str(info.value)
+    assert len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])

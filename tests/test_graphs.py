@@ -62,7 +62,7 @@ def _triangle_embedding(q=3):
     pgp = pg_from_field(q)
     graph = cycle_graph(3)
     imgs = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-    return pgp, graph, make_embedding("PG", q, graph, imgs, plane=pgp)
+    return pgp, graph, make_embedding(graph, imgs, pgp)
 
 
 def test_verify_passes_triangle():
@@ -77,7 +77,7 @@ def test_verify_flags_duplicate_vertices():
     graph = cycle_graph(3)
     with pytest.raises(ValueError):
         # coincident images never even build: the joining line is undefined
-        make_embedding("PG", 3, graph, [(0, 0, 1), (0, 0, 1), (0, 1, 1)], plane=pgp)
+        make_embedding(graph, [(0, 0, 1), (0, 0, 1), (0, 1, 1)], pgp)
 
 
 def test_verify_flags_tampered_edge_line():
@@ -95,7 +95,7 @@ def test_verify_flags_line_reuse():
     pgp = pg_from_field(3)
     graph = cycle_graph(4)
     imgs = [(0, 0, 1), (0, 1, 1), (0, 1, 2), (1, 0, 1)]  # first three collinear
-    emb = make_embedding("PG", 3, graph, imgs, plane=pgp)
+    emb = make_embedding(graph, imgs, pgp)
     rep = verify_embedding(graph, emb, pgp)
     assert not rep.ok
     assert not rep.edges_injective
@@ -106,7 +106,7 @@ def test_verify_degree_bound():
     pgp = pg_from_field(2)
     graph = wheel_graph(4)
     imgs = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0)]
-    emb = make_embedding("PG", 2, graph, imgs, plane=pgp)
+    emb = make_embedding(graph, imgs, pgp)
     rep = verify_embedding(graph, emb, pgp)
     assert not rep.ok
     assert not rep.degree_bound_ok
@@ -148,10 +148,23 @@ def test_read_embedding_rejects_damage(tmp_path):
         read_embedding(bad)
 
 
-def test_make_embedding_needs_plane():
+def test_embedding_takes_model_and_order_from_its_plane(tmp_path):
+    from planegraphs.cycles import cyclic_plane
+    from planegraphs.plane import ag_from_field, load_plane, save_plane
+
     graph = cycle_graph(3)
-    with pytest.raises(ValueError):
-        make_embedding("PG", 3, graph, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    tri = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+    save_plane(pg_from_field(3).to_generic().plane, tmp_path / "pg3.json")
+    loaded = load_plane(tmp_path / "pg3.json")
+    for plane, imgs, model, q in (
+        (pg_from_field(3), tri, "PG", 3),
+        (ag_from_field(4), tri, "AG", 4),
+        (cyclic_plane(5), [0, 1, 3], "CYCLIC", 5),
+        (loaded, [0, 1, 4], "GENERIC", 3),
+    ):
+        emb = make_embedding(graph, imgs, plane)
+        assert (emb.model, emb.q) == (model, q)
+        assert verify_embedding(graph, emb, plane).ok
 
 
 def _parity_cases():
@@ -205,3 +218,19 @@ def test_verifier_agrees_on_both_plane_kinds():
             assert ra.ok == (i == 0), (coord, emb.graph, i, ra.violations)
         seen += 1
     assert seen == 2 * (2 + 3 + 4) - 1 + 14 + 23
+
+
+def test_package_holds_no_assert_statement():
+    # checks are raised, so that ``python -O`` cannot switch one off
+    import ast
+    from pathlib import Path
+
+    import planegraphs
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(planegraphs.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -14,9 +14,6 @@ from planegraphs.wheelgear import (
     ConstructionFailed,
     arc_points,
     gear,
-    gear_from_wheel,
-    gear_max,
-    gear_paths,
     gear_plan,
     wheel,
     wheel_plan,
@@ -204,22 +201,6 @@ def test_gear_reuses_wheel_vertices():
 def test_smallest_plane_has_no_gear():
     with pytest.raises(ConstructionFailed):
         gear(2, 3)
-
-
-def test_route_wrappers():
-    plane5 = pg_from_field(5)
-    emb = gear_from_wheel(5, 3)
-    assert verify_embedding(gear_graph(3), emb, plane5).ok
-    emb = gear_paths(7, 6)
-    assert verify_embedding(gear_graph(6), emb, pg_from_field(7)).ok
-    emb = gear_max(8)
-    assert verify_embedding(gear_graph(9), emb, pg_from_field(8)).ok
-    with pytest.raises(ValueError):
-        gear_from_wheel(5, 4)
-    with pytest.raises(ValueError):
-        gear_paths(5, 3)
-    with pytest.raises(ValueError):
-        gear_max(4)
 
 
 def test_generic_plane_routes():
