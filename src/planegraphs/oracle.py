@@ -155,15 +155,15 @@ def _labelled(res: OracleResult, plane, points) -> OracleResult:
     return OracleResult(res.status, emb, res.expansions)
 
 
-def pancyclicity_table(
-    plane: GenericPlane, budget: int = DEFAULT_BUDGET
-) -> dict:
-    """Oracle verdict for every cycle length 3..N; tiny planes only."""
+def pancyclicity_table(plane, budget: int = DEFAULT_BUDGET) -> dict:
+    """Oracle verdict for every cycle length 3..N, in a generic or
+    coordinate plane; tiny planes only."""
     from .graphs import cycle_graph
 
-    if plane.n_points > 21:
+    n = _id_plane(plane)[0].n_points
+    if n > 21:
         raise ValueError("oracle table is exhaustive; refuse planes beyond 21 points")
     out = {}
-    for k in range(3, plane.n_points + 1):
+    for k in range(3, n + 1):
         out[k] = exists_embedding(cycle_graph(k), plane, budget=budget)
     return out

@@ -222,9 +222,9 @@ class CoordPlane:
         return pts
 
     def contains(self, P: Triple) -> bool:
-        if len(P) != 3 or not all(0 <= v < self.q for v in P) or not any(P):
+        if type(P) is not tuple or len(P) != 3 or not any(P):
             return False
-        if canon(self.spec, P) != tuple(P):
+        if not all(0 <= v < self.q for v in P) or canon(self.spec, P) != P:
             return False
         if self.model == "AG" and not is_affine(P):
             return False

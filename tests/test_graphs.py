@@ -112,6 +112,20 @@ def test_verify_degree_bound():
     assert not rep.degree_bound_ok
 
 
+def test_emit_refuses_images_of_the_other_plane_kind():
+    from planegraphs.cycles import cyclic_plane
+    from planegraphs.graphs import ConstructionFailed, emit
+
+    graph = cycle_graph(3)
+    for plane, imgs in (
+        (pg_from_field(3), (0, 1, 3)),
+        (cyclic_plane(3), ((0, 0, 1), (1, 0, 1), (0, 1, 1))),
+    ):
+        bad = Embedding(plane.model, 3, graph, imgs, (0, 0, 0))
+        with pytest.raises(ConstructionFailed, match="is not a point of"):
+            emit(graph, bad, plane)
+
+
 def test_embedding_file_round_trip(tmp_path):
     pgp, graph, emb = _triangle_embedding()
     path = tmp_path / "tri.json"

@@ -112,10 +112,18 @@ def test_pancyclicity_tables():
     assert sorted(table) == list(range(3, 14))
     assert all(r.status == "found" for r in table.values())
 
+    # a coordinate plane gives the same verdicts, its embeddings in coordinates
+    coord = pancyclicity_table(ag_from_field(3))
+    assert [(r.status, r.expansions) for r in coord.values()] == [
+        (r.status, r.expansions) for r in pancyclicity_table(ag3).values()
+    ]
+    assert all(r.embedding.model == "AG" for r in coord.values())
+
 
 def test_pancyclicity_guard():
-    with pytest.raises(ValueError):
-        pancyclicity_table(_pg(5))
+    for plane in (_pg(5), pg_from_field(5)):
+        with pytest.raises(ValueError):
+            pancyclicity_table(plane)
 
 
 # (status, expansions, sha256 prefix of the vertex images) of every cycle,
