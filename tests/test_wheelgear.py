@@ -1,5 +1,6 @@
 """Wheel and gear constructions: routes, invariants, refusals."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from planegraphs.gf import prime_powers_in
-from planegraphs.graphs import ImpossibleDegree, gear_graph, verify_embedding, wheel_graph
+from planegraphs.graphs import (
+    ImpossibleDegree,
+    embedding_to_json,
+    gear_graph,
+    verify_embedding,
+    wheel_graph,
+)
 from planegraphs.plane import incident, line_through, pg_from_field
 from planegraphs.wheelgear import (
     ConstructionFailed,
@@ -228,3 +235,73 @@ def test_oracle_route_verifies_once(monkeypatch):
     plan = gear_plan(4, 3)
     assert plan.route == "ORACLE"
     assert len(calls) == 1
+
+
+def _plans_digest(cells) -> str:
+    """One digest over the (function, q, n, plane) cells: each plan's route and
+    the sha256 of its embedding file, or a refused cell's exception and message."""
+    rows = []
+    for build, q, n, plane in cells:
+        try:
+            plan = build(q, n, plane)
+        except (ValueError, ConstructionFailed) as e:
+            rows.append(f"{build.__name__} {n} {type(e).__name__}: {e}")
+            continue
+        emb = hashlib.sha256(embedding_to_json(plan.embedding).encode()).hexdigest()
+        rows.append(f"{build.__name__} {n} {plan.route} {emb}")
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+
+
+def _frozen_cells(kind, q):
+    if kind == "MAX":
+        return [(gear_plan, q, q + 1, None)]
+    plane = pg_from_field(q).to_generic().plane if kind == "GENERIC" else None
+    return [(b, q, n, plane) for b in (wheel_plan, gear_plan) for n in range(3, q + 3)]
+
+
+# every wheel and gear cell 3 <= n <= q+2 in PG(2,q) and in its generic view,
+# and the maximum gear past q = 32, as the routes built them when frozen
+FROZEN_PLANS = {
+    ('PG', 2): 'e05d61bd9a2cfdcb',
+    ('PG', 3): '7f90d451ed1aa207',
+    ('PG', 4): 'ca1ccb0cf1deaad4',
+    ('PG', 5): '5ddc013ba7510441',
+    ('PG', 7): '1273ce8d235f220a',
+    ('PG', 8): '5a61f2194f4a140a',
+    ('PG', 9): '0e0c7e353e413b72',
+    ('PG', 11): '789fcd5d09139fa6',
+    ('PG', 13): '4a66a78a7184b0a7',
+    ('PG', 16): 'f0968d41f8773e0b',
+    ('PG', 17): 'd5b22e162301d0ae',
+    ('PG', 19): '714cdf30474d3aec',
+    ('PG', 23): '53040aa16ee32dc3',
+    ('PG', 25): 'dc943281a9441774',
+    ('PG', 27): '3cae96e6b7ec8206',
+    ('PG', 29): 'da3d8098ad53c387',
+    ('PG', 31): '300515716ed67f6c',
+    ('PG', 32): '6c0dd75ed18b228b',
+    ('GENERIC', 2): '614b172452dff2a5',
+    ('GENERIC', 3): '7db720ffef090ad3',
+    ('GENERIC', 4): 'a1452341652c3909',
+    ('GENERIC', 5): '7fda85d1f552991c',
+    ('GENERIC', 7): '092a98bd86ff8f3b',
+    ('MAX', 37): 'c542e9d1d993fc95',
+    ('MAX', 41): '92dfbcf55e77ea33',
+    ('MAX', 43): '58365d6bca8692d1',
+    ('MAX', 47): 'cd36756c1d499f9a',
+    ('MAX', 49): '578814a57dfd4592',
+    ('MAX', 53): 'c2a5cca60b4ea0bf',
+    ('MAX', 59): 'f37465a706bc659f',
+    ('MAX', 61): '604dd45621e99d6e',
+    ('MAX', 64): '61673c8fe297bd5f',
+    ('MAX', 67): 'dea300745400cfb4',
+    ('MAX', 71): '31bf5d47f3f59210',
+    ('MAX', 73): '87b9cf22235461ab',
+    ('MAX', 79): '1f935f8ee7ba6ebb',
+    ('MAX', 81): '3792c7167cb56cb5',
+}
+
+
+@pytest.mark.parametrize("kind,q", sorted(FROZEN_PLANS))
+def test_plans_frozen(kind, q):
+    assert _plans_digest(_frozen_cells(kind, q)) == FROZEN_PLANS[kind, q]
