@@ -248,3 +248,28 @@ def test_package_holds_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_imports_no_unused_name():
+    # a name a module imports and never reads is a stale import;
+    # ``__init__`` imports to re-export and is left out
+    import ast
+    from pathlib import Path
+
+    import planegraphs
+
+    found = []
+    for path in sorted(Path(planegraphs.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
