@@ -6,11 +6,14 @@ W_{q+1}, which uses the spoke-pencil construction with a searched closing
 vertex.  Gears split by size: small ones are wheels with alternate spokes
 removed, mid-range ones braid two disjoint base paths through infinite
 points, and the maximum gear alternates directions with affine points
-chosen greedily.  Every route hands its embedding to ``graphs.emit``,
-which verifies it once and returns it in a ``Plan`` or raises
-ConstructionFailed; no route returns an unchecked embedding.
-"""
+chosen greedily.  In a loaded generic plane the routes are a greedy arc
+and the gear from it, with the exhaustive oracle last.
 
+Every route is a generator of (vertex images, route) candidates, in either
+kind of plane.  One loop, ``_first_plan``, embeds each candidate, hands it
+to ``graphs.emit`` to be verified once, and returns the first that passes
+as a ``Plan``; no route returns an unchecked embedding.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -64,46 +67,45 @@ class Plan:
     embedding: Embedding
 
 
-def _plan(graph: Graph, emb: Embedding, plane, route: str) -> Plan:
-    emb = emit(graph, emb, plane)
-    return Plan(
-        center=emb.vertex_images[0],
-        rim=emb.vertex_images[1:],
-        spokes=tuple(img for (u, v), img in zip(graph.edges, emb.edge_images) if u == 0),
-        route=route,
-        embedding=emb,
-    )
-
-
 def _first_plan(graph: Graph, candidates, plane) -> Plan:
-    """The plan of the first (embedding, route) candidate that passes ``emit``.
-
-    Each candidate is verified once, the winner included.  When every
-    candidate fails, the last failure is raised.
+    """The plan of the first (vertex images, route) candidate that embeds
+    and passes ``emit``; the one place a route's images are embedded and
+    verified, once each.  A candidate that raises ValueError (two images no
+    line joins) or ConstructionFailed is skipped, and when all fail the last
+    failure is raised.  A route that raises while yielding ends the loop.
     """
     failure = ConstructionFailed(f"no {graph.kind.lower()} candidate in {plane}")
-    for emb, route in candidates:
+    for images, route in candidates:
         try:
-            return _plan(graph, emb, plane, route)
-        except ConstructionFailed as e:
+            emb = emit(graph, make_embedding(graph, images, plane), plane)
+        except (ValueError, ConstructionFailed) as e:
             failure = e
+            continue
+        spokes = tuple(img for (u, _), img in zip(graph.edges, emb.edge_images) if u == 0)
+        return Plan(emb.vertex_images[0], emb.vertex_images[1:], spokes, route, emb)
     raise failure
 
 
-def _sized_graph(kind: str, n: int, q: int) -> Graph:
+def _setup(kind: str, q: int, n: int, plane) -> tuple:
+    # the cell's graph, and its plane: ``plane`` if generic, else PG(2,q)
+    generic = isinstance(plane, GenericPlane)
+    if generic:
+        q = plane.q
+    elif prime_power(q) is None:
+        raise ValueError(f"q={q} is not a prime power")
     # the degree bound comes first, so an absurd n builds no graph
     if n > q + 1:
         raise ImpossibleDegree(f"{kind} center degree {n} exceeds the pencil size {q + 1}")
-    return wheel_graph(n) if kind == "wheel" else gear_graph(n)  # ValueError for n < 3
+    graph = wheel_graph(n) if kind == "wheel" else gear_graph(n)  # ValueError for n < 3
+    return graph, plane if generic else pg_from_field(q)
 
 
-def _searched(graph: Graph, plane) -> Embedding:
-    """The exhaustive oracle's embedding, in coordinates for a CoordPlane;
-    unverified, since ``_plan`` verifies it."""
+def _searched(graph: Graph, plane) -> tuple:
+    """The exhaustive oracle's candidate, in coordinates for a CoordPlane."""
     res = search_unverified(graph, plane)
     if res.status != "found":
         raise ConstructionFailed(f"{graph.kind.lower()} search ended with {res.status}")
-    return res.embedding
+    return res.embedding.vertex_images, ROUTE_ORACLE
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +137,24 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
     """Embed the wheel W_n (center 0, rim 1..n) in PG(2,q), or in a loaded
     generic plane when one is passed.
 
-    In PG(2,q) the route is the arc for most cells; for odd q and n = q+1
-    it is the explicit pencil-and-transversal construction.  In a generic
-    plane it is a greedy arc.  The exhaustive oracle is the fallback in
-    both.  The returned embedding has passed the verifier.
+    In PG(2,q) the route is ARC, the first n+1 points of ``arc_points(q)``,
+    for n <= q and for every n when q is even; it has no fallback.  For odd
+    q and n = q+1 it is EXPLICIT, the pencil-and-transversal construction,
+    then ORACLE.  In a generic plane it is ARC on a greedy arc, then ORACLE.
+    The returned embedding has passed the verifier.
 
     Raises ValueError when q is not a prime power or n < 3, and
     ImpossibleDegree when n > q+1 (the center needs n lines of one pencil).
-    Raises ConstructionFailed when no route gives a verified embedding and
-    the oracle finds none, that is, when no embedding exists (or the
-    oracle's budget runs out first).  For 2 <= q <= 16 that happens only at
-    (q, n) = (3, 4): the five vertices of W_4 must form a 5-arc, since any
-    three of them span two edges at one vertex, which would share a line
-    if the three were collinear; and PG(2,3) has no 5-arc (an arc of
-    PG(2,q), q odd, has at most q+1 points).
+    Raises ConstructionFailed when every route fails, the oracle included
+    where it is the fallback: no embedding exists (or the oracle's budget
+    runs out first).  For 2 <= q <= 32 that happens only at (q, n) = (3, 4):
+    the five vertices of W_4 must form a 5-arc, since any three of them span
+    two edges at one vertex, which would share a line if the three were
+    collinear; and PG(2,3) has no 5-arc (an arc of PG(2,q), q odd, has at
+    most q+1 points).
     """
-    if isinstance(plane, GenericPlane):
-        return _wheel_generic(plane, n)
-    if prime_power(q) is None:
-        raise ValueError(f"q={q} is not a prime power")
-    graph = _sized_graph("wheel", n, q)
-    pgp = pg_from_field(q)
-    if _arc_serves(q, n):
-        emb = make_embedding(graph, arc_points(q)[: n + 1], pgp)
-        return _plan(graph, emb, pgp, ROUTE_ARC)
-    return _first_plan(graph, _wheel_explicit(q, pgp, graph), pgp)
+    graph, plane = _setup("wheel", q, n, plane)
+    return _first_plan(graph, _wheel_routes(plane, graph, n), plane)
 
 
 def _arc_serves(q: int, n: int) -> bool:
@@ -167,11 +162,35 @@ def _arc_serves(q: int, n: int) -> bool:
     return q % 2 == 0 or n <= q
 
 
-def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Iterator[tuple]:
+def _wheel_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
+    if isinstance(plane, GenericPlane):
+        arc = _greedy_arc(plane, n + 1)
+        if len(arc) == n + 1:
+            yield arc, ROUTE_ARC
+        yield _searched(graph, plane)
+    elif _arc_serves(plane.q, n):
+        yield arc_points(plane.q)[: n + 1], ROUTE_ARC
+    else:
+        yield from _wheel_explicit(plane)
+        yield _searched(graph, plane)
+
+
+def _greedy_arc(plane: GenericPlane, size: int) -> list:
+    # up to ``size`` points, each the first id on no line through two earlier ones
+    arc = []
+    for p in range(plane.n_points):
+        if len(arc) == size:
+            break
+        joins = (plane.line_between(a, b) for i, a in enumerate(arc) for b in arc[i + 1 :])
+        if not any(li is not None and p in plane.lines[li] for li in joins):
+            arc.append(p)
+    return arc
+
+
+def _wheel_explicit(pgp: CoordPlane) -> Iterator[tuple]:
     # odd q, n = q+1: rim points alternate between a fixed line's pencil
-    # cut and a transversal m, closed off by a searched vertex T; the
-    # oracle is the last candidate
-    spec = pgp.spec
+    # cut and a transversal m, closed off by a searched vertex T
+    spec, q = pgp.spec, pgp.q
     O = (0, 0, 1)
     P = sorted(t for t in pgp.points() if not is_affine(t))  # points of the infinite line
     ells = [line_through(spec, O, t) for t in P]
@@ -188,35 +207,7 @@ def _wheel_explicit(q: int, pgp: CoordPlane, graph) -> Iterator[tuple]:
         for T in sorted(t for t in pgp.points() if incident(spec, t, t_line)):
             if T == O or T == P[q] or T in zig:
                 continue
-            rim = zig + [T]
-            yield make_embedding(graph, [O] + rim, pgp), ROUTE_EXPLICIT
-    yield _searched(graph, pgp), ROUTE_ORACLE
-
-
-def _wheel_generic(plane: GenericPlane, n: int) -> Plan:
-    graph = _sized_graph("wheel", n, plane.q)
-    arc = []
-    for p in range(plane.n_points):
-        ok = True
-        for i in range(len(arc)):
-            for j in range(i + 1, len(arc)):
-                li = plane.line_between(arc[i], arc[j])
-                if li is not None and p in plane.lines[li]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            arc.append(p)
-        if len(arc) == n + 1:
-            break
-    if len(arc) == n + 1:
-        try:
-            emb = make_embedding(graph, arc, plane)
-            return _plan(graph, emb, plane, ROUTE_ARC)
-        except (ConstructionFailed, ValueError):
-            pass
-    return _plan(graph, _searched(graph, plane), plane, ROUTE_ORACLE)
+            yield [O] + zig + [T], ROUTE_EXPLICIT
 
 
 # ---------------------------------------------------------------------------
@@ -228,45 +219,60 @@ def gear(q: int, n: int, plane=None) -> Embedding:
 
 
 def gear_plan(q: int, n: int, plane=None) -> Plan:
+    """Embed the gear G_n (center 0, rim 1..2n, spokes to the odd rim
+    vertices) in PG(2,q), or in a loaded generic plane when one is passed.
+
+    In PG(2,q) the route is ORACLE alone for q <= 4 and (q, n) = (5, 4).
+    Otherwise it is FROM_WHEEL for n <= (q+1)/2: W_{2n}'s vertices, from the
+    arc or ``wheel_plan``, less the even-rim spokes.  For (q+1)/2 < n <= q
+    it is PATHS_EVEN or PATHS_ODD (by n's parity), two braided base paths,
+    then ORACLE below q = 8.  For n = q+1 it is MAX_EVEN or MAX_ODD (by q's
+    parity), direction points alternating with greedy affine points.  In a
+    generic plane it is FROM_WHEEL for 2n <= q+1, skipped when the generic
+    W_{2n} fails, then ORACLE.  The returned embedding has passed the
+    verifier.
+
+    Raises ValueError when q is not a prime power or n < 3, and
+    ImpossibleDegree when n > q+1.  Raises ConstructionFailed when every
+    route fails, the oracle included where it is the fallback; from q = 8
+    on, running out of path candidates raises "path route exhausted".  For
+    2 <= q <= 32 the only refused cell is G_3 in PG(2,2), which the oracle
+    proves empty.
+    """
+    graph, plane = _setup("gear", q, n, plane)
+    return _first_plan(graph, _gear_routes(plane, graph, n), plane)
+
+
+def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
+    q = plane.q
     if isinstance(plane, GenericPlane):
-        return _gear_generic(plane, n)
-    if prime_power(q) is None:
-        raise ValueError(f"q={q} is not a prime power")
-    graph = _sized_graph("gear", n, q)
-    pgp = pg_from_field(q)
-    if q <= 4 or (q, n) == (5, 4):
-        emb, route = _searched(graph, pgp), ROUTE_ORACLE
+        if 2 * n <= q + 1:
+            try:
+                yield wheel_plan(q, 2 * n, plane).embedding.vertex_images, ROUTE_FROM_WHEEL
+            except (ConstructionFailed, ValueError):
+                pass  # no W_2n; the oracle may still find G_n
+        yield _searched(graph, plane)
+    elif q <= 4 or (q, n) == (5, 4):
+        yield _searched(graph, plane)
     elif n <= (q + 1) // 2:
         # same vertex numbering; the gear simply forgets the even-rim spokes.
         # The arc needs no check as a wheel, the explicit wheel's candidates do.
         if _arc_serves(q, 2 * n):
-            images = arc_points(q)[: 2 * n + 1]
+            yield arc_points(q)[: 2 * n + 1], ROUTE_FROM_WHEEL
         else:
-            images = wheel_plan(q, 2 * n).embedding.vertex_images
-        emb = make_embedding(graph, images, pgp)
-        route = ROUTE_FROM_WHEEL
+            yield wheel_plan(q, 2 * n).embedding.vertex_images, ROUTE_FROM_WHEEL
     elif n <= q:
-        return _first_plan(graph, _gear_paths(q, n, pgp, graph), pgp)
+        paths = _gear_paths_even if n % 2 == 0 else _gear_paths_odd
+        yield from paths(n, labeling_for(q))
+        if q >= 8:
+            raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
+        yield _searched(graph, plane)
     else:
-        lab = labeling_for(q)
-        if q % 2 == 0:
-            emb, route = _gear_max_even(q, lab, pgp, graph), ROUTE_MAX_EVEN
-        else:
-            emb, route = _gear_max_odd(q, lab, pgp, graph), ROUTE_MAX_ODD
-    return _plan(graph, emb, pgp, route)
+        yield _gear_max(labeling_for(q), plane), ROUTE_MAX_EVEN if q % 2 == 0 else ROUTE_MAX_ODD
 
 
-def _gear_paths(q, n, pgp, graph) -> Iterator[tuple]:
-    # the braided base paths, then the oracle below q = 8
-    paths = _gear_paths_even if n % 2 == 0 else _gear_paths_odd
-    yield from paths(q, n, labeling_for(q), pgp, graph)
-    if q >= 8:
-        raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
-    yield _searched(graph, pgp), ROUTE_ORACLE
-
-
-def _gear_paths_even(q, n, lab, pgp, graph) -> Iterator[tuple]:
-    spec = lab.spec
+def _gear_paths_even(n, lab) -> Iterator[tuple]:
+    spec, q = lab.spec, lab.q
     O = (0, 0, 1)
     d0, d1 = lab.direction_point(0), lab.direction_point(1)
     for bp in range(1, q):
@@ -281,20 +287,16 @@ def _gear_paths_even(q, n, lab, pgp, graph) -> Iterator[tuple]:
                 continue  # closing class-1 line would repeat the opening one
             if incident(spec, Q[1], close_vert):
                 continue  # the two vertical connectors would coincide
-            rim = P[: n - 1] + [d0] + Q[1:n] + [d1]
-            yield make_embedding(graph, [O] + rim, pgp), ROUTE_PATHS_EVEN
+            yield [O] + P[: n - 1] + [d0] + Q[1:n] + [d1], ROUTE_PATHS_EVEN
 
 
-def _gear_paths_odd(q, n, lab, pgp, graph) -> Iterator[tuple]:
-    spec = lab.spec
+def _gear_paths_odd(n, lab) -> Iterator[tuple]:
+    spec, q = lab.spec, lab.q
     O = (0, 0, 1)
     d0 = lab.direction_point(0)
-    ln = lab.through_o_line(n)
     s = lab.slopes[n]
     t_cands = [lab.direction_point(n)]
-    t_cands += sorted(
-        affine_triple(spec, x, spec.emul(s, x)) for x in range(1, q)
-    )
+    t_cands += sorted(affine_triple(spec, x, spec.emul(s, x)) for x in range(1, q))
     for bp in range(1, q):
         P = [t.triple() for t in base_path(q, lab, bp).points]
         for k in (1, n):
@@ -308,103 +310,32 @@ def _gear_paths_odd(q, n, lab, pgp, graph) -> Iterator[tuple]:
                 link = lab.class_line_through(i + 1, Q[i])
                 Q[i - 1] = intersect(spec, link, lab.through_o_line(i - 1))
             for T in t_cands:
-                rim = P[:n] + [d0, T] + Q
-                if T in P or T in Q:
-                    continue
-                try:
-                    emb = make_embedding(graph, [O] + rim, pgp)
-                except ValueError:
-                    continue
-                yield emb, ROUTE_PATHS_ODD
+                if T not in P and T not in Q:
+                    yield [O] + P[:n] + [d0, T] + Q, ROUTE_PATHS_ODD
 
 
-def _affine_points_sorted(pgp: CoordPlane) -> list:
-    return [t for t in pgp.points() if is_affine(t)]
-
-
-def _gear_max_even(q, lab, pgp, graph) -> Embedding:
-    spec = lab.spec
-    n2 = q + 1
-    cand = _affine_points_sorted(pgp)
+def _gear_max(lab, pgp: CoordPlane) -> list:
+    # G_{q+1}: the rim alternates the direction points (i) with affine
+    # points A_i.  Each A_i is the first affine point off l_i, l_{i+1} and
+    # the class-i and class-(i+1) lines through A_{i-1} and A_{i+1}, of
+    # those two neighbours the ones already placed.  Odd q places the
+    # corner A_0 last, once both its neighbours are known.
+    spec, q = lab.spec, lab.q
     O = (0, 0, 1)
-    A = []
-    used = set()
-    for i in range(n2):
-        li = lab.through_o_line(i)
-        lo = lab.through_o_line((i + 1) % n2)
-        prev = lab.class_line_through(i, A[i - 1]) if i >= 1 else None
-        wrap = lab.class_line_through(0, A[0]) if i == q else None
+    cand = [t for t in pgp.points() if is_affine(t) and t != O]
+    A, used = {}, set()
+    for i in range(q + 1) if q % 2 == 0 else [*range(1, q + 1), 0]:
+        prev, nxt = (i - 1) % (q + 1), (i + 1) % (q + 1)
+        avoid = [lab.through_o_line(i), lab.through_o_line(nxt)]
+        if prev in A:
+            avoid.append(lab.class_line_through(i, A[prev]))
+        if nxt in A:
+            avoid.append(lab.class_line_through(nxt, A[nxt]))
         for pt in cand:
-            if pt == O or pt in used:
-                continue
-            if incident(spec, pt, li) or incident(spec, pt, lo):
-                continue
-            if prev is not None and incident(spec, pt, prev):
-                continue
-            if wrap is not None and incident(spec, pt, wrap):
-                continue
-            A.append(pt)
-            used.add(pt)
-            break
+            if pt not in used and not any(incident(spec, pt, l) for l in avoid):
+                break
         else:
             raise ConstructionFailed(f"greedy rim choice exhausted PG(2,{q})")
-    rim = []
-    for i in range(n2):
-        rim += [lab.direction_point(i), A[i]]
-    return make_embedding(graph, [O] + rim, pgp)
-
-
-def _gear_max_odd(q, lab, pgp, graph) -> Embedding:
-    spec = lab.spec
-    n2 = q + 1
-    cand = _affine_points_sorted(pgp)
-    O = (0, 0, 1)
-    A = {}
-    used = set()
-    for i in range(1, n2):
-        li = lab.through_o_line(i)
-        lo = lab.through_o_line((i + 1) % n2)
-        prev = lab.class_line_through(i, A[i - 1]) if i >= 2 else None
-        for pt in cand:
-            if pt == O or pt in used:
-                continue
-            if incident(spec, pt, li) or incident(spec, pt, lo):
-                continue
-            if prev is not None and incident(spec, pt, prev):
-                continue
-            A[i] = pt
-            used.add(pt)
-            break
-        else:
-            raise ConstructionFailed(f"greedy rim choice exhausted PG(2,{q})")
-    # the class-0/class-1 corner vertex goes last, when its avoidances are known
-    l0, l1 = lab.through_o_line(0), lab.through_o_line(1)
-    av0 = lab.class_line_through(0, A[q])
-    av1 = lab.class_line_through(1, A[1])
-    for pt in cand:
-        if pt == O or pt in used:
-            continue
-        if incident(spec, pt, l0) or incident(spec, pt, l1):
-            continue
-        if incident(spec, pt, av0) or incident(spec, pt, av1):
-            continue
-        A[0] = pt
-        break
-    else:
-        raise ConstructionFailed(f"no corner vertex available in PG(2,{q})")
-    rim = []
-    for i in range(n2):
-        rim += [lab.direction_point(i), A[i]]
-    return make_embedding(graph, [O] + rim, pgp)
-
-
-def _gear_generic(plane: GenericPlane, n: int) -> Plan:
-    graph = _sized_graph("gear", n, plane.q)
-    if 2 * n <= plane.q + 1:
-        try:
-            big = wheel_plan(plane.q, 2 * n, plane).embedding
-            emb = make_embedding(graph, big.vertex_images, plane)
-            return _plan(graph, emb, plane, ROUTE_FROM_WHEEL)
-        except (ConstructionFailed, ValueError):
-            pass
-    return _plan(graph, _searched(graph, plane), plane, ROUTE_ORACLE)
+        A[i] = pt
+        used.add(pt)
+    return [O] + [x for i in range(q + 1) for x in (lab.direction_point(i), A[i])]
