@@ -224,11 +224,21 @@ def _parse_graph_ref(ref: str):
 def _load_indexed_plane(path):
     """A plane file the search and the verifier can index: unlike ``plane
     check``, which lists them as violations, it refuses point ids outside
-    0..points-1."""
+    0..points-1 and two points on two common lines (a repeated line too),
+    since both look up a single line through each pair.  The projective
+    axioms are not required: an affine plane file is searched as it is."""
     plane = load_plane(path)
     n = plane.n_points
     if any(not 0 <= p < n for line in plane.lines for p in line):
         raise FormatError(f"plane file {path} references a point outside 0..{n - 1}")
+    joined = [0] * n  # per point, the points that share a line with it so far
+    for line in plane.lines:
+        mask = sum(1 << p for p in set(line))
+        for p in set(line):
+            if joined[p] & mask:
+                other = (joined[p] & mask).bit_length() - 1
+                raise FormatError(f"plane file {path} puts points {p},{other} on two lines")
+            joined[p] |= mask ^ (1 << p)
     return plane
 
 

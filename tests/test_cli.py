@@ -212,6 +212,25 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(c3), "--plane", str(bad))
     assert rc == 2 and "cannot read plane" in err
 
+    # two points on two lines, here a repeated line: listed by plane check,
+    # refused by the search and the verifier; an affine plane file, which
+    # fails the projective axioms but has one line per pair, is still searched
+    bad = tmp_path / "plane_dup.json"
+    lines = json.loads(text)["lines"]
+    bad.write_text(json.dumps(dict(json.loads(text), lines=[lines[0]] + lines[:1] + lines[2:])))
+    rc, out, _ = run(capsys, "plane", "check", str(bad))
+    assert rc == 1 and "line 1 duplicates line 0" in out
+    rc, _, err = run(capsys, "oracle", "--graph", "cycle:4", "--plane", str(bad))
+    assert rc == 2 and "on two lines" in err
+    rc, _, err = run(capsys, "verify", str(c3), "--plane", str(bad))
+    assert rc == 2 and "on two lines" in err
+    ag3 = tmp_path / "ag3.json"
+    assert run(capsys, "plane", "export", "--q", "3", "--model", "ag", "--out", str(ag3))[0] == 0
+    assert run(capsys, "plane", "check", str(ag3))[0] == 1
+    rc, out, _ = run(capsys, "oracle", "--graph", "cycle:9", "--plane", str(ag3),
+                     "--out", str(tmp_path / "c9.json"))
+    assert rc == 0 and json.loads(out)["status"] == "found"
+
     # a plane order that is not an integer >= 2, the rule embedding files follow
     for q in ("x", 1, 2.0, None):
         bad = tmp_path / "plane_order.json"
