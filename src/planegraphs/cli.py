@@ -224,9 +224,9 @@ def _parse_graph_ref(ref: str):
 def _load_indexed_plane(path):
     """A plane file the search and the verifier can index: unlike ``plane
     check``, which lists them as violations, it refuses point ids outside
-    0..points-1 and two points on two common lines (a repeated line too),
-    since both look up a single line through each pair.  The projective
-    axioms are not required: an affine plane file is searched as it is."""
+    0..points-1 and a pair of points on two lines (a repeated line too),
+    as both look up one line per pair.  The projective axioms are not
+    required, so an affine plane file passes."""
     plane = load_plane(path)
     n = plane.n_points
     if any(not 0 <= p < n for line in plane.lines for p in line):

@@ -248,9 +248,11 @@ def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
     if isinstance(plane, GenericPlane):
         if 2 * n <= q + 1:
             try:
-                yield wheel_plan(q, 2 * n, plane).embedding.vertex_images, ROUTE_FROM_WHEEL
+                big = wheel_plan(q, 2 * n, plane)
             except (ConstructionFailed, ValueError):
                 pass  # no W_2n; the oracle may still find G_n
+            else:
+                yield big.embedding.vertex_images, ROUTE_FROM_WHEEL
         yield _searched(graph, plane)
     elif q <= 4 or (q, n) == (5, 4):
         yield _searched(graph, plane)
