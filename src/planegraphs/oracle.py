@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Embedding, Graph, emit, make_embedding
+from .graphs import Embedding, Graph, cycle_graph, emit, make_embedding
 from .plane import CoordPlane, GenericPlane
 
 DEFAULT_BUDGET = 10**8
@@ -55,18 +55,19 @@ def _placement(graph: Graph) -> tuple:
     return order, [[w for w in adj[v] if pos[w] < pos[v]] for v in order]
 
 
-def _search(graph: Graph, plane: GenericPlane, budget: int) -> OracleResult:
+def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
     """Depth-first search with an explicit stack over int bitmasks.
 
     A vertex's candidates are the unused points that an unused line joins
     to each placed neighbour, tried by increasing point id; the first vertex
     of a transitive plane is pinned to point 0.  Each candidate tried is one
-    expansion.  A found embedding is not verified here.
+    expansion.  Returns (status, vertex images in point ids or None,
+    expansions).
     """
     if graph.n_vertices > plane.n_points or len(graph.edges) > len(plane.lines):
-        return OracleResult(STATUS_NOTFOUND, None, 0)
+        return STATUS_NOTFOUND, None, 0
     if graph.max_degree > plane.max_pencil:
-        return OracleResult(STATUS_NOTFOUND, None, 0)
+        return STATUS_NOTFOUND, None, 0
 
     n, (order, back) = plane.n_points, _placement(graph)
     masks = [sum(1 << p for p in set(line)) for line in plane.lines]
@@ -92,13 +93,13 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> OracleResult:
             if not pool:  # back up a level
                 depth -= 1
                 if depth < 0:
-                    return OracleResult(STATUS_NOTFOUND, None, count)
+                    return STATUS_NOTFOUND, None, count
                 used_pts ^= 1 << img[order[depth]]
                 used_lines ^= taken[depth]
                 pool = pools[depth]
                 continue
             if count >= budget:
-                return OracleResult(STATUS_BUDGET, None, count)
+                return STATUS_BUDGET, None, count
             count += 1
             low = pool & -pool
             pool ^= low
@@ -115,27 +116,32 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> OracleResult:
                 pools[depth], taken[depth] = pool, here
                 depth += 1
                 break
-    return OracleResult(STATUS_FOUND, make_embedding(graph, img, plane), count)
+    return STATUS_FOUND, img, count
 
 
 def exists_embedding(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Depth-first search for an embedding in a generic or coordinate plane.
 
-    A found embedding is verified once, in point ids, and comes back in the
-    plane's own points: coordinates for a coordinate plane.
+    A found embedding comes back in the plane's own points (coordinates
+    for a coordinate plane), verified once, in that plane: the embedding
+    returned is the one checked.
     """
-    ids, points = _id_plane(plane)
-    res = _search(graph, ids, budget)
+    res = search_unverified(graph, plane, budget)
     if res.embedding is not None:
-        emit(graph, res.embedding, ids)
-    return _labelled(res, plane, points)
+        emit(graph, res.embedding, plane)
+    return res
 
 
 def search_unverified(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """The search of ``exists_embedding``, its result unverified: for
     constructors, which hand it to ``graphs.emit``."""
     ids, points = _id_plane(plane)
-    return _labelled(_search(graph, ids, budget), plane, points)
+    status, img, count = _search(graph, ids, budget)
+    if img is None:
+        return OracleResult(status, None, count)
+    if points is not None:
+        img = [points[i] for i in img]
+    return OracleResult(status, make_embedding(graph, img, plane), count)
 
 
 def _id_plane(plane) -> tuple:
@@ -146,20 +152,9 @@ def _id_plane(plane) -> tuple:
     return plane, None
 
 
-def _labelled(res: OracleResult, plane, points) -> OracleResult:
-    # a found embedding in point ids, relabelled with the points' coordinates
-    if points is None or res.embedding is None:
-        return res
-    emb = res.embedding
-    emb = make_embedding(emb.graph, [points[i] for i in emb.vertex_images], plane)
-    return OracleResult(res.status, emb, res.expansions)
-
-
 def pancyclicity_table(plane, budget: int = DEFAULT_BUDGET) -> dict:
     """Oracle verdict for every cycle length 3..N, in a generic or
     coordinate plane; tiny planes only."""
-    from .graphs import cycle_graph
-
     n = _id_plane(plane)[0].n_points
     if n > 21:
         raise ValueError("oracle table is exhaustive; refuse planes beyond 21 points")

@@ -61,6 +61,25 @@ def test_found_embeddings_verify():
         assert verify_embedding(graph, res.embedding, plane).ok
 
 
+def test_returned_embedding_is_the_one_verified(monkeypatch):
+    # the coordinate embedding that ``oracle --out`` writes passes emit itself
+    import planegraphs.oracle as oracle
+
+    seen = []
+    real_emit = oracle.emit
+
+    def spy(graph, emb, plane):
+        seen.append((emb, plane))
+        return real_emit(graph, emb, plane)
+
+    monkeypatch.setattr(oracle, "emit", spy)
+    plane = pg_from_field(3)
+    res = exists_embedding(cycle_graph(9), plane)
+    assert res.status == "found"
+    assert len(seen) == 1
+    assert seen[0][0] is res.embedding and seen[0][1] is plane
+
+
 def test_static_prunes_cost_nothing():
     plane = _pg(2)
     # more vertices than points
