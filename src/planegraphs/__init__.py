@@ -14,6 +14,7 @@ from .gf import (
     HypothesisJCertificate,
     consecutive_primitive_pair,
     element_order,
+    field_for,
     first_primitive,
     gamma_map,
     gamma_prime_map,

@@ -16,12 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .cycles import NoCertificate, ag_cycle, pg_cycle, plane_for
 from .gf import (
+    MAX_ORDER,
     certificate_line,
+    field_for,
     first_primitive,
     hypothesis_j_search,
     is_prime,
-    make_field,
-    prime_power,
     prime_powers_in,
 )
 from .graphs import (
@@ -55,12 +55,10 @@ def _fail(msg: str) -> int:
 
 
 def _cmd_field(args) -> int:
-    if args.mode != "info":
-        return _usage_error(f"unknown field mode {args.mode!r}")
-    pp = prime_power(args.q)
-    if pp is None:
-        return _usage_error(f"q={args.q} is not a prime power")
-    spec = make_field(*pp)
+    try:
+        spec = field_for(args.q)
+    except ValueError as e:
+        return _usage_error(str(e))
     doc = {
         "q": spec.q,
         "p": spec.p,
@@ -80,28 +78,27 @@ def _cmd_plane(args) -> int:
     if args.mode == "export":
         if args.q is None or args.out is None:
             return _usage_error("plane export needs --q and --out")
-        if prime_power(args.q) is None:
-            return _usage_error(f"q={args.q} is not a prime power")
-        view = plane_for(args.model.upper(), args.q).to_generic()
+        try:
+            view = plane_for(args.model.upper(), args.q).to_generic()
+        except ValueError as e:
+            return _usage_error(str(e))
         save_plane(view.plane, args.out)
         print(f"{args.model}:{args.q} -> {args.out} "
               f"({view.plane.n_points} points, {len(view.plane.lines)} lines)")
         return 0
-    if args.mode == "check":
-        if not args.file:
-            return _usage_error("plane check needs a file argument")
-        try:
-            plane = load_plane(args.file)
-        except (FormatError, OSError) as e:
-            return _usage_error(f"cannot read plane: {e}")
-        rep = check_plane_axioms(plane)
-        status = "pass" if rep.ok else "fail"
-        print(f"{status}: {rep.points} points, {rep.lines} lines, "
-              f"line size {rep.line_size}, {len(rep.violations)} violations")
-        for v in rep.violations[:10]:
-            print(f"  {v}")
-        return 0 if rep.ok else 1
-    return _usage_error(f"unknown plane mode {args.mode!r}")
+    if not args.file:  # the check mode
+        return _usage_error("plane check needs a file argument")
+    try:
+        plane = load_plane(args.file)
+    except (FormatError, OSError) as e:
+        return _usage_error(f"cannot read plane: {e}")
+    rep = check_plane_axioms(plane)
+    status = "pass" if rep.ok else "fail"
+    print(f"{status}: {rep.points} points, {rep.lines} lines, "
+          f"line size {rep.line_size}, {len(rep.violations)} violations")
+    for v in rep.violations[:10]:
+        print(f"  {v}")
+    return 0 if rep.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +110,10 @@ def _build_cycle(q: int, k: int, model: str):
 
 
 def _cmd_cycle(args) -> int:
-    if prime_power(args.q) is None:
-        return _usage_error(f"q={args.q} is not a prime power")
+    try:
+        field_for(args.q)  # before the sweep makes its directory
+    except ValueError as e:
+        return _usage_error(str(e))
     q = args.q
     if args.mode == "sweep":
         top = q * q if args.plane == "ag" else q * q + q + 1
@@ -161,8 +160,6 @@ def _cmd_gear(args) -> int:
 
 
 def _write_plan(args, build, letter: str, stem: str) -> int:
-    if prime_power(args.q) is None:
-        return _usage_error(f"q={args.q} is not a prime power")
     try:
         plan = build(args.q, args.n)
     except ValueError as e:  # ImpossibleDegree included; ConstructionFailed reaches main
@@ -248,12 +245,9 @@ def _parse_plane_ref(ref: str):
     kind, _, param = ref.partition(":")
     if not param.isdigit():
         raise ValueError(f"bad plane reference {ref!r} (want model:q or a .json file)")
-    q = int(param)
-    if prime_power(q) is None:
-        raise ValueError(f"q={q} is not a prime power")
     if kind not in ("pg", "ag", "cyclic"):
         raise ValueError(f"unknown plane model {kind!r}")
-    return plane_for(kind.upper(), q)
+    return plane_for(kind.upper(), int(param))
 
 
 def _cmd_oracle(args) -> int:
@@ -313,6 +307,8 @@ def _cmd_hypj(args) -> int:
     if args.mode == "sweep":
         if args.min < 3:
             return _usage_error("sweep needs --min >= 3")
+        if args.max > MAX_ORDER:
+            return _usage_error(f"--max {args.max} exceeds supported bound {MAX_ORDER}")
         qs = prime_powers_in(args.min, args.max)
         if args.primes_only:
             qs = [q for q in qs if is_prime(q)]
@@ -335,8 +331,12 @@ def _cmd_hypj(args) -> int:
         return 0
     if args.q is None:
         return _usage_error("hypj needs --q (or the sweep mode)")
-    if prime_power(args.q) is None or args.q < 3:
+    if args.q < 3:
         return _usage_error(f"q={args.q} is not a prime power >= 3")
+    try:
+        field_for(args.q)
+    except ValueError as e:
+        return _usage_error(str(e))
     print(_hypj_line(args.q))
     return 0
 
@@ -414,9 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NoCertificate as e:
-        return _fail(str(e))
-    except ConstructionFailed as e:
+    except (NoCertificate, ConstructionFailed) as e:
         return _fail(str(e))
 
 

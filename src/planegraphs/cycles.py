@@ -23,10 +23,10 @@ from .gf import (
     FieldElement,
     FieldSpec,
     element_order,
+    field_for,
     first_primitive,
     hypothesis_j_search,
     make_field,
-    prime_power,
 )
 from .graphs import ConstructionFailed, Embedding, cycle_graph, emit
 from .oracle import search_unverified
@@ -102,10 +102,7 @@ class SlopeLabeling:
 
 def labeling_for(q: int, kind: Optional[str] = None, alpha=None) -> SlopeLabeling:
     """Default labeling: certificate alpha, kind A for odd q and B for even."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    spec = make_field(*pp)
+    spec = field_for(q)
     if alpha is None:
         cert = hypothesis_j_search(q)
         if cert is None:
@@ -119,13 +116,11 @@ def labeling_for(q: int, kind: Optional[str] = None, alpha=None) -> SlopeLabelin
 def _resolve_labeling(q: int, labeling) -> SlopeLabeling:
     if labeling is None:
         return labeling_for(q)
-    if isinstance(labeling, str):
-        return labeling_for(q, kind=labeling)
     if isinstance(labeling, SlopeLabeling):
         if labeling.q != q:
             raise ValueError(f"labeling is for q={labeling.q}, not q={q}")
         return labeling
-    raise TypeError(f"labeling must be None, 'A'/'B', or SlopeLabeling")
+    raise TypeError("labeling must be None or a SlopeLabeling")
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +189,7 @@ def base_path(q: int, labeling=None, beta=1) -> BasePath:
 def path_closed_form(q: int, alpha, beta, i: int) -> AffinePoint:
     """Algebraic positions along the kind-A path: index i maps to the far
     endpoint of link i (P_{i+1}; i=q gives the return point)."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    spec = make_field(*pp)
+    spec = field_for(q)
     a = alpha if isinstance(alpha, FieldElement) else spec.element(alpha)
     b = beta if isinstance(beta, FieldElement) else spec.element(beta)
     if not 0 <= i <= q:
@@ -351,14 +343,11 @@ def ag_cycle(q: int, k: int) -> CycleChain:
 
 
 def _ag_chain(q: int, k: int) -> CycleChain:
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
+    spec = field_for(q)
     if not 3 <= k <= q * q:
         raise ValueError(f"k={k} outside 3..{q * q}")
     if q in (2, 3):
         return _oracle_chain(k, ag_from_field(q))
-    spec = make_field(*pp)
     if k <= q:
         return _polygon_chain(q, spec, parabola_points(spec, k))
     if k == q + 1:
@@ -399,9 +388,7 @@ def _surgery_chain(q: int, k: int, lab: SlopeLabeling, chain: CycleChain) -> Cyc
 
 def pg_cycle(q: int, k: int) -> CycleChain:
     """A k-cycle in PG(2,q) for any feasible k (3 <= k <= q^2+q+1)."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
+    field_for(q)  # the order is refused before k
     top = q * q + q + 1
     if not 3 <= k <= top:
         raise ValueError(f"k={k} outside 3..{top}")
@@ -520,11 +507,8 @@ def _full_rung(q: int, lab: SlopeLabeling, chain: CycleChain) -> CycleChain:
 def singer_difference_set(q: int) -> tuple:
     """Residues i mod q^2+q+1 with g^i in the plane spanned by {1, g} over
     the subfield copy of GF(q) inside GF(q^3)."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    p, a = pp
-    big = make_field(p, 3 * a)
+    spec = field_for(q)
+    big = make_field(spec.p, 3 * spec.a)
     add, mul = big.eadd, big.emul
     g = first_primitive(big).enc
     n = q * q + q + 1

@@ -439,6 +439,16 @@ def make_field(p: int, a: int = 1) -> FieldSpec:
     raise ConjectureViolation(f"no irreducible polynomial of degree {a} over GF({p})")
 
 
+def field_for(q: int) -> FieldSpec:
+    """GF(q), cached.  The one place that decides whether q names a field
+    the package builds: ValueError when q is not a prime power, or when it
+    exceeds MAX_ORDER."""
+    pp = prime_power(q)
+    if pp is None:
+        raise ValueError(f"q={q} is not a prime power")
+    return make_field(*pp)
+
+
 # ---------------------------------------------------------------------------
 # multiplicative structure
 
@@ -559,14 +569,12 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     alpha, alpha+1; gamma' = (alpha+1)^-2 is then primitive as well.
     Returns None when no alpha qualifies (q = 3 is the known case).
     """
-    pp = prime_power(q)
-    if pp is None or q < 3:
+    spec = field_for(q)
+    if q < 3:
         raise ValueError(f"q={q} is not a prime power greater than 2")
-    p, a = pp
-    spec = make_field(p, a)
     n = q - 1
     factors = tuple(factorize(n))
-    if p == 2:
+    if spec.p == 2:
         alpha = consecutive_primitive_pair(spec)
         gamma = gamma_prime_map(alpha)
         if not is_primitive(gamma, factors):

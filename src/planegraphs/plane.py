@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .gf import FieldElement, FieldSpec, make_field, prime_power
+from .gf import FieldElement, FieldSpec, field_for
 
 Triple = tuple
 
@@ -276,17 +276,11 @@ def _generic_view(model: str, spec: FieldSpec) -> GenericView:
 
 
 def pg_from_field(q: int) -> CoordPlane:
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    return CoordPlane("PG", make_field(*pp))
+    return CoordPlane("PG", field_for(q))
 
 
 def ag_from_field(q: int) -> CoordPlane:
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    return CoordPlane("AG", make_field(*pp))
+    return CoordPlane("AG", field_for(q))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cycles import base_path, labeling_for
-from .gf import make_field, prime_power
+from .gf import field_for
 from .graphs import (
     ConstructionFailed,
     Embedding,
@@ -88,16 +88,13 @@ def _first_plan(graph: Graph, candidates, plane) -> Plan:
 
 def _setup(kind: str, q: int, n: int, plane) -> tuple:
     # the cell's graph, and its plane: ``plane`` if generic, else PG(2,q)
-    generic = isinstance(plane, GenericPlane)
-    if generic:
-        q = plane.q
-    elif prime_power(q) is None:
-        raise ValueError(f"q={q} is not a prime power")
+    if not isinstance(plane, GenericPlane):
+        plane = pg_from_field(q)
     # the degree bound comes first, so an absurd n builds no graph
-    if n > q + 1:
-        raise ImpossibleDegree(f"{kind} center degree {n} exceeds the pencil size {q + 1}")
+    if n > plane.q + 1:
+        raise ImpossibleDegree(f"{kind} center degree {n} exceeds the pencil size {plane.q + 1}")
     graph = wheel_graph(n) if kind == "wheel" else gear_graph(n)  # ValueError for n < 3
-    return graph, plane if generic else pg_from_field(q)
+    return graph, plane
 
 
 def _searched(graph: Graph, plane) -> tuple:
@@ -115,10 +112,7 @@ def _searched(graph: Graph, plane) -> tuple:
 def arc_points(q: int) -> list:
     """A largest easy arc of PG(2,q): the parabola with its infinite point,
     and the nucleus when the characteristic is two."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    pts = parabola_points(make_field(*pp), q)
+    pts = parabola_points(field_for(q), q)
     pts.append((0, 1, 0))
     if q % 2 == 0:
         pts.append((1, 0, 0))
@@ -143,7 +137,7 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
     then ORACLE.  In a generic plane it is ARC on a greedy arc, then ORACLE.
     The returned embedding has passed the verifier.
 
-    Raises ValueError when q is not a prime power or n < 3, and
+    Raises ValueError when ``gf.field_for`` refuses q or when n < 3, and
     ImpossibleDegree when n > q+1 (the center needs n lines of one pencil).
     Raises ConstructionFailed when every route fails, the oracle included
     where it is the fallback: no embedding exists (or the oracle's budget
@@ -232,7 +226,7 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
     W_{2n} fails, then ORACLE.  The returned embedding has passed the
     verifier.
 
-    Raises ValueError when q is not a prime power or n < 3, and
+    Raises ValueError when ``gf.field_for`` refuses q or when n < 3, and
     ImpossibleDegree when n > q+1.  Raises ConstructionFailed when every
     route fails, the oracle included where it is the fallback; from q = 8
     on, running out of path candidates raises "path route exhausted".  For

@@ -83,3 +83,34 @@ def test_cli_refuses_non_prime_power(cell, q, tmp_path, monkeypatch, capsys):
         assert "prime power" in err
     else:
         assert err == f"error: q={q} is not a prime power\n"
+
+
+def _over_bound_cells():
+    q = str(OVER_BOUND)
+    return {**_cli_cells(OVER_BOUND), "hypj_sweep": ["hypj", "sweep", "--min", q, "--max", q]}
+
+
+@pytest.mark.parametrize("cell", sorted(_over_bound_cells()))
+def test_cli_refuses_over_bound(cell, tmp_path, monkeypatch, capsys):
+    rc, err, left = _run_in(tmp_path, monkeypatch, capsys, _over_bound_cells()[cell])
+    assert rc == 2 and left == []
+    assert "exceeds supported bound" in err and "Traceback" not in err
+
+
+def test_only_gf_calls_prime_power():
+    # whether q names a field is decided in gf.field_for alone
+    import ast
+    from pathlib import Path
+
+    import planegraphs
+
+    found = []
+    for path in sorted(Path(planegraphs.__file__).parent.glob("*.py")):
+        if path.name == "gf.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "prime_power":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
