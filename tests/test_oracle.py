@@ -10,10 +10,18 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracle_reference import plain_search
 from planegraphs.cycles import cyclic_plane
-from planegraphs.graphs import cycle_graph, gear_graph, verify_embedding, wheel_graph
-from planegraphs.oracle import exists_embedding, pancyclicity_table
+from planegraphs.graphs import (
+    cycle_graph,
+    edge_list_graph,
+    gear_graph,
+    verify_embedding,
+    wheel_graph,
+)
+from planegraphs.oracle import _search, exists_embedding, pancyclicity_table
 from planegraphs.plane import ag_from_field, pg_from_field
 
 
@@ -237,3 +245,39 @@ def test_frozen_searches_cover_every_question():
         cycles = {f"cycle:{k}" for k in range(3, plane.n_points + 1)}
         spoked = {f"{kind}:{n}" for kind in ("wheel", "gear") for n in range(3, plane.q + 2)}
         assert cycles | spoked <= asked
+
+
+
+def _capped(n, pairs):
+    # an edge list on n vertices from random pairs, dropping loops and any
+    # pair that would push a degree past 4, the largest pencil searched
+    deg, keep = [0] * n, []
+    for u, v in pairs:
+        if u != v and deg[u] < 4 and deg[v] < 4:
+            deg[u] += 1
+            deg[v] += 1
+            keep.append((u, v))
+    return n, keep
+
+
+# up to 10 vertices, disconnected graphs and isolated vertices included
+_EDGE_LISTS = st.integers(1, 10).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=n, max_size=2 * n + 4
+    ).map(lambda pairs: _capped(n, pairs))
+)
+
+
+@settings(max_examples=150)
+@given(plane_ref=st.sampled_from(["pg:2", "pg:3", "ag:3", "cyclic:3"]), graph=_EDGE_LISTS)
+def test_search_agrees_with_plain_dfs(plane_ref, graph):
+    # pruning may only skip candidates: a plain DFS in the same candidate
+    # order reaches the same verdict and the same vertex images, and
+    # examines at least as many candidates
+    n, edges = graph
+    g, plane, budget = edge_list_graph(edges, n), _plane_ref(plane_ref), 20_000
+    status, img, count = plain_search(g, plane, budget)
+    got = _search(g, plane, budget)
+    assert got[2] <= count
+    if status != "budget":
+        assert got[:2] == (status, img)
