@@ -63,6 +63,17 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
     of a transitive plane is pinned to point 0.  Each candidate tried is one
     expansion.  Returns (status, vertex images in point ids or None,
     expansions).
+
+    A candidate is also refused when too few lines are left for the edges
+    not yet placed.  Each such edge needs its own unused line holding a free
+    point and two points that are free or the image of an *active* vertex
+    (placed, with a neighbour unplaced); every other line is *dead*, and a
+    dead line stays dead down the branch.  So the refusal cuts only
+    subtrees without an embedding, and the candidate order is unchanged.
+    A dead unused line holds at least s - 1 placed points (s the smallest
+    line), so after d placements at most d*r // (s - 1) of them exist
+    (r the largest pencil): the count runs only where that exceeds the
+    spare lines, ``len(lines) - len(edges)``.
     """
     if graph.n_vertices > plane.n_points or len(graph.edges) > len(plane.lines):
         return STATUS_NOTFOUND, None, 0
@@ -75,8 +86,25 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
     pencil = [[(1 << li, masks[li]) for li in plane.lines_through(p)] for p in range(n)]
     joins, m = plane.joins(), len(order)
 
+    r, s = plane.max_pencil, min(map(int.bit_count, masks), default=0)
+    spare, left, cap = len(masks) - len(graph.edges), len(graph.edges), []
+    for d in range(m + 1):  # per number placed: the most dead lines allowed
+        cap.append(len(masks) - left if left and d * r >= (spare + 1) * (s - 1) else len(masks))
+        left -= len(back[d]) if d < m else 0
+    track = min(cap) < len(masks)  # whether any depth counts
+    last, ends = [0] * graph.n_vertices, [[] for _ in range(m)]
+    if track:  # per vertex, the depth that ends its activity; per depth, those vertices
+        for t, v in enumerate(order):
+            for u in (v, *back[t]):
+                last[u] = t
+        for v in order:
+            ends[last[v]].append(v)
+
     img = [-1] * graph.n_vertices
     pools, taken = [0] * m, [0] * m  # per depth: untried candidates, lines claimed
+    dead, idle = [0] * (m + 1), [0] * (m + 1)  # per depth: dead lines, inactive images
+    if s < 2:
+        dead[0] = sum(1 << li for li, mask in enumerate(masks) if not mask & (mask - 1))
     used_pts = used_lines = depth = count = 0
     while depth < m:
         if not back[depth]:
@@ -111,6 +139,20 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
                 here |= 1 << li
             else:
                 img[order[depth]] = p
+                if track:
+                    # only lines through p or through a vertex that ends here die
+                    idl, dl, free = idle[depth], dead[depth] | here, ~(used_pts | low)
+                    for w in ends[depth]:
+                        idl |= 1 << img[w]
+                    for w in (order[depth], *ends[depth]):
+                        for bit, mask in pencil[img[w]]:
+                            if not dl & bit and (
+                                not mask & free or not (live := mask & ~idl) & (live - 1)
+                            ):
+                                dl |= bit
+                    if dl.bit_count() > cap[depth + 1]:
+                        continue  # too few lines left for the edges left
+                    dead[depth + 1], idle[depth + 1] = dl, idl
                 used_pts |= low
                 used_lines |= here
                 pools[depth], taken[depth] = pool, here
@@ -156,8 +198,8 @@ def pancyclicity_table(plane, budget: int = DEFAULT_BUDGET) -> dict:
     """Oracle verdict for every cycle length 3..N, in a generic or
     coordinate plane; tiny planes only."""
     n = _id_plane(plane)[0].n_points
-    if n > 21:
-        raise ValueError("oracle table is exhaustive; refuse planes beyond 21 points")
+    if n > 31:
+        raise ValueError("oracle table is exhaustive; refuse planes beyond 31 points")
     out = {}
     for k in range(3, n + 1):
         out[k] = exists_embedding(cycle_graph(k), plane, budget=budget)

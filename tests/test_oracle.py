@@ -13,16 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_reference import plain_search
-from planegraphs.cycles import cyclic_plane
+from planegraphs.cycles import ag_cycle, cyclic_plane, pg_cycle
 from planegraphs.graphs import (
+    ImpossibleDegree,
     cycle_graph,
     edge_list_graph,
     gear_graph,
     verify_embedding,
     wheel_graph,
 )
-from planegraphs.oracle import _search, exists_embedding, pancyclicity_table
+from planegraphs.oracle import DEFAULT_BUDGET, _search, exists_embedding, pancyclicity_table
 from planegraphs.plane import ag_from_field, pg_from_field
+from planegraphs.wheelgear import ConstructionFailed, gear, wheel
 
 
 def _pg(q):
@@ -148,67 +150,104 @@ def test_pancyclicity_tables():
 
 
 def test_pancyclicity_guard():
-    for plane in (_pg(5), pg_from_field(5)):
+    for plane in (_pg(7), pg_from_field(7)):
         with pytest.raises(ValueError):
             pancyclicity_table(plane)
 
 
-# (status, expansions, sha256 prefix of the vertex images) of every cycle,
-# wheel and gear question on four tiny planes, the notfound proofs
-# included.  They pin the search's candidate order: increasing point id,
-# point 0 pinned for the first vertex on a transitive plane, and one
-# expansion per candidate examined.
+@pytest.mark.parametrize("plane", [pg_from_field(5), cyclic_plane(5)], ids=["pg:5", "cyclic:5"])
+def test_order_five_pancyclic(plane):
+    # the counting prune puts the 31-point planes within the default budget
+    table = pancyclicity_table(plane, budget=DEFAULT_BUDGET)
+    assert sorted(table) == list(range(3, 32))
+    assert all(r.status == "found" for r in table.values())
+    if plane.model == "PG":
+        assert table[31].expansions == 190_976  # the Hamiltonian cycle
+
+
+def test_constructions_agree_with_search_at_order_five():
+    # criterion 8's agreement, one order further: every wheel, gear and
+    # cycle the constructions emit or refuse for q = 5 gets the same verdict
+    # from exhaustive search
+    q, mismatches = 5, []
+    view, agv = _pg(q), ag_from_field(q).to_generic().plane
+    for n in range(3, q + 3):
+        for name, build, graph in (("wheel", wheel, wheel_graph(n)), ("gear", gear, gear_graph(n))):
+            try:
+                build(q, n)
+                emitted = True
+            except (ConstructionFailed, ImpossibleDegree):
+                emitted = False
+            if emitted != (exists_embedding(graph, view).status == "found"):
+                mismatches.append((name, n, emitted))
+    for k in range(3, q * q + 1):
+        ag_cycle(q, k)
+        if exists_embedding(cycle_graph(k), agv).status != "found":
+            mismatches.append(("ag-cycle", k))
+    for k in range(3, q * q + q + 2):
+        pg_cycle(q, k)
+        if exists_embedding(cycle_graph(k), view).status != "found":
+            mismatches.append(("pg-cycle", k))
+    assert not mismatches, mismatches
+
+
+# (status, expansions, expansions without the counting prune, sha256
+# prefix of the vertex images) of every cycle, wheel and gear question on
+# four tiny planes, the notfound proofs included.  They pin the search's
+# candidate order: increasing point id, point 0 pinned for the first vertex
+# on a transitive plane, and one expansion per candidate examined.  The
+# prune may only lower a count.
 FROZEN_SEARCHES = {
-    ("pg:2", "cycle:3"): ("found", 3, '13ef2c0ad127178e'),
-    ("pg:2", "cycle:4"): ("found", 5, '29709191e000fab8'),
-    ("pg:2", "cycle:5"): ("found", 5, '0740db65e3a48940'),
-    ("pg:2", "cycle:6"): ("found", 10, '4acaf14c4146573f'),
-    ("pg:2", "cycle:7"): ("found", 9, 'ebc6f43b12aba5d3'),
-    ("pg:2", "wheel:3"): ("found", 4, '85ec5c922b84b966'),
-    ("pg:2", "gear:3"): ("notfound", 0, None),
-    ("pg:2", "gear:4"): ("notfound", 0, None),
-    ("pg:2", "gear:5"): ("notfound", 0, None),
-    ("pg:3", "cycle:3"): ("found", 3, '55041da107f27f77'),
-    ("pg:3", "cycle:4"): ("found", 5, '876e0d8d9be657ee'),
-    ("pg:3", "cycle:5"): ("found", 5, '1709f3a5a41417c5'),
-    ("pg:3", "cycle:6"): ("found", 6, '7bc889c3131352e2'),
-    ("pg:3", "cycle:7"): ("found", 7, '39fd810babf5bfb7'),
-    ("pg:3", "cycle:8"): ("found", 9, '0fb3e21dc8365e78'),
-    ("pg:3", "cycle:9"): ("found", 9, '18880baa219ed29e'),
-    ("pg:3", "cycle:10"): ("found", 16, 'c6ede8fe31c094e2'),
-    ("pg:3", "cycle:11"): ("found", 11, '54eb1c6b809913da'),
-    ("pg:3", "cycle:12"): ("found", 13, 'eaec1de0a6b7cceb'),
-    ("pg:3", "cycle:13"): ("found", 20, 'db319155741675db'),
-    ("pg:3", "wheel:3"): ("found", 4, '7039ec2e0d89d827'),
-    ("pg:3", "gear:3"): ("found", 7, '746d0c36e1337198'),
-    ("pg:3", "wheel:4"): ("notfound", 985, None),
-    ("pg:3", "gear:4"): ("found", 9, 'b6d718a6494159ec'),
-    ("ag:3", "cycle:3"): ("found", 3, '13ef2c0ad127178e'),
-    ("ag:3", "cycle:4"): ("found", 4, 'b5bf0085d528b5e6'),
-    ("ag:3", "cycle:5"): ("found", 5, '0740db65e3a48940'),
-    ("ag:3", "cycle:6"): ("found", 7, 'cd8f018e43ce73be'),
-    ("ag:3", "cycle:7"): ("found", 7, 'bdd874816b445f47'),
-    ("ag:3", "cycle:8"): ("found", 8, 'db045e0254195e6f'),
-    ("ag:3", "cycle:9"): ("found", 9, '20df772c025081c9'),
-    ("ag:3", "wheel:3"): ("found", 4, '35e05619af3a3f44'),
-    ("ag:3", "gear:3"): ("found", 15, '03f27e772d8c3881'),
-    ("ag:3", "wheel:4"): ("notfound", 297, None),
-    ("ag:3", "gear:4"): ("notfound", 2313, None),
-    ("cyclic:3", "cycle:3"): ("found", 3, '1d226b8db3e15d55'),
-    ("cyclic:3", "cycle:4"): ("found", 5, '32198cb590aacff3'),
-    ("cyclic:3", "cycle:5"): ("found", 5, 'e57ecfbcc67f5a35'),
-    ("cyclic:3", "cycle:6"): ("found", 7, 'f30f877721ca5fb1'),
-    ("cyclic:3", "cycle:7"): ("found", 7, '3c40279ab8b5bb97'),
-    ("cyclic:3", "cycle:8"): ("found", 9, 'e72de14596fac459'),
-    ("cyclic:3", "cycle:9"): ("found", 9, '6ba097a9f79c26c5'),
-    ("cyclic:3", "cycle:10"): ("found", 11, '628b50e4d9c3f13e'),
-    ("cyclic:3", "cycle:11"): ("found", 11, '9dd6e6a29f591ef9'),
-    ("cyclic:3", "cycle:12"): ("found", 14, '55bf031be11da506'),
-    ("cyclic:3", "cycle:13"): ("found", 13, '19736541e9edbb36'),
-    ("cyclic:3", "wheel:3"): ("found", 4, '74ec44f943d69077'),
-    ("cyclic:3", "gear:3"): ("found", 8, '5c13add34818e12e'),
-    ("cyclic:3", "wheel:4"): ("notfound", 985, None),
-    ("cyclic:3", "gear:4"): ("found", 23, 'd53b25c42df8f5e0'),
+    ("pg:2", "cycle:3"): ("found", 3, 3, '13ef2c0ad127178e'),
+    ("pg:2", "cycle:4"): ("found", 5, 5, '29709191e000fab8'),
+    ("pg:2", "cycle:5"): ("found", 5, 5, '0740db65e3a48940'),
+    ("pg:2", "cycle:6"): ("found", 10, 10, '4acaf14c4146573f'),
+    ("pg:2", "cycle:7"): ("found", 8, 9, 'ebc6f43b12aba5d3'),
+    ("pg:2", "wheel:3"): ("found", 4, 4, '85ec5c922b84b966'),
+    ("pg:2", "gear:3"): ("notfound", 0, 0, None),
+    ("pg:2", "gear:4"): ("notfound", 0, 0, None),
+    ("pg:2", "gear:5"): ("notfound", 0, 0, None),
+    ("pg:3", "cycle:3"): ("found", 3, 3, '55041da107f27f77'),
+    ("pg:3", "cycle:4"): ("found", 5, 5, '876e0d8d9be657ee'),
+    ("pg:3", "cycle:5"): ("found", 5, 5, '1709f3a5a41417c5'),
+    ("pg:3", "cycle:6"): ("found", 6, 6, '7bc889c3131352e2'),
+    ("pg:3", "cycle:7"): ("found", 7, 7, '39fd810babf5bfb7'),
+    ("pg:3", "cycle:8"): ("found", 9, 9, '0fb3e21dc8365e78'),
+    ("pg:3", "cycle:9"): ("found", 9, 9, '18880baa219ed29e'),
+    ("pg:3", "cycle:10"): ("found", 16, 16, 'c6ede8fe31c094e2'),
+    ("pg:3", "cycle:11"): ("found", 11, 11, '54eb1c6b809913da'),
+    ("pg:3", "cycle:12"): ("found", 13, 13, 'eaec1de0a6b7cceb'),
+    ("pg:3", "cycle:13"): ("found", 18, 20, 'db319155741675db'),
+    ("pg:3", "wheel:3"): ("found", 4, 4, '7039ec2e0d89d827'),
+    ("pg:3", "gear:3"): ("found", 7, 7, '746d0c36e1337198'),
+    ("pg:3", "wheel:4"): ("notfound", 985, 985, None),
+    ("pg:3", "gear:4"): ("found", 9, 9, 'b6d718a6494159ec'),
+    ("ag:3", "cycle:3"): ("found", 3, 3, '13ef2c0ad127178e'),
+    ("ag:3", "cycle:4"): ("found", 4, 4, 'b5bf0085d528b5e6'),
+    ("ag:3", "cycle:5"): ("found", 5, 5, '0740db65e3a48940'),
+    ("ag:3", "cycle:6"): ("found", 7, 7, 'cd8f018e43ce73be'),
+    ("ag:3", "cycle:7"): ("found", 7, 7, 'bdd874816b445f47'),
+    ("ag:3", "cycle:8"): ("found", 8, 8, 'db045e0254195e6f'),
+    ("ag:3", "cycle:9"): ("found", 9, 9, '20df772c025081c9'),
+    ("ag:3", "wheel:3"): ("found", 4, 4, '35e05619af3a3f44'),
+    ("ag:3", "gear:3"): ("found", 15, 15, '03f27e772d8c3881'),
+    ("ag:3", "wheel:4"): ("notfound", 297, 297, None),
+    ("ag:3", "gear:4"): ("notfound", 537, 2313, None),
+    ("cyclic:3", "cycle:3"): ("found", 3, 3, '1d226b8db3e15d55'),
+    ("cyclic:3", "cycle:4"): ("found", 5, 5, '32198cb590aacff3'),
+    ("cyclic:3", "cycle:5"): ("found", 5, 5, 'e57ecfbcc67f5a35'),
+    ("cyclic:3", "cycle:6"): ("found", 7, 7, 'f30f877721ca5fb1'),
+    ("cyclic:3", "cycle:7"): ("found", 7, 7, '3c40279ab8b5bb97'),
+    ("cyclic:3", "cycle:8"): ("found", 9, 9, 'e72de14596fac459'),
+    ("cyclic:3", "cycle:9"): ("found", 9, 9, '6ba097a9f79c26c5'),
+    ("cyclic:3", "cycle:10"): ("found", 11, 11, '628b50e4d9c3f13e'),
+    ("cyclic:3", "cycle:11"): ("found", 11, 11, '9dd6e6a29f591ef9'),
+    ("cyclic:3", "cycle:12"): ("found", 14, 14, '55bf031be11da506'),
+    ("cyclic:3", "cycle:13"): ("found", 13, 13, '19736541e9edbb36'),
+    ("cyclic:3", "wheel:3"): ("found", 4, 4, '74ec44f943d69077'),
+    ("cyclic:3", "gear:3"): ("found", 8, 8, '5c13add34818e12e'),
+    ("cyclic:3", "wheel:4"): ("notfound", 985, 985, None),
+    ("cyclic:3", "gear:4"): ("found", 23, 23, 'd53b25c42df8f5e0'),
 }
 
 
@@ -233,9 +272,12 @@ def _digest(emb):
 @pytest.mark.parametrize("plane_ref,graph_ref", sorted(FROZEN_SEARCHES))
 def test_search_frozen(plane_ref, graph_ref):
     res = exists_embedding(_graph_ref(graph_ref), _plane_ref(plane_ref))
-    assert (res.status, res.expansions, _digest(res.embedding)) == FROZEN_SEARCHES[
-        (plane_ref, graph_ref)
-    ]
+    status, expansions, _, digest = FROZEN_SEARCHES[(plane_ref, graph_ref)]
+    assert (res.status, res.expansions, _digest(res.embedding)) == (status, expansions, digest)
+
+
+def test_frozen_counts_never_rise():
+    assert all(new <= old for _, new, old, _ in FROZEN_SEARCHES.values())
 
 
 def test_frozen_searches_cover_every_question():
