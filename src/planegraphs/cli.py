@@ -172,6 +172,8 @@ def _write_plan(args, build, letter: str, stem: str) -> int:
 
 def _gear_sweep(args) -> int:
     q_max = args.q_max
+    if q_max > MAX_ORDER:
+        return _usage_error(f"--q-max {q_max} exceeds supported bound {MAX_ORDER}")
     qs = prime_powers_in(2, q_max)
     n_max = q_max + 1
     rows = []
@@ -251,6 +253,8 @@ def _parse_plane_ref(ref: str):
 
 
 def _cmd_oracle(args) -> int:
+    if args.budget < 0:
+        return _usage_error(f"--budget {args.budget} is negative")
     try:
         graph = _parse_graph_ref(args.graph)
         plane = _parse_plane_ref(args.plane)

@@ -442,7 +442,9 @@ def make_field(p: int, a: int = 1) -> FieldSpec:
 def field_for(q: int) -> FieldSpec:
     """GF(q), cached.  The one place that decides whether q names a field
     the package builds: ValueError when q is not a prime power, or when it
-    exceeds MAX_ORDER."""
+    exceeds MAX_ORDER, tested first so that no huge q is factorised."""
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds supported bound {MAX_ORDER}")
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")

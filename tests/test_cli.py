@@ -3,13 +3,22 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import planegraphs
 from planegraphs.cli import main
+from planegraphs.gf import MAX_ORDER
 from planegraphs.cycles import ag_cycle
 from planegraphs.graphs import embedding_to_json
+
+
+SRC = str(Path(planegraphs.__file__).parents[1])
 
 
 def run(capsys, *argv):
@@ -317,6 +326,41 @@ def test_hypj_sweep_includes_q3_not_found(capsys):
     assert rc == 0
     assert '{"q":3,"route":"NOT_FOUND"}' in out
     assert "not found: [3]" in out
+
+
+def test_negative_budget_exits_two(capsys):
+    rc, out, err = run(capsys, "oracle", "--graph", "cycle:3", "--plane", "pg:2", "--budget", "-3")
+    assert rc == 2 and out == "" and "--budget -3" in err
+    rc, out, _ = run(capsys, "oracle", "--graph", "cycle:3", "--plane", "pg:2", "--budget", "0")
+    assert rc == 0 and json.loads(out) == {"status": "budget", "expansions": 0}
+
+
+def test_gear_sweep_bound_exits_two(capsys):
+    # refused before any work: above the bound, the sweep's prime sieve alone
+    # would allocate q_max bytes
+    rc, out, err = run(capsys, "gear", "sweep", "--q-max", str(MAX_ORDER + 1))
+    assert rc == 2 and out == ""
+    assert "exceeds supported bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "info", "--q", "1000000000000000003"],
+        ["oracle", "--graph", "cycle:3", "--plane", "pg:1000000000000000003"],
+    ],
+    ids=["field", "oracle"],
+)
+def test_huge_order_refused_at_once(argv, tmp_path):
+    # a huge prime order is compared with the bound, not factorised
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "planegraphs.cli", *argv],
+        capture_output=True, text=True, timeout=10, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert "exceeds supported bound" in proc.stderr
 
 
 def test_unknown_graph_ref(capsys):
