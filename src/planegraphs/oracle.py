@@ -72,8 +72,8 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
     subtrees without an embedding, and the candidate order is unchanged.
     A dead unused line holds at least s - 1 placed points (s the smallest
     line), so after d placements at most d*r // (s - 1) of them exist
-    (r the largest pencil): the count runs only where that exceeds the
-    spare lines, ``len(lines) - len(edges)``.
+    (r the largest pencil): the count runs only while edges are left and
+    that bound exceeds the spare lines, ``len(lines) - len(edges)``.
     """
     if graph.n_vertices > plane.n_points or len(graph.edges) > len(plane.lines):
         return STATUS_NOTFOUND, None, 0
@@ -103,8 +103,6 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
     img = [-1] * graph.n_vertices
     pools, taken = [0] * m, [0] * m  # per depth: untried candidates, lines claimed
     dead, idle = [0] * (m + 1), [0] * (m + 1)  # per depth: dead lines, inactive images
-    if s < 2:
-        dead[0] = sum(1 << li for li, mask in enumerate(masks) if not mask & (mask - 1))
     used_pts = used_lines = depth = count = 0
     while depth < m:
         if not back[depth]:
