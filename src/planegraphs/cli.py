@@ -223,17 +223,19 @@ def _parse_graph_ref(ref: str):
 def _load_indexed_plane(path):
     """A plane file the search and the verifier can index: unlike ``plane
     check``, which lists them as violations, it refuses point ids outside
-    0..points-1 and a pair of points on two lines (a repeated line too),
-    as both look up one line per pair.  The projective axioms are not
-    required, so an affine plane file passes."""
+    0..points-1, a point named twice by one line, and a pair of points on
+    two lines (a repeated line too), as both look up one line per pair.
+    The projective axioms are not required: an affine plane file passes."""
     plane = load_plane(path)
     n = plane.n_points
     if any(not 0 <= p < n for line in plane.lines for p in line):
         raise FormatError(f"plane file {path} references a point outside 0..{n - 1}")
     joined = [0] * n  # per point, the points that share a line with it so far
-    for line in plane.lines:
-        mask = sum(1 << p for p in set(line))
-        for p in set(line):
+    for i, line in enumerate(plane.lines):
+        if twice := [p for p, r in zip(line, line[1:]) if p == r]:  # lines are sorted
+            raise FormatError(f"plane file {path} line {i} repeats point {twice[0]}")
+        mask = sum(1 << p for p in line)
+        for p in line:
             if joined[p] & mask:
                 other = (joined[p] & mask).bit_length() - 1
                 raise FormatError(f"plane file {path} puts points {p},{other} on two lines")

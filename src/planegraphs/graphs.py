@@ -41,9 +41,6 @@ class Graph:
             deg[v] += 1
         return max(deg, default=0)
 
-    def neighbors(self, v: int) -> tuple:
-        return tuple(u + w - v for u, w in self.edges if v in (u, w))
-
     def json_dict(self) -> dict:
         if self.kind == "CYCLE":
             return {"kind": "CYCLE", "k": self.param}

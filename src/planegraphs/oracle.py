@@ -62,7 +62,7 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
     to each placed neighbour, tried by increasing point id; the first vertex
     of a transitive plane is pinned to point 0.  Each candidate tried is one
     expansion.  Returns (status, vertex images in point ids or None,
-    expansions).
+    expansions).  Masks, pencils and joins come from the plane's index.
 
     A candidate is also refused when too few lines are left for the edges
     not yet placed.  Each such edge needs its own unused line holding a free
@@ -81,12 +81,8 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
         return STATUS_NOTFOUND, None, 0
 
     n, (order, back) = plane.n_points, _placement(graph)
-    masks = [sum(1 << p for p in set(line)) for line in plane.lines]
-    # each point's lines as (line bit, point mask) pairs
-    pencil = [[(1 << li, masks[li]) for li in plane.lines_through(p)] for p in range(n)]
-    joins, m = plane.joins(), len(order)
-
-    r, s = plane.max_pencil, min(map(int.bit_count, masks), default=0)
+    masks, lines_at, pencil = plane.incidence()  # built once per plane
+    r, s, m = plane.max_pencil, min(map(int.bit_count, masks), default=0), len(order)
     spare, left, cap = len(masks) - len(graph.edges), len(graph.edges), []
     for d in range(m + 1):  # per number placed: the most dead lines allowed
         cap.append(len(masks) - left if left and d * r >= (spare + 1) * (s - 1) else len(masks))
@@ -131,10 +127,11 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
             pool ^= low
             p, here = low.bit_length() - 1, 0
             for u in back[depth]:
-                li = joins[img[u] * n + p]
-                if li is None or (used_lines | here) >> li & 1:
+                bit = lines_at[img[u]] & lines_at[p]
+                bit &= -bit  # the smallest line through both
+                if not bit or (used_lines | here) & bit:
                     break
-                here |= 1 << li
+                here |= bit
             else:
                 img[order[depth]] = p
                 if track:

@@ -7,7 +7,9 @@ line at infinity is [0 : 0 : 1] and a point is affine exactly when its
 last coordinate is nonzero.
 
 GenericPlane forgets coordinates: points are 0..N-1 and lines are sorted
-id tuples.  It is what the search oracle and the file format speak.
+id tuples.  It is what the search oracle and the file format speak, and
+its one incidence index, built once per plane, serves both the search and
+``line_between`` (the cyclic model joins points by its difference set).
 
 Both kinds of plane give what the verifier and the embedding builder ask
 of a plane: ``model``, ``q``, ``contains``, ``line_between`` (None when
@@ -17,9 +19,11 @@ the points coincide or no line joins them) and ``max_pencil``.
 from __future__ import annotations
 
 import json
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, combinations
 from typing import Optional
 
 from .gf import FieldElement, FieldSpec, field_for
@@ -117,6 +121,9 @@ class AffinePoint:
 # ---------------------------------------------------------------------------
 
 
+Incidence = namedtuple("Incidence", "masks pencil_masks pencils")
+
+
 @dataclass(frozen=True)
 class GenericPlane:
     """Pure incidence structure: N points, lines as sorted point-id tuples."""
@@ -128,42 +135,41 @@ class GenericPlane:
     transitive: bool = False
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def lines_through(self, pid: int) -> tuple:
-        tab = self._cache.get("through")
-        if tab is None:
-            tab = [[] for _ in range(self.n_points)]
+    def incidence(self) -> Incidence:
+        """The plane's incidence as int bitmasks, built once: ``masks[li]``
+        has the bits of line li's points, ``pencil_masks[p]`` the bits of
+        the ids of the lines through point p, and ``pencils[p]`` those lines
+        as (line bit, point mask) pairs.  Ids outside 0..n_points-1 are left
+        out."""
+        index = self._cache.get("incidence")
+        if index is None:
+            n, masks = self.n_points, []
+            through = [[] for _ in range(n)]
             for li, line in enumerate(self.lines):
-                for p in line:
-                    tab[p].append(li)
-            tab = tuple(tuple(t) for t in tab)
-            self._cache["through"] = tab
-        return tab[pid]
-
-    def joins(self) -> list:
-        """The joining-line table: ``joins()[u * n_points + v]`` is the id of
-        the first line through points u and v, or None."""
-        tab = self._cache.get("joins")
-        if tab is None:
-            n = self.n_points
-            tab = [None] * (n * n)
-            for li, line in enumerate(self.lines):
-                line = [p for p in line if 0 <= p < n]  # a damaged file may stray
-                for i, p in enumerate(line):
-                    for r in line[i + 1 :]:
-                        if tab[p * n + r] is None:
-                            tab[p * n + r] = tab[r * n + p] = li
-            self._cache["joins"] = tab
-        return tab
+                pts = {p for p in line if 0 <= p < n}  # a damaged file may stray
+                masks.append(sum(1 << p for p in pts))
+                for p in pts:
+                    through[p].append(li)
+            bits = [1 << li for li in range(len(masks))]  # shared by the pencils
+            index = self._cache["incidence"] = Incidence(
+                masks,
+                [sum(bits[li] for li in t) for t in through],
+                [[(bits[li], masks[li]) for li in t] for t in through],
+            )
+        return index
 
     def contains(self, p) -> bool:
-        return isinstance(p, int) and 0 <= p < self.n_points
+        return type(p) is int and 0 <= p < self.n_points  # True is no point id
 
     def line_between(self, u: int, v: int) -> Optional[int]:
         n = self.n_points
         if u == v or not (0 <= u < n and 0 <= v < n):
             return None
         if self.model != "CYCLIC":
-            return self.joins()[u * n + v]
+            # the smallest id among the lines through both
+            pm = self.incidence().pencil_masks
+            both = pm[u] & pm[v]
+            return (both & -both).bit_length() - 1 if both else None
         # the lines are the translates of a planar difference set D (any
         # one of them will do), so the line through u and v is D + (u - d)
         # for the one d in D with d - d' = u - v, d' in D: two tables of n
@@ -185,7 +191,9 @@ class GenericPlane:
     def max_pencil(self) -> int:
         mp = self._cache.get("max_pencil")
         if mp is None:
-            mp = max((len(self.lines_through(p)) for p in range(self.n_points)), default=0)
+            # the most distinct lines through one point
+            n, counts = self.n_points, Counter(chain.from_iterable(map(set, self.lines)))
+            mp = max((c for p, c in counts.items() if 0 <= p < n), default=0)
             self._cache["max_pencil"] = mp
         return mp
 
@@ -338,14 +346,11 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
         for p in l:
             if not 0 <= p < n:
                 note(f"line {i} references point {p} outside 0..{n - 1}")
+        for p in sorted({p for p in l if l.count(p) > 1}):
+            note(f"line {i} repeats point {p}")
 
-    # each point pair on exactly one line
-    pair_count = {}
-    for i, l in enumerate(lines):
-        for a in range(len(l)):
-            for b in range(a + 1, len(l)):
-                key = (l[a], l[b])
-                pair_count[key] = pair_count.get(key, 0) + 1
+    # each point pair on exactly one line; a repeated point makes no pair
+    pair_count = Counter(pair for l in lines for pair in combinations(sorted(set(l)), 2))
     for (a, b), c in pair_count.items():
         if c > 1:
             note(f"points {a},{b} lie on {c} common lines")
@@ -356,15 +361,11 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
 
     # each line pair meets exactly once
     sets = [frozenset(l) for l in lines]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            m = len(sets[i] & sets[j])
-            if m != 1:
-                note(f"lines {i},{j} meet in {m} points")
-                if len(v) >= _MAX_VIOLATIONS:
-                    break
-        if len(v) >= _MAX_VIOLATIONS:
-            break
+    for i, j in combinations(range(len(sets)), 2):
+        if (m := len(sets[i] & sets[j])) != 1:
+            note(f"lines {i},{j} meet in {m} points")
+            if len(v) >= _MAX_VIOLATIONS:
+                break
 
     if not _has_quadrangle(plane):
         note("no quadrangle: every 4-point subset has 3 collinear points")
@@ -411,13 +412,13 @@ def load_plane(path) -> GenericPlane:
         if not isinstance(doc, dict) or not {"q", "points", "lines"} <= set(doc):
             raise FormatError("plane file needs keys q, points, lines")
         q, n = doc["q"], doc["points"]
-        if not isinstance(q, int) or q < 2:
+        if type(q) is not int or q < 2:  # JSON true is no number here
             raise FormatError(f"bad plane order {q!r}")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise FormatError("points must be a positive integer")
         lines = []
         for i, l in enumerate(doc["lines"]):
-            if not isinstance(l, list) or not all(isinstance(p, int) for p in l):
+            if not isinstance(l, list) or not all(type(p) is int for p in l):
                 raise FormatError(f"line {i} is not a list of point ids")
             lines.append(tuple(sorted(l)))
     return GenericPlane(q=q, n_points=n, lines=tuple(lines))

@@ -3,23 +3,39 @@
 The same explicit-stack loop over bitmasks, in the same candidate order,
 with no pruning beyond the static size checks: the search the oracle's
 pruned loop must agree with on every verdict and every found embedding,
-while never examining more candidates.
+while never examining more candidates.  It reads only ``plane.lines`` and
+``plane.n_points``, never the plane's own incidence index.
 """
 
 from planegraphs.oracle import STATUS_BUDGET, STATUS_FOUND, STATUS_NOTFOUND, _placement
 
 
+def reference_joins(plane) -> dict:
+    """{(u, v): the smallest id of a line holding both u != v}, scanned
+    from ``plane.lines``; ids outside 0..n_points-1 make no pair."""
+    n, joins = plane.n_points, {}
+    for li, line in enumerate(plane.lines):
+        pts = [p for p in line if 0 <= p < n]
+        for u in pts:
+            for v in pts:
+                if u != v:
+                    joins.setdefault((u, v), li)
+    return joins
+
+
 def plain_search(graph, plane, budget: int) -> tuple:
     """(status, vertex images in point ids or None, expansions)."""
-    if graph.n_vertices > plane.n_points or len(graph.edges) > len(plane.lines):
+    n, lines = plane.n_points, plane.lines
+    through = [[li for li, line in enumerate(lines) if p in line] for p in range(n)]
+    if graph.n_vertices > n or len(graph.edges) > len(lines):
         return STATUS_NOTFOUND, None, 0
-    if graph.max_degree > plane.max_pencil:
+    if graph.max_degree > max(map(len, through), default=0):
         return STATUS_NOTFOUND, None, 0
 
-    n, (order, back) = plane.n_points, _placement(graph)
-    masks = [sum(1 << p for p in set(line)) for line in plane.lines]
-    pencil = [[(1 << li, masks[li]) for li in plane.lines_through(p)] for p in range(n)]
-    joins, m = plane.joins(), len(order)
+    order, back = _placement(graph)
+    masks = [sum(1 << p for p in set(line)) for line in lines]
+    pencil = [[(1 << li, masks[li]) for li in t] for t in through]
+    joins, m = reference_joins(plane), len(order)
 
     img = [-1] * graph.n_vertices
     pools, taken = [0] * m, [0] * m
@@ -51,7 +67,7 @@ def plain_search(graph, plane, budget: int) -> tuple:
             pool ^= low
             p, here = low.bit_length() - 1, 0
             for u in back[depth]:
-                li = joins[img[u] * n + p]
+                li = joins.get((img[u], p))
                 if li is None or (used_lines | here) >> li & 1:
                     break
                 here |= 1 << li

@@ -233,6 +233,23 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     assert rc == 2 and "on two lines" in err
     rc, _, err = run(capsys, "verify", str(c3), "--plane", str(bad))
     assert rc == 2 and "on two lines" in err
+
+    # a JSON boolean is no point id; a line that names a point twice is
+    # listed by plane check, without a false pair, and refused by the others
+    pg2 = tmp_path / "pg2.json"
+    assert run(capsys, "plane", "export", "--q", "2", "--out", str(pg2))[0] == 0
+    for first, rc_check, why in (([True, 1, 2], 2, "not a list of point ids"),
+                                 ([0, 1, 2, 0], 1, "repeats point 0")):
+        doc = json.loads(pg2.read_text())
+        doc["lines"][0] = first
+        bad = tmp_path / "plane_first.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "plane", "check", str(bad))
+        assert rc == rc_check and why in out + err and "common lines" not in out, first
+        rc, _, err = run(capsys, "oracle", "--graph", "wheel:3", "--plane", str(bad))
+        assert rc == 2 and why in err, first
+        rc, _, err = run(capsys, "verify", str(c3), "--plane", str(bad))
+        assert rc == 2 and why in err, first
     ag3 = tmp_path / "ag3.json"
     assert run(capsys, "plane", "export", "--q", "3", "--model", "ag", "--out", str(ag3))[0] == 0
     assert run(capsys, "plane", "check", str(ag3))[0] == 1

@@ -23,7 +23,7 @@ from planegraphs.graphs import (
     wheel_graph,
 )
 from planegraphs.oracle import DEFAULT_BUDGET, _search, exists_embedding, pancyclicity_table
-from planegraphs.plane import ag_from_field, pg_from_field
+from planegraphs.plane import GenericPlane, ag_from_field, pg_from_field
 from planegraphs.wheelgear import ConstructionFailed, gear, wheel
 
 
@@ -287,6 +287,17 @@ def test_frozen_searches_cover_every_question():
         cycles = {f"cycle:{k}" for k in range(3, plane.n_points + 1)}
         spoked = {f"{kind}:{n}" for kind in ("wheel", "gear") for n in range(3, plane.q + 2)}
         assert cycles | spoked <= asked
+
+
+def test_searches_share_one_index(monkeypatch):
+    # the plane's incidence index is built by the first search and reused
+    view = pg_from_field(3).to_generic().plane
+    plane = GenericPlane(q=3, n_points=view.n_points, lines=view.lines, transitive=True)
+    seen, incidence = [], GenericPlane.incidence
+    monkeypatch.setattr(GenericPlane, "incidence", lambda p: seen.append(incidence(p)) or seen[-1])
+    assert exists_embedding(cycle_graph(5), plane).status == "found"
+    assert exists_embedding(gear_graph(4), plane).status == "found"
+    assert len(seen) >= 2 and all(index is seen[0] for index in seen)
 
 
 

@@ -5,9 +5,12 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_reference import reference_joins
+from planegraphs.cycles import cyclic_plane
 from planegraphs.gf import make_field, prime_power
 from planegraphs.plane import (
     LINE_INF,
+    GenericPlane,
     affine_coords,
     affine_triple,
     ag_from_field,
@@ -110,7 +113,7 @@ def test_pencil_size():
     pgp = pg_from_field(4)
     view = pgp.to_generic()
     for pid in range(view.plane.n_points):
-        assert len(view.plane.lines_through(pid)) == 5
+        assert len(view.plane.incidence().pencils[pid]) == 5
 
 
 def test_plane_file_round_trip(tmp_path):
@@ -177,3 +180,39 @@ def test_to_generic_matches_incidence(builder, q):
     assert view.plane.lines == _incidence_lines(coord)
     # one shared view per plane
     assert builder(q).to_generic() is view
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [
+        pg_from_field(3).to_generic().plane,
+        ag_from_field(3).to_generic().plane,
+        cyclic_plane(3),
+        # damaged: points 0,1 lie on lines 0 and 2, and ids -1 and 5 stray
+        GenericPlane(q=2, n_points=5, lines=((0, 1, 5), (-1, 2, 3), (0, 1, 4), (2, 4))),
+    ],
+    ids=["pg:3", "ag:3", "cyclic:3", "damaged"],
+)
+def test_line_between_is_the_smallest_joining_line(plane):
+    joins = reference_joins(plane)
+    n = plane.n_points
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert plane.line_between(u, v) == joins.get((u, v)), (u, v)
+
+
+def test_only_plane_touches_the_cache():
+    # the incidence index is the one path to a generic plane's incidence
+    import ast
+    from pathlib import Path
+
+    import planegraphs
+
+    found = []
+    for path in sorted(Path(planegraphs.__file__).parent.glob("*.py")):
+        if path.name == "plane.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_cache":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
