@@ -114,3 +114,49 @@ def test_only_gf_calls_prime_power():
                 if getattr(f, "id", getattr(f, "attr", None)) == "prime_power":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# refused input whose text comes from the library or the reference parser;
+# the file fixtures are written into the working directory first
+PINNED = {
+    "cycle_k_low": (["cycle", "--q", "3", "--k", "2"], "k=2 outside 3..9"),
+    "cycle_k_high_pg": (["cycle", "--q", "3", "--k", "14", "--plane", "pg"], "k=14 outside 3..13"),
+    "wheel_small": (["wheel", "--q", "3", "--n", "2"], "wheel needs rim length at least 3"),
+    "wheel_large": (["wheel", "--q", "3", "--n", "5"],
+                    "wheel center degree 5 exceeds the pencil size 4"),
+    "gear_small": (["gear", "--q", "3", "--n", "2"], "gear needs at least 3 spokes"),
+    "gear_large": (["gear", "--q", "3", "--n", "5"],
+                   "gear center degree 5 exceeds the pencil size 4"),
+    "oracle_bad_graph_ref": (["oracle", "--graph", "cycle:x", "--plane", "pg:2"],
+                             "bad graph reference 'cycle:x' (want kind:n or a .json file)"),
+    "oracle_bad_plane_ref": (["oracle", "--graph", "cycle:3", "--plane", "pg"],
+                             "bad plane reference 'pg' (want model:q or a .json file)"),
+    "oracle_unknown_kind": (["oracle", "--graph", "torus:4", "--plane", "pg:2"],
+                            "unknown graph kind 'torus'"),
+    "oracle_unknown_model": (["oracle", "--graph", "cycle:3", "--plane", "hg:2"],
+                             "unknown plane model 'hg'"),
+    "oracle_missing_graph": (["oracle", "--graph", "nope.json", "--plane", "pg:2"],
+                             "[Errno 2] No such file or directory: 'nope.json'"),
+    "oracle_missing_plane": (["oracle", "--graph", "cycle:3", "--plane", "nope.json"],
+                             "[Errno 2] No such file or directory: 'nope.json'"),
+    "oracle_graph_no_edges": (["oracle", "--graph", "g.json", "--plane", "pg:2"],
+                              "malformed graph: 'edges'"),
+    "oracle_graph_truncated": (["oracle", "--graph", "t.json", "--plane", "pg:2"],
+                               "Expecting property name enclosed in double quotes: "
+                               "line 1 column 2 (char 1)"),
+    # both references bad: the graph's refusal comes first
+    "oracle_both_bad": (["oracle", "--graph", "cycle:2", "--plane", "hg:2"],
+                        "cycle needs at least 3 vertices"),
+    "oracle_big_graph_bad_plane": (["oracle", "--graph", "gear:1000", "--plane", "pg:6"],
+                                   "q=6 is not a prime power"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED))
+def test_cli_refusal_texts(cell, tmp_path, monkeypatch, capsys):
+    (tmp_path / "g.json").write_text('{"kind":"EDGE_LIST"}')
+    (tmp_path / "t.json").write_text("{")
+    argv, text = PINNED[cell]
+    rc, err, left = _run_in(tmp_path, monkeypatch, capsys, argv)
+    assert (rc, err, left) == (2, f"error: {text}\n", ["g.json", "t.json"])
+
