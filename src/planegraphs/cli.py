@@ -2,8 +2,11 @@
 
 Subcommands: field, plane, cycle, wheel, gear, oracle, verify, hypj.
 Artifacts (plane files, embedding files, certificate streams) go to files;
-stdout carries summary lines only.  Exit codes: 0 success, 1 verification
-or construction failure, 2 usage error.
+stdout carries summary lines only.  Exit codes: 0 success; 1 when a checked
+file fails its check, or in ``main`` for ConstructionFailed and NoCertificate;
+2 for a usage error, in ``main`` for any ValueError (refused input) or OSError
+(an unusable path, such as an output file in a missing directory).  Any
+other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .graphs import (
     wheel_graph,
     write_embedding,
 )
-from .oracle import DEFAULT_BUDGET, exists_embedding
+from .oracle import DEFAULT_BUDGET, STATUS_NOTFOUND, OracleResult, exists_embedding
 from .plane import check_plane_axioms, load_plane, save_plane
 from .wheelgear import gear_plan, wheel_plan
 
@@ -55,10 +58,7 @@ def _fail(msg: str) -> int:
 
 
 def _cmd_field(args) -> int:
-    try:
-        spec = field_for(args.q)
-    except ValueError as e:
-        return _usage_error(str(e))
+    spec = field_for(args.q)
     doc = {
         "q": spec.q,
         "p": spec.p,
@@ -78,10 +78,7 @@ def _cmd_plane(args) -> int:
     if args.mode == "export":
         if args.q is None or args.out is None:
             return _usage_error("plane export needs --q and --out")
-        try:
-            view = plane_for(args.model.upper(), args.q).to_generic()
-        except ValueError as e:
-            return _usage_error(str(e))
+        view = plane_for(args.model.upper(), args.q).to_generic()
         save_plane(view.plane, args.out)
         print(f"{args.model}:{args.q} -> {args.out} "
               f"({view.plane.n_points} points, {len(view.plane.lines)} lines)")
@@ -110,13 +107,10 @@ def _build_cycle(q: int, k: int, model: str):
 
 
 def _cmd_cycle(args) -> int:
-    try:
-        field_for(args.q)  # before the sweep makes its directory
-    except ValueError as e:
-        return _usage_error(str(e))
+    field_for(args.q)  # refuses a bad order before the sweep makes its directory
     q = args.q
     if args.mode == "sweep":
-        top = q * q if args.plane == "ag" else q * q + q + 1
+        top = plane_for(args.plane.upper(), q).n_points
         out_dir = args.out_dir or f"cycle_sweep_{args.plane}_q{q}"
         os.makedirs(out_dir, exist_ok=True)
         rows = []
@@ -132,11 +126,7 @@ def _cmd_cycle(args) -> int:
         return 0
     if args.k is None:
         return _usage_error("cycle needs --k (or the sweep mode)")
-    try:
-        chain = _build_cycle(q, args.k, args.plane)
-    except ValueError as e:
-        return _usage_error(str(e))
-    emb = chain.to_embedding()
+    emb = _build_cycle(q, args.k, args.plane).to_embedding()
     out = args.out or f"cycle_{args.plane}_q{q}_k{args.k}.json"
     write_embedding(emb, out)
     print(f"C_{args.k} in {args.plane}:{q} verified -> {out}")
@@ -160,10 +150,7 @@ def _cmd_gear(args) -> int:
 
 
 def _write_plan(args, build, letter: str, stem: str) -> int:
-    try:
-        plan = build(args.q, args.n)
-    except ValueError as e:  # ImpossibleDegree included; ConstructionFailed reaches main
-        return _usage_error(str(e))
+    plan = build(args.q, args.n)
     out = args.out or f"{stem}_q{args.q}_n{args.n}.json"
     write_embedding(plan.embedding, out)
     print(f"{letter}_{args.n} in pg:{args.q} via {plan.route} -> {out}")
@@ -174,12 +161,11 @@ def _gear_sweep(args) -> int:
     q_max = args.q_max
     if q_max > MAX_ORDER:
         return _usage_error(f"--q-max {q_max} exceeds supported bound {MAX_ORDER}")
-    qs = prime_powers_in(2, q_max)
-    n_max = q_max + 1
-    rows = []
-    for q in qs:
+    ns = range(3, q_max + 2)
+    lines = ["   q " + " ".join(f"{n:>10d}" for n in ns)]  # 10 = len("impossible")
+    for q in prime_powers_in(2, q_max):
         cells = []
-        for n in range(3, n_max + 1):
+        for n in ns:
             if n > q + 1:
                 cells.append(".")
                 continue
@@ -187,18 +173,12 @@ def _gear_sweep(args) -> int:
                 cells.append(gear_plan(q, n).route)
             except ConstructionFailed:
                 cells.append("impossible")
-        rows.append((q, cells))
-    width = max(len("impossible"), 10)
-    header = "   q " + " ".join(f"{n:>{width}d}" for n in range(3, n_max + 1))
-    print(header)
-    lines = [header]
-    for q, cells in rows:
-        line = f"{q:4d} " + " ".join(f"{c:>{width}s}" for c in cells)
-        print(line)
-        lines.append(line)
+        lines.append(f"{q:4d} " + " ".join(f"{c:>10s}" for c in cells))
+    text = "\n".join(lines) + "\n"
+    print(text, end="")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     return 0
 
 
@@ -207,17 +187,24 @@ def _gear_sweep(args) -> int:
 
 
 def _parse_graph_ref(ref: str):
+    """A graph reference's vertex count and a function that builds the graph,
+    so that a kind:N graph, whose cost is linear in N, waits for the plane."""
     if ref.endswith(".json"):
         with open(ref) as fh:
-            return graph_from_json(json.load(fh))
+            graph = graph_from_json(json.load(fh))
+        return graph.n_vertices, lambda: graph
     kind, _, param = ref.partition(":")
     if not param.isdigit():
         raise ValueError(f"bad graph reference {ref!r} (want kind:n or a .json file)")
     n = int(param)
-    builder = {"cycle": cycle_graph, "wheel": wheel_graph, "gear": gear_graph}.get(kind)
-    if builder is None:
+    kinds = {"cycle": (cycle_graph, n), "wheel": (wheel_graph, n + 1),
+             "gear": (gear_graph, 2 * n + 1)}
+    if kind not in kinds:
         raise ValueError(f"unknown graph kind {kind!r}")
-    return builder(n)
+    builder, size = kinds[kind]
+    if n < 3:
+        builder(n)  # refuses n in the builder's words, before the plane is read
+    return size, lambda: builder(n)
 
 
 def _load_indexed_plane(path):
@@ -257,12 +244,12 @@ def _parse_plane_ref(ref: str):
 def _cmd_oracle(args) -> int:
     if args.budget < 0:
         return _usage_error(f"--budget {args.budget} is negative")
-    try:
-        graph = _parse_graph_ref(args.graph)
-        plane = _parse_plane_ref(args.plane)
-    except (ValueError, OSError) as e:
-        return _usage_error(str(e))
-    res = exists_embedding(graph, plane, budget=args.budget)
+    size, build = _parse_graph_ref(args.graph)
+    plane = _parse_plane_ref(args.plane)
+    if size > plane.n_points:  # the search's own answer, without the graph
+        res = OracleResult(STATUS_NOTFOUND, None, 0)
+    else:
+        res = exists_embedding(build(), plane, budget=args.budget)
     doc = {"status": res.status, "expansions": res.expansions}
     if res.status == "found":
         out = args.out or "oracle_embedding.json"
@@ -337,12 +324,6 @@ def _cmd_hypj(args) -> int:
         return 0
     if args.q is None:
         return _usage_error("hypj needs --q (or the sweep mode)")
-    if args.q < 3:
-        return _usage_error(f"q={args.q} is not a prime power >= 3")
-    try:
-        field_for(args.q)
-    except ValueError as e:
-        return _usage_error(str(e))
     print(_hypj_line(args.q))
     return 0
 
@@ -422,6 +403,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NoCertificate, ConstructionFailed) as e:
         return _fail(str(e))
+    except (ValueError, OSError) as e:  # FormatError and ImpossibleDegree included
+        return _usage_error(str(e))
 
 
 if __name__ == "__main__":

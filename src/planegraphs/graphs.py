@@ -53,6 +53,13 @@ class Graph:
         }
 
 
+def _check_ids(*ids) -> None:
+    # the one rule for vertex ids, from files too: JSON true and 1.0 are none
+    for v in ids:
+        if type(v) is not int or v < 0:
+            raise FormatError(f"vertex id {v!r} is not an integer >= 0")
+
+
 def _norm_edges(edges) -> tuple:
     out = set()
     for u, v in edges:
@@ -87,11 +94,13 @@ def gear_graph(n: int) -> Graph:
 
 
 def edge_list_graph(edges, n_vertices: Optional[int] = None) -> Graph:
+    edges = list(edges)
+    _check_ids(*(v for pair in edges for v in pair))
     e = _norm_edges(edges)
     top = max((v for pair in e for v in pair), default=-1) + 1
     n = top if n_vertices is None else n_vertices
-    if n < top:
-        raise ValueError("edge references vertex beyond n_vertices")
+    if type(n) is not int or n < top:
+        raise FormatError(f"vertex count {n!r} is not an integer above every vertex id")
     return Graph("EDGE_LIST", n, e)
 
 
@@ -254,6 +263,7 @@ def read_embedding(path) -> Embedding:
         vimg: dict = {}
         for item in doc["vertices"]:
             v, raw = item
+            _check_ids(v)
             if v in vimg:
                 raise FormatError(f"vertex {v} listed twice")
             vimg[v] = _img_load(raw, model)
@@ -262,6 +272,7 @@ def read_embedding(path) -> Embedding:
         eimg = {}
         for item in doc["edges"]:
             (u, v), raw = item
+            _check_ids(u, v)
             e = (u, v) if u < v else (v, u)
             if e not in graph.edges:
                 raise FormatError(f"edge {e} is not in the graph")

@@ -192,7 +192,7 @@ def _id_plane(plane) -> tuple:
 def pancyclicity_table(plane, budget: int = DEFAULT_BUDGET) -> dict:
     """Oracle verdict for every cycle length 3..N, in a generic or
     coordinate plane; tiny planes only."""
-    n = _id_plane(plane)[0].n_points
+    n = plane.n_points
     if n > 31:
         raise ValueError("oracle table is exhaustive; refuse planes beyond 31 points")
     out = {}

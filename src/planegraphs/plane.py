@@ -12,8 +12,8 @@ its one incidence index, built once per plane, serves both the search and
 ``line_between`` (the cyclic model joins points by its difference set).
 
 Both kinds of plane give what the verifier and the embedding builder ask
-of a plane: ``model``, ``q``, ``contains``, ``line_between`` (None when
-the points coincide or no line joins them) and ``max_pencil``.
+of a plane: ``model``, ``q``, ``n_points``, ``contains``, ``line_between``
+(None when the points coincide or no line joins them) and ``max_pencil``.
 """
 
 from __future__ import annotations
@@ -219,6 +219,10 @@ class CoordPlane:
     def __repr__(self):
         return f"{self.model}(2,{self.q})"
 
+    @property
+    def n_points(self) -> int:
+        return self.q * self.q + (self.q + 1 if self.model == "PG" else 0)
+
     def points(self) -> list:
         sp = self.spec
         q = self.q
@@ -359,10 +363,11 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
         missing = expected - len(pair_count)
         note(f"{missing} point pairs lie on no line")
 
-    # each line pair meets exactly once
-    sets = [frozenset(l) for l in lines]
-    for i, j in combinations(range(len(sets)), 2):
-        if (m := len(sets[i] & sets[j])) != 1:
+    # each line pair meets exactly once; a stray id is listed above but is
+    # no point, so it meets nothing
+    masks = plane.incidence().masks
+    for i, j in combinations(range(len(masks)), 2):
+        if (m := (masks[i] & masks[j]).bit_count()) != 1:
             note(f"lines {i},{j} meet in {m} points")
             if len(v) >= _MAX_VIOLATIONS:
                 break

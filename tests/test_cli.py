@@ -185,6 +185,11 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         "plane": dict(good, plane="PG"),
         "image": dict(good, vertices=[[0, [1, 2]]] + good["vertices"][1:]),
     }
+    # JSON true and 1.0 equal the id 1 in Python, but no id is anything but an integer
+    v, e = good["vertices"], good["edges"]
+    for one in (True, 1.0):
+        damaged[f"vertex_{one}"] = dict(good, vertices=[v[0], [one, v[1][1]]] + v[2:])
+        damaged[f"endpoint_{one}"] = dict(good, edges=[[[0, one], e[0][1]]] + e[1:])
     for name, doc in damaged.items():
         bad = tmp_path / f"bad_{name}.json"
         bad.write_text(json.dumps(doc))
@@ -201,6 +206,15 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         bad.write_text(body)
         rc, _, err = run(capsys, "plane", "check", str(bad))
         assert rc == 2 and "cannot read plane" in err, name
+
+    # the same rule for graph files: 1.5 is no index, -1 would index the last
+    # vertex (a false notfound), and true would pass as vertex 1
+    for edges in ([[0, 1.5]], [[0, -1], [-1, 2], [0, 2]], [[0, True], [True, 2], [0, 2]]):
+        g = tmp_path / "graph.json"
+        g.write_text(json.dumps({"kind": "EDGE_LIST", "edges": edges}))
+        rc, _, err = run(capsys, "oracle", "--graph", str(g), "--plane", "pg:2",
+                         "--out", str(tmp_path / "o.json"))
+        assert rc == 2 and "is not an integer >= 0" in err, edges
 
     bad = tmp_path / "bad_order.json"
     bad.write_text(json.dumps(dict(good, plane={"model": "AG", "q": 6})))
@@ -378,6 +392,25 @@ def test_huge_order_refused_at_once(argv, tmp_path):
     )
     assert proc.returncode == 2
     assert "exceeds supported bound" in proc.stderr
+
+
+@pytest.mark.parametrize("ref", ["cycle", "wheel", "gear"])
+def test_oracle_builds_no_graph_larger_than_the_plane(ref, tmp_path):
+    # far beyond any buildable size; the child's address space is capped, so
+    # a graph built anyway fails this test instead of exhausting memory
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "planegraphs.cli", "oracle", "--graph", f"{ref}:{10**15}",
+         "--plane", "pg:2"],
+        capture_output=True, text=True, timeout=10, cwd=tmp_path, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (0, '{"status":"notfound","expansions":0}\n')
 
 
 def test_unknown_graph_ref(capsys):

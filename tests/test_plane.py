@@ -1,6 +1,7 @@
 """Coordinate planes, canonical triples, axiom checks, plane files."""
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +141,25 @@ def test_axiom_check_catches_damage(tmp_path):
     rep = check_plane_axioms(load_plane(bad))
     assert not rep.ok
     assert rep.violations
+
+
+def test_axiom_check_stray_id_meets_nothing():
+    # PG(2,2) with point 6 cut off: the lines through it are listed as naming
+    # a stray id, and as meeting nowhere, since 6 is no point
+    lines = pg_from_field(2).to_generic().plane.lines
+    rep = check_plane_axioms(GenericPlane(q=2, n_points=6, lines=lines))
+    through = [i for i, l in enumerate(lines) if 6 in l]
+    assert len(through) == 3
+    for i, j in combinations(through, 2):
+        assert f"lines {i},{j} meet in 0 points" in rep.violations
+    for i in through:
+        assert f"line {i} references point 6 outside 0..5" in rep.violations
+
+
+@pytest.mark.parametrize("builder", [pg_from_field, ag_from_field])
+def test_coord_plane_point_count(builder):
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        assert builder(q).n_points == len(builder(q).points())
 
 
 @given(st.integers(0, 12), st.integers(0, 12))

@@ -160,3 +160,49 @@ def test_cli_refusal_texts(cell, tmp_path, monkeypatch, capsys):
     rc, err, left = _run_in(tmp_path, monkeypatch, capsys, argv)
     assert (rc, err, left) == (2, f"error: {text}\n", ["g.json", "t.json"])
 
+
+# every form that writes a file: an unusable output path is a usage error;
+# the cycle sweep makes missing parents, so its unusable path lies under a file
+UNUSABLE_PATHS = {
+    "cycle": ["cycle", "--q", "3", "--k", "5", "--out", "nod/x.json"],
+    "cycle_sweep": ["cycle", "sweep", "--q", "2", "--out-dir", "afile/sub"],
+    "wheel": ["wheel", "--q", "3", "--n", "3", "--out", "nod/x.json"],
+    "gear": ["gear", "--q", "3", "--n", "3", "--out", "nod/x.json"],
+    "gear_sweep": ["gear", "sweep", "--q-max", "3", "--out", "nod/x.txt"],
+    "plane_export": ["plane", "export", "--q", "2", "--out", "nod/x.json"],
+    "oracle": ["oracle", "--graph", "cycle:3", "--plane", "pg:2", "--out", "nod/x.json"],
+    "hypj_sweep": ["hypj", "sweep", "--max", "5", "--out", "nod/x.txt"],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(UNUSABLE_PATHS))
+def test_cli_refuses_unusable_output_path(cell, tmp_path, monkeypatch, capsys):
+    (tmp_path / "afile").write_text("")
+    argv = UNUSABLE_PATHS[cell]
+    rc, err, left = _run_in(tmp_path, monkeypatch, capsys, argv)
+    assert rc == 2 and left == ["afile"]
+    assert err.startswith("error: [Errno ") and f"'{argv[-1]}'" in err
+
+
+def test_only_main_maps_errors_to_usage():
+    # the rule "a ValueError or OSError is a usage error" lives in cli.main;
+    # a handler elsewhere may add words (a prefix, another exit code), not repeat it
+    import ast
+    from pathlib import Path
+
+    import planegraphs
+
+    watched = {"ValueError", "OSError", "FormatError", "ImpossibleDegree"}
+    found = []
+    tree = ast.parse((Path(planegraphs.__file__).parent / "cli.py").read_text())
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught = {getattr(t, "id", None) for t in types}
+                bare = ast.dump(ast.parse(f"return _usage_error(str({node.name}))").body[0])
+                if caught & watched and [ast.dump(stmt) for stmt in node.body] == [bare]:
+                    found.append(f"cli.py:{node.lineno} in {fn.name}")
+    assert found == []
