@@ -1,5 +1,7 @@
 """Base paths, closed form, long cycles, pancyclic sweeps, Singer planes."""
 
+import hashlib
+
 import pytest
 
 from oracle_reference import reference_joins
@@ -24,7 +26,14 @@ from planegraphs.gf import (
     make_field,
     prime_power,
 )
-from planegraphs.graphs import ConstructionFailed, Embedding, cycle_graph, emit, verify_embedding
+from planegraphs.graphs import (
+    ConstructionFailed,
+    Embedding,
+    cycle_graph,
+    embedding_to_json,
+    emit,
+    verify_embedding,
+)
 from planegraphs.plane import ag_from_field, check_plane_axioms, incident, pg_from_field
 
 
@@ -263,3 +272,66 @@ def test_singer_cycle_full_rung(q):
     assert len(set(chain.lines)) == n
     emb = chain.to_embedding()
     assert verify_embedding(emb.graph, emb, cyclic_plane(q)).ok
+
+
+def _cycles_digest(builds) -> str:
+    """One digest over the embedding files of the built chains, in order; a
+    refused build contributes its exception and message."""
+    h = hashlib.sha256()
+    for build in builds:
+        try:
+            text = embedding_to_json(build().to_embedding())
+        except (ValueError, ConstructionFailed, NoCertificate) as e:
+            text = f"{type(e).__name__}: {e}\n"
+        h.update(text.encode())
+    return h.hexdigest()[:16]
+
+
+def _frozen_builds(model, q):
+    if model == "AG":
+        return [lambda k=k: ag_cycle(q, k) for k in range(3, q * q + 1)]
+    if model == "PG":
+        return [lambda k=k: pg_cycle(q, k) for k in range(3, q * q + q + 2)]
+    # LONG: the glued chain and its reroute through O, under both labeling kinds
+    return [
+        lambda build=build, kind=kind: build(q, labeling_for(q, kind=kind))
+        for kind in "AB"
+        for build in (long_cycle, cycle_q2)
+    ]
+
+
+# frozen: every cycle artifact of these orders, byte for byte
+FROZEN_CYCLES = {
+    ('AG', 2): '1fa07a6bc5906b3d',
+    ('AG', 3): 'eae1af28302fe92e',
+    ('AG', 4): 'fcd243d450a53cb7',
+    ('AG', 5): '5db9033f391ed5d8',
+    ('AG', 7): '2c430bc802586c36',
+    ('AG', 8): 'c8a20a6c36175eb1',
+    ('AG', 9): 'fa36a1bd6a266f09',
+    ('AG', 11): '8926f4ef24949c02',
+    ('AG', 16): '128f4f86301c9641',
+    ('PG', 2): '6eaf746eec636fe5',
+    ('PG', 3): 'aa4ab7a10771e8e3',
+    ('PG', 4): '0124f32c6e0ce648',
+    ('PG', 5): '2ae43eac3fab1983',
+    ('PG', 7): 'a2b652ef755f8784',
+    ('PG', 8): '43a809f41c91ab25',
+    ('PG', 9): '2ad71c449db5a9a8',
+    ('PG', 11): 'ca35ba0a66bec57e',
+    ('PG', 16): '06954acda662ed23',
+    ('LONG', 2): 'e93b7747279f384d',
+    ('LONG', 3): 'b61602cb086abd4f',
+    ('LONG', 4): '8229a23dbf22dfa8',
+    ('LONG', 5): '807998302f2f6846',
+    ('LONG', 7): 'db65860aa107b013',
+    ('LONG', 8): '2f066c2a939a9a25',
+    ('LONG', 9): 'e411343d9d94904a',
+    ('LONG', 11): '8cc3986f29e2c3e9',
+    ('LONG', 16): '4b7cfb1b9c0b39d1',
+}
+
+
+@pytest.mark.parametrize("model,q", sorted(FROZEN_CYCLES))
+def test_cycles_frozen(model, q):
+    assert _cycles_digest(_frozen_builds(model, q)) == FROZEN_CYCLES[(model, q)]
