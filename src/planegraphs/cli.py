@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from .cycles import NoCertificate, ag_cycle, pg_cycle, plane_for
 from .gf import (
@@ -31,6 +32,7 @@ from .graphs import (
     ConstructionFailed,
     FormatError,
     cycle_graph,
+    declared_size,
     gear_graph,
     graph_from_json,
     read_embedding,
@@ -161,23 +163,23 @@ def _gear_sweep(args) -> int:
     q_max = args.q_max
     if q_max > MAX_ORDER:
         return _usage_error(f"--q-max {q_max} exceeds supported bound {MAX_ORDER}")
-    ns = range(3, q_max + 2)
-    lines = ["   q " + " ".join(f"{n:>10d}" for n in ns)]  # 10 = len("impossible")
-    for q in prime_powers_in(2, q_max):
-        cells = []
-        for n in ns:
-            if n > q + 1:
-                cells.append(".")
-                continue
-            try:
-                cells.append(gear_plan(q, n).route)
-            except ConstructionFailed:
-                cells.append("impossible")
-        lines.append(f"{q:4d} " + " ".join(f"{c:>10s}" for c in cells))
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w") as fh:
+    with open(args.out, "w") if args.out else nullcontext() as fh:  # before the sweep
+        ns = range(3, q_max + 2)
+        lines = ["   q " + " ".join(f"{n:>10d}" for n in ns)]  # 10 = len("impossible")
+        for q in prime_powers_in(2, q_max):
+            cells = []
+            for n in ns:
+                if n > q + 1:
+                    cells.append(".")
+                    continue
+                try:
+                    cells.append(gear_plan(q, n).route)
+                except ConstructionFailed:
+                    cells.append("impossible")
+            lines.append(f"{q:4d} " + " ".join(f"{c:>10s}" for c in cells))
+        text = "\n".join(lines) + "\n"
+        print(text, end="")
+        if fh:
             fh.write(text)
     return 0
 
@@ -188,11 +190,16 @@ def _gear_sweep(args) -> int:
 
 def _parse_graph_ref(ref: str):
     """A graph reference's vertex count and a function that builds the graph,
-    so that a kind:N graph, whose cost is linear in N, waits for the plane."""
+    so that a kind:N graph, whose cost is linear in N, waits for the plane;
+    so does a file's, where ``declared_size`` reads its count unbuilt."""
     if ref.endswith(".json"):
         with open(ref) as fh:
-            graph = graph_from_json(json.load(fh))
-        return graph.n_vertices, lambda: graph
+            doc = json.load(fh)
+        size = declared_size(doc)
+        if size is None:  # built now, or refused in the file's own words
+            graph = graph_from_json(doc)
+            return graph.n_vertices, lambda: graph
+        return size, lambda: graph_from_json(doc)
     kind, _, param = ref.partition(":")
     if not param.isdigit():
         raise ValueError(f"bad graph reference {ref!r} (want kind:n or a .json file)")
@@ -305,20 +312,17 @@ def _cmd_hypj(args) -> int:
         qs = prime_powers_in(args.min, args.max)
         if args.primes_only:
             qs = [q for q in qs if is_prime(q)]
-        if args.jobs > 1 and len(qs) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                lines = list(pool.map(_hypj_line, qs, chunksize=64))
-        else:
-            lines = [_hypj_line(q) for q in qs]
+        # the file is opened before the sweep, so that an unusable path costs nothing
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            if args.jobs > 1 and len(qs) > 1:
+                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                    lines = list(pool.map(_hypj_line, qs, chunksize=64))
+            else:
+                lines = [_hypj_line(q) for q in qs]
+            for line in lines:
+                print(line, file=fh)
         certified = sum(1 for l in lines if '"NOT_FOUND"' not in l)
         missing = [q for q, l in zip(qs, lines) if '"NOT_FOUND"' in l]
-        if args.out:
-            with open(args.out, "w") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-        else:
-            for line in lines:
-                print(line)
         print(f"{len(qs)} prime powers, {certified} certificates, "
               f"not found: {missing if missing else 'none'}")
         return 0

@@ -7,9 +7,11 @@ base path of q+1 points whose return to the vertical axis is multiplication
 by a constant; when that constant generates GF(q)*, glued paths sweep the
 whole affine plane.  Everything longer or shorter is surgery on that chain.
 
-Each public constructor returns a chain only after its embedding has
-passed ``graphs.emit`` once, in the plane the chain is returned in.
-Intermediate chains that are never returned are not verified on their own.
+Every chain is a walk of points in traversal order; its lines are never
+kept by hand.  Each public constructor hands its walk to ``graphs.emit``
+once, in the plane the chain is returned in, and the verifier derives the
+edge lines.  Intermediate walks that are never returned are not verified
+on their own.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .gf import (
 from .graphs import ConstructionFailed, Embedding, cycle_graph, emit
 from .oracle import search_unverified
 from .plane import (
-    LINE_INF,
     AffinePoint,
     GenericPlane,
     affine_coords,
@@ -40,7 +41,6 @@ from .plane import (
     canon,
     incident,
     intersect,
-    line_through,
     parabola_points,
     parallel_line,
     pg_from_field,
@@ -216,13 +216,14 @@ def path_closed_form(q: int, alpha, beta, i: int) -> AffinePoint:
 
 @dataclass(frozen=True)
 class CycleChain:
-    """A closed cycle given in traversal order: lines[i] joins points[i]
-    and points[i+1 mod length]."""
+    """A closed cycle given in traversal order, points[i] adjacent to
+    points[i+1 mod length], with the embedding of C_length that
+    ``graphs.emit`` returned for it: its edge lines are the verifier's."""
 
     model: str  # AG | PG | CYCLIC
     q: int
     points: tuple
-    lines: tuple
+    embedding: Embedding
 
     @property
     def length(self) -> int:
@@ -232,18 +233,15 @@ class CycleChain:
         return plane_for(self.model, self.q)
 
     def to_embedding(self) -> Embedding:
-        """The chain as an embedding of C_length; its lines are the edge images."""
-        L, lines = self.length, self.lines
-        # cycle_graph(L).edges is sorted: (0,1), (0,L-1), (1,2), ..., (L-2,L-1);
-        # a lines tuple of the wrong length gives the wrong number of images
-        edge_images = lines[:1] + lines[L - 1 :] + lines[1 : L - 1]
-        return Embedding(self.model, self.q, cycle_graph(L), self.points, edge_images)
+        """The chain as the verified embedding of C_length."""
+        return self.embedding
 
 
-def _emit_chain(chain: CycleChain, k: int) -> CycleChain:
-    # the requested k, so that a chain of the wrong length fails
-    emit(cycle_graph(k), chain.to_embedding(), chain.default_plane())
-    return chain
+def _emit_chain(model: str, q: int, points, k: int) -> CycleChain:
+    # the requested k, so that a walk of the wrong length fails
+    plane = plane_for(model, q)
+    emb = emit(cycle_graph(k), points, plane)
+    return CycleChain(model, q, emb.vertex_images, emb)
 
 
 # ---------------------------------------------------------------------------
@@ -252,39 +250,34 @@ def _emit_chain(chain: CycleChain, k: int) -> CycleChain:
 
 def long_cycle(q: int, labeling=None) -> CycleChain:
     """Glue the beta-orbit of base paths along their class-1 return lines."""
-    lab = _resolve_labeling(q, labeling)
-    chain = _long_chain(q, lab)
-    return _emit_chain(chain, chain.length)
+    points = _long_chain(q, _resolve_labeling(q, labeling))
+    return _emit_chain("AG", q, points, len(points))
 
 
-def _long_chain(q: int, lab: SlopeLabeling) -> CycleChain:
+def _long_chain(q: int, lab: SlopeLabeling) -> tuple:
+    # each path's last point returns to the next path's first along class 1
     spec = lab.spec
     first = base_path(q, lab, spec.one_el)
     m = first.multiplier
-    points, lines = [], []
-    b = spec.one_el
+    points, b = [], spec.one_el
     for t in range(element_order(m)):
         path = first if t == 0 else base_path(q, lab, b)
         points.extend(P.triple() for P in path.points)
-        lines.extend(path.links)
-        lines.append(path.return_line)
         b = m * b
-    return CycleChain("AG", q, tuple(points), tuple(lines))
+    return tuple(points)
 
 
 def cycle_q2(q: int, labeling=None) -> CycleChain:
     """Reroute one chain edge through the origin, covering all of AG(2,q)."""
     lab = _resolve_labeling(q, labeling)
-    return _emit_chain(_through_origin(q, lab, _long_chain(q, lab)), q * q)
+    return _emit_chain("AG", q, _through_origin(q, _long_chain(q, lab)), q * q)
 
 
-def _through_origin(q: int, lab: SlopeLabeling, chain: CycleChain) -> CycleChain:
-    if chain.length != q * q - 1:
+def _through_origin(q: int, chain: tuple) -> tuple:
+    if len(chain) != q * q - 1:
         raise ValueError("rerouting needs the full-orbit long cycle")
     # drop the edge P_0(beta=1) -- P_1 and run both ends into O instead
-    points = ((0, 0, 1),) + chain.points[1:] + (chain.points[0],)
-    lines = (lab.through_o_line(1),) + chain.lines[1:] + (lab.through_o_line(0),)
-    return CycleChain("AG", q, points, lines)
+    return ((0, 0, 1),) + chain[1:] + (chain[0],)
 
 
 @lru_cache(maxsize=None)
@@ -296,13 +289,6 @@ def _default_chain(q: int):
 
 # ---------------------------------------------------------------------------
 # arcs for the short cycles
-
-
-def _polygon_chain(q: int, spec: FieldSpec, pts: list) -> CycleChain:
-    # the cycle through pts in order, closed by the line from the last to the first
-    k = len(pts)
-    lines = [line_through(spec, pts[i], pts[(i + 1) % k]) for i in range(k)]
-    return CycleChain("AG", q, tuple(pts), tuple(lines))
 
 
 def _ellipse_points(q: int, spec: FieldSpec) -> list:
@@ -327,63 +313,45 @@ def _ellipse_points(q: int, spec: FieldSpec) -> list:
 # pancyclicity constructors
 
 
-def _oracle_chain(k: int, plane) -> CycleChain:
-    # unverified: _emit_chain verifies the chain once
-    res = search_unverified(cycle_graph(k), plane)
-    if res.status != "found":
-        raise ConstructionFailed(f"search gave {res.status} for a {k}-cycle in {plane}")
-    pts, e = res.embedding.vertex_images, res.embedding.edge_images
-    # back from sorted edge order to traversal order (see CycleChain.to_embedding)
-    return CycleChain(plane.model, plane.q, pts, e[:1] + e[2:] + e[1:2])
+def _oracle_chain(k: int, plane) -> list:
+    # unverified: the caller's emit verifies the walk once
+    status, images, _ = search_unverified(cycle_graph(k), plane)
+    if images is None:
+        raise ConstructionFailed(f"search gave {status} for a {k}-cycle in {plane}")
+    return images
 
 
 def ag_cycle(q: int, k: int) -> CycleChain:
     """A k-cycle in AG(2,q) for any feasible k (3 <= k <= q^2)."""
-    return _emit_chain(_ag_chain(q, k), k)
+    return _emit_chain("AG", q, _ag_chain(q, k), k)
 
 
-def _ag_chain(q: int, k: int) -> CycleChain:
+def _ag_chain(q: int, k: int):
     spec = field_for(q)
     if not 3 <= k <= q * q:
         raise ValueError(f"k={k} outside 3..{q * q}")
     if q in (2, 3):
         return _oracle_chain(k, ag_from_field(q))
     if k <= q:
-        return _polygon_chain(q, spec, parabola_points(spec, k))
+        return parabola_points(spec, k)
     if k == q + 1:
-        return _polygon_chain(q, spec, _ellipse_points(q, spec))
-    lab, chain = _default_chain(q)
+        return _ellipse_points(q, spec)
+    _, chain = _default_chain(q)
     if k == q * q - 1:
         return chain
     if k == q * q:
-        return _through_origin(q, lab, chain)
-    return _surgery_chain(q, k, lab, chain)
+        return _through_origin(q, chain)
+    return _surgery_chain(q, k, chain)
 
 
-def _surgery_chain(q: int, k: int, lab: SlopeLabeling, chain: CycleChain) -> CycleChain:
-    # open the long chain after k-1 points and close through O; when the
-    # natural closing class collides with the opening line, skip one period
-    # ahead along a through-O line instead
-    ch, cl = chain.points, chain.lines
-    N = q * q - 1
-    n = q + 1
-    O = (0, 0, 1)
-    r = (k - 1) % n
-    if r >= 2:
-        pts = (O,) + ch[1:k]
-        lines = (lab.through_o_line(1),) + cl[1 : k - 1] + (lab.through_o_line(r),)
-        return CycleChain("AG", q, pts, lines)
-    c = (k - 3) % n
-    j2 = (k - 3 + n) % N
-    j3 = (k - 2 + n) % N
-    jump = lab.through_o_line(c)
-    pts = (O,) + ch[1 : k - 2] + (ch[j2], ch[j3])
-    lines = (
-        (lab.through_o_line(1),)
-        + cl[1 : k - 3]
-        + (jump, cl[j2], lab.through_o_line((c + 1) % n))
-    )
-    return CycleChain("AG", q, pts, lines)
+def _surgery_chain(q: int, k: int, chain: tuple) -> tuple:
+    # open the long chain after k-1 points and close through O along the
+    # through-O line of class (k-1) mod (q+1); when that class collides with
+    # the opening line l_1, skip one period ahead along a through-O line instead
+    N, n, O = q * q - 1, q + 1, (0, 0, 1)
+    if (k - 1) % n >= 2:
+        return (O,) + chain[1:k]
+    return (O,) + chain[1 : k - 2] + (chain[(k - 3 + n) % N], chain[(k - 2 + n) % N])
 
 
 def pg_cycle(q: int, k: int) -> CycleChain:
@@ -395,108 +363,58 @@ def pg_cycle(q: int, k: int) -> CycleChain:
     if k == top:
         return singer_cycle(q)
     if q in (2, 3):
-        chain = _oracle_chain(k, pg_from_field(q))
+        points = _oracle_chain(k, pg_from_field(q))
     elif k <= q * q:
-        ag = _ag_chain(q, k)
-        chain = CycleChain("PG", q, ag.points, ag.lines)
+        points = _ag_chain(q, k)
     else:
-        chain = _ladder_chain(q, k)
-    return _emit_chain(chain, k)
+        points = _ladder_chain(q, k)
+    return _emit_chain("PG", q, points, k)
 
 
-def _ladder_chain(q: int, k: int) -> CycleChain:
+def _ladder_chain(q: int, k: int) -> tuple:
     """The q^2+1 .. q^2+q rungs: splice infinite points into the long chain."""
-    lab, chain = _default_chain(q)
-    ch, cl = chain.points, chain.lines
+    lab, ch = _default_chain(q)
     n = q + 1
-    N = q * q - 1
     O = (0, 0, 1)
-    l = [lab.through_o_line(i) for i in range(n)]
     d = [lab.direction_point(i) for i in range(n)]
 
     def Q(c):
         # class-c point of the final glued path
         return ch[q * q - q - 2 + c]
 
-    seg_pts = ch[1 : q * q - q]  # P_1 .. P_{q^2-q-1}
-    seg_lines = cl[1 : q * q - q]  # ends with the link into Q(2)
-
     def tail(t0):
-        pts, lines = [], []
-        for t in range(t0, q + 1):
-            pts += [d[t], Q(t)]
-            lines += [cl[q * q - q - 4 + t], l[t]]
-        return pts, lines
+        return tuple(p for t in range(t0, q + 1) for p in (d[t], Q(t)))
 
+    seg = ch[1 : q * q - q]  # P_1 .. P_{q^2-q-1}, ending in the link into Q(2)
     delta = q * q + q - k
     if delta == 0:
-        return _full_rung(q, lab, chain)
+        return _full_rung(q, lab, ch)
     if delta == 1:
-        tp, tl = tail(4)
-        pts = seg_pts + (Q(2), d[2], d[3], Q(3)) + tuple(tp) + (ch[0], O)
-        lines = (
-            seg_lines
-            + (l[2], LINE_INF, l[3])
-            + tuple(tl)
-            + (cl[N - 1], l[0], l[1])
-        )
-    elif delta == 2:
-        tp, tl = tail(4)
-        pts = seg_pts + (Q(2), d[2], d[3], Q(3)) + tuple(tp) + (ch[0],)
-        lines = seg_lines + (l[2], LINE_INF, l[3]) + tuple(tl) + (cl[N - 1], cl[0])
-    elif delta == 3:
-        tp, tl = tail(4)
-        pts = seg_pts + (Q(2), O, Q(3)) + tuple(tp) + (ch[0],)
-        lines = seg_lines + (l[2], l[3]) + tuple(tl) + (cl[N - 1], cl[0])
-    elif delta == 4:
-        tp, tl = tail(4)
-        pts = seg_pts + (d[3], Q(3)) + tuple(tp) + (ch[0],)
-        lines = seg_lines + (l[3],) + tuple(tl) + (cl[N - 1], cl[0])
-    elif delta % 2 == 1:
+        return seg + (Q(2), d[2], d[3], Q(3)) + tail(4) + (ch[0], O)
+    if delta == 2:
+        return seg + (Q(2), d[2], d[3], Q(3)) + tail(4) + (ch[0],)
+    if delta == 3:
+        return seg + (Q(2), O, Q(3)) + tail(4) + (ch[0],)
+    if delta == 4:
+        return seg + (d[3], Q(3)) + tail(4) + (ch[0],)
+    if delta % 2 == 1:
         i = (delta + 3) // 2  # skip the loop back through classes 4..i
-        tp, tl = tail(i + 1)
-        pts = seg_pts + (d[3], O, Q(i)) + tuple(tp) + (ch[0],)
-        lines = seg_lines + (l[3], l[i]) + tuple(tl) + (cl[N - 1], cl[0])
-    else:
-        i = (delta + 4) // 2
-        tp, tl = tail(i + 1)
-        pts = seg_pts + (d[3], d[2], O, Q(i)) + tuple(tp) + (ch[0],)
-        lines = seg_lines + (LINE_INF, l[2], l[i]) + tuple(tl) + (cl[N - 1], cl[0])
-    return CycleChain("PG", q, tuple(pts), tuple(lines))
+        return seg + (d[3], O, Q(i)) + tail(i + 1) + (ch[0],)
+    i = (delta + 4) // 2
+    return seg + (d[3], d[2], O, Q(i)) + tail(i + 1) + (ch[0],)
 
 
-def _full_rung(q: int, lab: SlopeLabeling, chain: CycleChain) -> CycleChain:
+def _full_rung(q: int, lab: SlopeLabeling, ch: tuple) -> list:
     # the q^2+q cycle: all points but one, every line except one chain link
-    ch, cl = chain.points, chain.lines
     n = q + 1
     O = (0, 0, 1)
-    l = [lab.through_o_line(i) for i in range(n)]
     d = [lab.direction_point(i) for i in range(n)]
-    m = q * q - q - 2  # first index of the final path
-
-    def R(j):
-        return ch[m + j]
-
-    def Lam(j):
-        return cl[m + j]
-
-    pts = list(ch[: m - 1]) + [ch[m - 1], d[1], O, d[2], R(1), R(2), R(3), d[3], d[4]]
-    lines = list(cl[: m - 2]) + [
-        cl[m - 2],
-        cl[m - 1],  # the glue line into the final path, ridden to d[1]
-        l[1],
-        l[2],
-        Lam(0),
-        Lam(1),
-        Lam(2),
-        l[3],
-        LINE_INF,
-        l[4],
-    ]
+    m = q * q - q - 2  # first index of the final path, whose points are ch[m + j]
+    # ch[m-1] rides the glue line into the final path on to d[1]
+    pts = list(ch[:m]) + [d[1], O, d[2], ch[m + 1], ch[m + 2], ch[m + 3], d[3], d[4]]
     for i in range(4, q + 1):
-        pts += [R(i), d[(i + 1) % n]]
-        lines += [Lam(i - 1), l[(i + 1) % n]]
-    return CycleChain("PG", q, tuple(pts), tuple(lines))
+        pts += [ch[m + i], d[(i + 1) % n]]
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +470,4 @@ def plane_for(model: str, q: int):
 def singer_cycle(q: int) -> CycleChain:
     """The Hamiltonian cycle 0,1,...,n-1 of the cyclic plane model."""
     n = q * q + q + 1
-    plane = cyclic_plane(q)
-    lines = [plane.line_between(i, (i + 1) % n) for i in range(n)]
-    return _emit_chain(CycleChain("CYCLIC", q, tuple(range(n)), tuple(lines)), n)
+    return _emit_chain("CYCLIC", q, range(n), n)

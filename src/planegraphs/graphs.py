@@ -2,14 +2,16 @@
 
 An embedding maps vertices to distinct plane points and edges to distinct
 plane lines, each edge's line passing through both endpoint images.  Since
-two points span one line, the edge map is determined by the vertex map;
-stored edge images are an audit trail the verifier recomputes.
+two points span one line, the edge map is determined by the vertex map:
+a construction hands ``emit`` vertex images alone, and the edge images of
+the embedding it returns are the lines the verifier derives, once each.
+Stored edge images, as in an embedding file, are compared with those.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .plane import FormatError, format_errors
@@ -118,6 +120,17 @@ def graph_from_json(doc: dict) -> Graph:
         raise FormatError(f"unknown graph kind {kind!r}")
 
 
+def declared_size(doc) -> Optional[int]:
+    """The vertex count a CYCLE, WHEEL or GEAR document declares, read
+    without building the graph, when its parameter is an integer >= 3 (so
+    the build cannot fail); None for any other document."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    p = doc.get("k" if kind == "CYCLE" else "n") if kind in ("CYCLE", "WHEEL", "GEAR") else None
+    if type(p) is int and p >= 3:  # else the build fails, or costs no more than the file
+        return {"CYCLE": p, "WHEEL": p + 1, "GEAR": 2 * p + 1}[kind]
+    return None
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -127,7 +140,7 @@ class Embedding:
     q: int
     graph: Graph
     vertex_images: tuple  # indexed by vertex id; triples or int ids
-    edge_images: tuple  # aligned with graph.edges
+    edge_images: Optional[tuple]  # aligned with graph.edges; None until derived
 
 
 @dataclass
@@ -137,6 +150,7 @@ class VerifyReport:
     edges_injective: bool
     degree_bound_ok: bool
     violations: list
+    lines: tuple  # each edge's derived line, None where no line joins its ends
 
     @property
     def ok(self) -> bool:
@@ -153,14 +167,18 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
     """Check an embedding against the plane it claims to live in, a
     coordinate plane or a generic one.
 
-    Structural mismatches (wrong plane, image outside the plane) raise;
-    mathematical failures are collected into the report.
+    Each edge's line is derived once, from its endpoint images, and handed
+    back as ``lines``; stored edge images, where the embedding has them,
+    are compared with the derived ones.  Structural mismatches (wrong
+    plane, image outside the plane) raise; mathematical failures are
+    collected into the report.
     """
     if emb.graph.edges != graph.edges or emb.graph.n_vertices != graph.n_vertices:
         raise ValueError("embedding was built for a different graph")
     if len(emb.vertex_images) != graph.n_vertices:
         raise ValueError("one image per vertex required")
-    if len(emb.edge_images) != len(graph.edges):
+    stored = emb.edge_images
+    if stored is not None and len(stored) != len(graph.edges):
         raise ValueError("one image per edge required")
     if emb.model != plane.model or emb.q != plane.q:
         raise ValueError(f"embedding targets {emb.model}(2,{emb.q}), got {plane}")
@@ -168,41 +186,43 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
         if not plane.contains(P):
             raise ValueError(f"vertex {v} image {P!r} is not a point of {plane}")
 
-    violations, recomputed = [], []
-    for (u, v), stored in zip(graph.edges, emb.edge_images):
+    violations, lines = [], []
+    for i, (u, v) in enumerate(graph.edges):
         P, Q = emb.vertex_images[u], emb.vertex_images[v]
         line = plane.line_between(P, Q)
-        recomputed.append(line)
+        lines.append(line)
         if line is None:
             why = " endpoints map to one point" if P == Q else f": no line joins points {P},{Q}"
             violations.append(f"edge {(u, v)}{why}")
-        elif stored != line:
-            violations.append(f"edge {(u, v)} stores line {stored}, its endpoints span {line}")
+        elif stored is not None and stored[i] != line:
+            violations.append(f"edge {(u, v)} stores line {stored[i]}, its endpoints span {line}")
 
     vertices_injective = len(set(emb.vertex_images)) == graph.n_vertices
     if not vertices_injective:
         violations.append("vertex images collide")
-    edges_well_defined = all(l is not None for l in recomputed)
-    defined = [l for l in recomputed if l is not None]
+    edges_well_defined = all(l is not None for l in lines)
+    defined = [l for l in lines if l is not None]
     edges_injective = len(set(defined)) == len(defined)
     if not edges_injective:
         violations.append("edge lines collide")
     degree_bound_ok = graph.max_degree <= plane.max_pencil
     if not degree_bound_ok:
         violations.append(f"max degree {graph.max_degree} exceeds pencil size {plane.max_pencil}")
-    return VerifyReport(
-        vertices_injective, edges_well_defined, edges_injective, degree_bound_ok, violations
-    )
+    return VerifyReport(vertices_injective, edges_well_defined, edges_injective,
+                        degree_bound_ok, violations, tuple(lines))
 
 
-def emit(graph: Graph, emb: Embedding, plane) -> Embedding:
-    """Return a constructed embedding once it passes the verifier.
+def emit(graph: Graph, vertex_images, plane) -> Embedding:
+    """The embedding of ``graph`` in ``plane`` with these vertex images,
+    returned once it passes the verifier; its edge images are the lines the
+    verifier derived, and its model and order are the plane's.
 
     This is the one check between a construction and its caller, so it
     raises instead of asserting: it holds under ``python -O`` too.  A
-    failed verification, or an embedding that does not even fit the graph
-    or the plane, raises ConstructionFailed.
+    failed verification, or images that do not even fit the graph or the
+    plane, raises ConstructionFailed.
     """
+    emb = Embedding(plane.model, plane.q, graph, tuple(vertex_images), None)
     try:
         rep = verify_embedding(graph, emb, plane)
     except ValueError as e:
@@ -211,7 +231,7 @@ def emit(graph: Graph, emb: Embedding, plane) -> Embedding:
         raise ConstructionFailed(
             f"{graph.kind} in {plane} fails verification: " + "; ".join(rep.violations)
         )
-    return emb
+    return replace(emb, edge_images=rep.lines)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +279,9 @@ def read_embedding(path) -> Embedding:
             raise FormatError(f"unknown plane model {model!r}")
         if not isinstance(q, int) or q < 2:
             raise FormatError(f"bad plane order {q!r}")
-        graph = graph_from_json(doc["graph"])
+        # a CYCLE, WHEEL or GEAR graph is built only once the vertex list fits it
+        size = declared_size(doc["graph"])
+        graph = graph_from_json(doc["graph"]) if size is None else None
         vimg: dict = {}
         for item in doc["vertices"]:
             v, raw = item
@@ -267,8 +289,10 @@ def read_embedding(path) -> Embedding:
             if v in vimg:
                 raise FormatError(f"vertex {v} listed twice")
             vimg[v] = _img_load(raw, model)
-        if sorted(vimg) != list(range(graph.n_vertices)):
+        n = graph.n_vertices if graph else size
+        if len(vimg) != n or sorted(vimg) != list(range(n)):
             raise FormatError("vertex list must cover 0..n-1 exactly once")
+        graph = graph or graph_from_json(doc["graph"])
         eimg = {}
         for item in doc["edges"]:
             (u, v), raw = item

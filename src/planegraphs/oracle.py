@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Embedding, Graph, cycle_graph, emit, make_embedding
+from .graphs import Embedding, Graph, cycle_graph, emit
 from .plane import CoordPlane, GenericPlane
 
 DEFAULT_BUDGET = 10**8
@@ -160,25 +160,22 @@ def exists_embedding(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> Oracl
     """Depth-first search for an embedding in a generic or coordinate plane.
 
     A found embedding comes back in the plane's own points (coordinates
-    for a coordinate plane), verified once, in that plane: the embedding
-    returned is the one checked.
+    for a coordinate plane), as ``graphs.emit`` returns it: verified once,
+    in that plane.
     """
-    res = search_unverified(graph, plane, budget)
-    if res.embedding is not None:
-        emit(graph, res.embedding, plane)
-    return res
+    status, img, count = search_unverified(graph, plane, budget)
+    return OracleResult(status, None if img is None else emit(graph, img, plane), count)
 
 
-def search_unverified(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """The search of ``exists_embedding``, its result unverified: for
-    constructors, which hand it to ``graphs.emit``."""
+def search_unverified(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> tuple:
+    """The search of ``exists_embedding``, unverified: (status, vertex images
+    in the plane's own points or None, expansions), for constructors, which
+    hand the images to ``graphs.emit``."""
     ids, points = _id_plane(plane)
     status, img, count = _search(graph, ids, budget)
-    if img is None:
-        return OracleResult(status, None, count)
-    if points is not None:
+    if img is not None and points is not None:
         img = [points[i] for i in img]
-    return OracleResult(status, make_embedding(graph, img, plane), count)
+    return status, img, count
 
 
 def _id_plane(plane) -> tuple:

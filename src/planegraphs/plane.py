@@ -236,7 +236,8 @@ class CoordPlane:
     def contains(self, P: Triple) -> bool:
         if type(P) is not tuple or len(P) != 3 or not any(P):
             return False
-        if not all(0 <= v < self.q for v in P) or canon(self.spec, P) != P:
+        # canonical: the first nonzero entry is 1
+        if not all(0 <= v < self.q for v in P) or next(v for v in P if v) != 1:
             return False
         if self.model == "AG" and not is_affine(P):
             return False

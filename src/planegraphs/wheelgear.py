@@ -10,9 +10,10 @@ chosen greedily.  In a loaded generic plane the routes are a greedy arc
 and the gear from it, with the exhaustive oracle last.
 
 Every route is a generator of (vertex images, route) candidates, in either
-kind of plane.  One loop, ``_first_plan``, embeds each candidate, hands it
-to ``graphs.emit`` to be verified once, and returns the first that passes
-as a ``Plan``; no route returns an unchecked embedding.
+kind of plane.  One loop, ``_first_plan``, hands each candidate's images
+to ``graphs.emit``, which verifies them once and derives the edge lines,
+and returns the first that passes as a ``Plan``; no route returns an
+unchecked embedding.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .graphs import (
     ImpossibleDegree,
     emit,
     gear_graph,
-    make_embedding,
     wheel_graph,
 )
 from .oracle import search_unverified
@@ -68,17 +68,17 @@ class Plan:
 
 
 def _first_plan(graph: Graph, candidates, plane) -> Plan:
-    """The plan of the first (vertex images, route) candidate that embeds
-    and passes ``emit``; the one place a route's images are embedded and
-    verified, once each.  A candidate that raises ValueError (two images no
-    line joins) or ConstructionFailed is skipped, and when all fail the last
-    failure is raised.  A route that raises while yielding ends the loop.
+    """The plan of the first (vertex images, route) candidate that passes
+    ``emit``; the one place a route's images are embedded and verified,
+    once each.  A candidate ``emit`` refuses is skipped, and when all fail
+    the last refusal is raised.  A route that raises while yielding ends
+    the loop.
     """
     failure = ConstructionFailed(f"no {graph.kind.lower()} candidate in {plane}")
     for images, route in candidates:
         try:
-            emb = emit(graph, make_embedding(graph, images, plane), plane)
-        except (ValueError, ConstructionFailed) as e:
+            emb = emit(graph, images, plane)
+        except ConstructionFailed as e:
             failure = e
             continue
         spokes = tuple(img for (u, _), img in zip(graph.edges, emb.edge_images) if u == 0)
@@ -99,10 +99,10 @@ def _setup(kind: str, q: int, n: int, plane) -> tuple:
 
 def _searched(graph: Graph, plane) -> tuple:
     """The exhaustive oracle's candidate, in coordinates for a CoordPlane."""
-    res = search_unverified(graph, plane)
-    if res.status != "found":
-        raise ConstructionFailed(f"{graph.kind.lower()} search ended with {res.status}")
-    return res.embedding.vertex_images, ROUTE_ORACLE
+    status, images, _ = search_unverified(graph, plane)
+    if images is None:
+        raise ConstructionFailed(f"{graph.kind.lower()} search ended with {status}")
+    return images, ROUTE_ORACLE
 
 
 # ---------------------------------------------------------------------------

@@ -422,3 +422,57 @@ def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["gear", "sweep", "--q-max", "3", "--out", "nod/x.txt"], "gear_plan"),
+    (["hypj", "sweep", "--max", "100", "--out", "nod/x.txt"], "hypothesis_j_search"),
+])
+def test_sweep_opens_its_out_file_first(argv, work, tmp_path, monkeypatch, capsys):
+    # an unusable output path is refused before any cell of the sweep runs
+    import planegraphs.cli as cli
+
+    calls = []
+    real = getattr(cli, work)
+    monkeypatch.setattr(cli, work, lambda *a: calls.append(a) or real(*a))
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, calls) == (2, "", [])
+    assert err.startswith("error: [Errno 2] ")
+
+
+def _run_capped(argv, cwd):
+    # the child's address space is capped, so that a graph or vertex range
+    # built anyway fails the calling test instead of exhausting memory
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "planegraphs.cli", *argv], capture_output=True, text=True,
+        timeout=10, cwd=cwd, preexec_fn=cap, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+_HUGE_GRAPHS = {
+    "cycle": {"kind": "CYCLE", "k": 10**15},
+    "wheel": {"kind": "WHEEL", "n": 10**15},
+    "gear": {"kind": "GEAR", "n": 10**15},
+    "edge_list": {"kind": "EDGE_LIST", "vertices": 10**15, "edges": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_GRAPHS))
+def test_declared_size_is_checked_before_the_graph_is_built(name, tmp_path):
+    # graph files far beyond any buildable size
+    doc = _HUGE_GRAPHS[name]
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    emb = {"plane": {"model": "PG", "q": 2}, "graph": doc, "vertices": [], "edges": []}
+    (tmp_path / "e.json").write_text(json.dumps(emb))
+    proc = _run_capped(["oracle", "--graph", "g.json", "--plane", "pg:2"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, '{"status":"notfound","expansions":0}\n')
+    proc = _run_capped(["verify", "e.json"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot read embedding: vertex list must cover 0..n-1 exactly once\n")

@@ -28,7 +28,6 @@ from planegraphs.gf import (
 )
 from planegraphs.graphs import (
     ConstructionFailed,
-    Embedding,
     cycle_graph,
     embedding_to_json,
     emit,
@@ -125,7 +124,7 @@ def test_long_cycle_length_law(q):
     assert verify_embedding(emb.graph, emb, chain.default_plane()).ok
     # no chain line may pass through the origin
     spec = lab.spec
-    for l in chain.lines:
+    for l in emb.edge_images:
         assert not incident(spec, (0, 0, 1), l)
 
 
@@ -237,9 +236,8 @@ def test_failure_message_names_the_plane_briefly():
     # the plane's repr leaves out its lines: 757 of them for q = 27
     plane = cyclic_plane(27)
     graph = cycle_graph(3)
-    bad = Embedding("CYCLIC", 27, graph, (0, 0, 1), (0, 0, 0))
     with pytest.raises(ConstructionFailed) as info:
-        emit(graph, bad, plane)
+        emit(graph, (0, 0, 1), plane)
     assert "fails verification" in str(info.value)
     assert len(str(info.value)) < 300
 
@@ -269,9 +267,55 @@ def test_singer_cycle_full_rung(q):
     assert chain.model == "CYCLIC"
     assert chain.length == n
     assert len(set(chain.points)) == n
-    assert len(set(chain.lines)) == n
     emb = chain.to_embedding()
+    assert len(set(emb.edge_images)) == n
     assert verify_embedding(emb.graph, emb, cyclic_plane(q)).ok
+
+
+# one construction per rung of the cycle constructors: (constructor, arguments)
+RUNGS = {
+    "parabola": (ag_cycle, (5, 4)),
+    "ellipse": (ag_cycle, (5, 6)),
+    "surgery_close": (ag_cycle, (5, 10)),
+    "surgery_skip": (ag_cycle, (5, 13)),
+    "long_in_ag": (ag_cycle, (5, 24)),
+    "long_cycle": (long_cycle, (5,)),
+    "through_origin": (ag_cycle, (5, 25)),
+    "cycle_q2": (cycle_q2, (5,)),
+    "pg_from_ag": (pg_cycle, (5, 20)),
+    "ladder_1": (pg_cycle, (5, 29)),
+    "ladder_2": (pg_cycle, (5, 28)),
+    "ladder_3": (pg_cycle, (5, 27)),
+    "ladder_4": (pg_cycle, (5, 26)),
+    "ladder_odd": (pg_cycle, (7, 51)),
+    "ladder_even": (pg_cycle, (7, 50)),
+    "full_rung": (pg_cycle, (5, 30)),
+    "oracle_ag": (ag_cycle, (3, 5)),
+    "oracle_pg": (pg_cycle, (3, 7)),
+    "singer_in_pg": (pg_cycle, (4, 21)),
+    "singer_cycle": (singer_cycle, (5,)),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(RUNGS))
+def test_each_constructor_emits_once(rung, monkeypatch):
+    # a chain carries the embedding emit returned: verified once, never rebuilt
+    import planegraphs.cycles as cycles
+
+    seen = []
+    real = cycles.emit
+
+    def spy(graph, images, plane):
+        emb = real(graph, images, plane)
+        seen.append(emb)
+        return emb
+
+    monkeypatch.setattr(cycles, "emit", spy)
+    build, args = RUNGS[rung]
+    chain = build(*args)
+    assert len(seen) == 1
+    assert chain.to_embedding() is seen[0]
+    assert seen[0].vertex_images == chain.points
 
 
 def _cycles_digest(builds) -> str:

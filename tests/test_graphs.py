@@ -122,9 +122,8 @@ def test_emit_refuses_images_of_the_other_plane_kind():
         (cyclic_plane(3), ((0, 0, 1), (1, 0, 1), (0, 1, 1))),
         (cyclic_plane(3), (0, True, 2)),  # a bool is no point id either
     ):
-        bad = Embedding(plane.model, 3, graph, imgs, (0, 0, 0))
         with pytest.raises(ConstructionFailed, match="is not a point of"):
-            emit(graph, bad, plane)
+            emit(graph, imgs, plane)
 
 
 def test_embedding_file_round_trip(tmp_path):
@@ -273,4 +272,24 @@ def test_package_imports_no_unused_name():
                     name = alias.asname or alias.name.partition(".")[0]
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_only_graphs_builds_embeddings():
+    # every construction hands vertex images to ``emit``, whose verifier
+    # derives the edge lines once; so no other module makes an embedding
+    import ast
+    from pathlib import Path
+
+    import planegraphs
+
+    found = []
+    for path in sorted(Path(planegraphs.__file__).parent.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) in ("Embedding", "make_embedding"):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []

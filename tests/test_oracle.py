@@ -78,9 +78,10 @@ def test_returned_embedding_is_the_one_verified(monkeypatch):
     seen = []
     real_emit = oracle.emit
 
-    def spy(graph, emb, plane):
+    def spy(graph, images, plane):
+        emb = real_emit(graph, images, plane)
         seen.append((emb, plane))
-        return real_emit(graph, emb, plane)
+        return emb
 
     monkeypatch.setattr(oracle, "emit", spy)
     plane = pg_from_field(3)

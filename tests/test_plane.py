@@ -1,7 +1,7 @@
 """Coordinate planes, canonical triples, axiom checks, plane files."""
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -236,3 +236,21 @@ def test_only_plane_touches_the_cache():
             if isinstance(node, ast.Attribute) and node.attr == "_cache":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _reference_contains(plane, P) -> bool:
+    # the rule as canon states it: in range, not zero, canon leaves it alone
+    if not any(P) or not all(0 <= v < plane.q for v in P) or canon(plane.spec, P) != P:
+        return False
+    return plane.model == "PG" or is_affine(P)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_contains_is_the_canonical_rule(q):
+    # every int triple one step past the range on either side
+    for plane in (pg_from_field(q), ag_from_field(q)):
+        inside = 0
+        for P in product(range(-1, q + 1), repeat=3):
+            assert plane.contains(P) == _reference_contains(plane, P), (plane, P)
+            inside += plane.contains(P)
+        assert inside == plane.n_points

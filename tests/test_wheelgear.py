@@ -305,3 +305,20 @@ FROZEN_PLANS = {
 @pytest.mark.parametrize("kind,q", sorted(FROZEN_PLANS))
 def test_plans_frozen(kind, q):
     assert _plans_digest(_frozen_cells(kind, q)) == FROZEN_PLANS[kind, q]
+
+
+def test_wheel_derives_each_edge_line_once(monkeypatch):
+    # the verifier's derivation is the only one: one line_between per edge
+    from planegraphs.plane import CoordPlane
+
+    calls = []
+    real = CoordPlane.line_between
+
+    def counting(self, P, Q):
+        calls.append((P, Q))
+        return real(self, P, Q)
+
+    monkeypatch.setattr(CoordPlane, "line_between", counting)
+    plan = wheel_plan(7, 5)
+    assert plan.route == "ARC"
+    assert len(calls) == len(plan.embedding.graph.edges) == 10
