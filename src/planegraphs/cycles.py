@@ -238,7 +238,8 @@ class CycleChain:
 
 
 def _emit_chain(model: str, q: int, points, k: int) -> CycleChain:
-    # the requested k, so that a walk of the wrong length fails
+    # the plane first, so that a refused order builds no graph; then the
+    # requested k, so that a walk of the wrong length fails
     plane = plane_for(model, q)
     emb = emit(cycle_graph(k), points, plane)
     return CycleChain(model, q, emb.vertex_images, emb)
@@ -385,7 +386,7 @@ def _ladder_chain(q: int, k: int) -> tuple:
     def tail(t0):
         return tuple(p for t in range(t0, q + 1) for p in (d[t], Q(t)))
 
-    seg = ch[1 : q * q - q]  # P_1 .. P_{q^2-q-1}, ending in the link into Q(2)
+    seg = ch[1 : q * q - q]  # P_1 .. P_{q^2-q-1}, whose link leads into Q(2)
     delta = q * q + q - k
     if delta == 0:
         return _full_rung(q, lab, ch)
