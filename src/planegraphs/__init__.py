@@ -48,7 +48,6 @@ from .graphs import (
     edge_list_graph,
     emit,
     gear_graph,
-    make_embedding,
     read_embedding,
     verify_embedding,
     wheel_graph,
@@ -57,7 +56,6 @@ from .graphs import (
 from .oracle import DEFAULT_BUDGET, OracleResult, exists_embedding, pancyclicity_table
 from .cycles import (
     BasePath,
-    CycleChain,
     NoCertificate,
     SlopeLabeling,
     ag_cycle,

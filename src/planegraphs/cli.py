@@ -117,18 +117,16 @@ def _cmd_cycle(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         rows = []
         for k in range(3, top + 1):
-            chain = _build_cycle(q, k, args.plane)
-            emb = chain.to_embedding()
-            path = os.path.join(out_dir, f"c{k}.json")
-            write_embedding(emb, path)
-            rows.append((k, chain.length))
+            emb = _build_cycle(q, k, args.plane)
+            write_embedding(emb, os.path.join(out_dir, f"c{k}.json"))
+            rows.append((k, len(emb.vertex_images)))
         for k, length in rows:
             print(f"{k:5d} {length:5d} verified")
         print(f"{len(rows)} cycles -> {out_dir}")
         return 0
     if args.k is None:
         return _usage_error("cycle needs --k (or the sweep mode)")
-    emb = _build_cycle(q, args.k, args.plane).to_embedding()
+    emb = _build_cycle(q, args.k, args.plane)
     out = args.out or f"cycle_{args.plane}_q{q}_k{args.k}.json"
     write_embedding(emb, out)
     print(f"C_{args.k} in {args.plane}:{q} verified -> {out}")
@@ -314,8 +312,10 @@ def _cmd_hypj(args) -> int:
             qs = [q for q in qs if is_prime(q)]
         # the file is opened before the sweep, so that an unusable path costs nothing
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-            if args.jobs > 1 and len(qs) > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # the pool forks all its workers at once: no more than cores or chunks
+            jobs = min(args.jobs, os.cpu_count() or 1, -(-len(qs) // 64))
+            if jobs > 1:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
                     lines = list(pool.map(_hypj_line, qs, chunksize=64))
             else:
                 lines = [_hypj_line(q) for q in qs]

@@ -9,9 +9,11 @@ whole affine plane.  Everything longer or shorter is surgery on that chain.
 
 Every chain is a walk of points in traversal order; its lines are never
 kept by hand.  Each public constructor hands its walk to ``graphs.emit``
-once, in the plane the chain is returned in, and the verifier derives the
-edge lines.  Intermediate walks that are never returned are not verified
-on their own.
+once and returns the verified ``Embedding`` of C_k that comes back: its
+vertex images are the walk, vertex i adjacent to i+1 mod k, its edge
+images the lines the verifier derived, and its model and order name the
+plane (``plane_for``).  Intermediate walks that are never returned are not
+verified on their own.
 """
 
 from __future__ import annotations
@@ -133,8 +135,6 @@ class BasePath:
     labeling: SlopeLabeling
     beta: FieldElement
     points: tuple  # AffinePoint P_0..P_q, with P_i on l_i
-    links: tuple  # q connecting lines
-    return_line: tuple
     return_point: AffinePoint  # Q_0 on l_0
     multiplier: FieldElement  # y(Q_0) / beta
 
@@ -150,14 +150,12 @@ def base_path(q: int, labeling=None, beta=1) -> BasePath:
     origin = (0, 0, 1)
     cur = affine_triple(spec, 0, b.enc)
     pts = [cur]
-    links = []
     for j in range(q):
         # the link leaving P_j has class j+2; P_{j+1} sits on l_{j+1}
         link = lab.class_line_through((j + 2) % n, cur)
         cur = intersect(spec, link, lab.through_o_line(j + 1))
         if cur == origin:
             raise ValueError("path degenerated into the origin")
-        links.append(link)
         pts.append(cur)
     ret = lab.class_line_through(1, cur)
     q0 = intersect(spec, ret, lab.through_o_line(0))
@@ -179,8 +177,6 @@ def base_path(q: int, labeling=None, beta=1) -> BasePath:
         labeling=lab,
         beta=b,
         points=tuple(_ap(t) for t in pts),
-        links=tuple(links),
-        return_line=ret,
         return_point=_ap(q0),
         multiplier=mult,
     )
@@ -214,42 +210,18 @@ def path_closed_form(q: int, alpha, beta, i: int) -> AffinePoint:
 # chains
 
 
-@dataclass(frozen=True)
-class CycleChain:
-    """A closed cycle given in traversal order, points[i] adjacent to
-    points[i+1 mod length], with the embedding of C_length that
-    ``graphs.emit`` returned for it: its edge lines are the verifier's."""
-
-    model: str  # AG | PG | CYCLIC
-    q: int
-    points: tuple
-    embedding: Embedding
-
-    @property
-    def length(self) -> int:
-        return len(self.points)
-
-    def default_plane(self):
-        return plane_for(self.model, self.q)
-
-    def to_embedding(self) -> Embedding:
-        """The chain as the verified embedding of C_length."""
-        return self.embedding
-
-
-def _emit_chain(model: str, q: int, points, k: int) -> CycleChain:
+def _emit_chain(model: str, q: int, points, k: int) -> Embedding:
     # the plane first, so that a refused order builds no graph; then the
     # requested k, so that a walk of the wrong length fails
     plane = plane_for(model, q)
-    emb = emit(cycle_graph(k), points, plane)
-    return CycleChain(model, q, emb.vertex_images, emb)
+    return emit(cycle_graph(k), points, plane)
 
 
 # ---------------------------------------------------------------------------
 # long cycles from glued paths
 
 
-def long_cycle(q: int, labeling=None) -> CycleChain:
+def long_cycle(q: int, labeling=None) -> Embedding:
     """Glue the beta-orbit of base paths along their class-1 return lines."""
     points = _long_chain(q, _resolve_labeling(q, labeling))
     return _emit_chain("AG", q, points, len(points))
@@ -268,7 +240,7 @@ def _long_chain(q: int, lab: SlopeLabeling) -> tuple:
     return tuple(points)
 
 
-def cycle_q2(q: int, labeling=None) -> CycleChain:
+def cycle_q2(q: int, labeling=None) -> Embedding:
     """Reroute one chain edge through the origin, covering all of AG(2,q)."""
     lab = _resolve_labeling(q, labeling)
     return _emit_chain("AG", q, _through_origin(q, _long_chain(q, lab)), q * q)
@@ -322,7 +294,7 @@ def _oracle_chain(k: int, plane) -> list:
     return images
 
 
-def ag_cycle(q: int, k: int) -> CycleChain:
+def ag_cycle(q: int, k: int) -> Embedding:
     """A k-cycle in AG(2,q) for any feasible k (3 <= k <= q^2)."""
     return _emit_chain("AG", q, _ag_chain(q, k), k)
 
@@ -355,7 +327,7 @@ def _surgery_chain(q: int, k: int, chain: tuple) -> tuple:
     return (O,) + chain[1 : k - 2] + (chain[(k - 3 + n) % N], chain[(k - 2 + n) % N])
 
 
-def pg_cycle(q: int, k: int) -> CycleChain:
+def pg_cycle(q: int, k: int) -> Embedding:
     """A k-cycle in PG(2,q) for any feasible k (3 <= k <= q^2+q+1)."""
     field_for(q)  # the order is refused before k
     top = q * q + q + 1
@@ -468,7 +440,7 @@ def plane_for(model: str, q: int):
     return builder(q)
 
 
-def singer_cycle(q: int) -> CycleChain:
+def singer_cycle(q: int) -> Embedding:
     """The Hamiltonian cycle 0,1,...,n-1 of the cyclic plane model."""
     n = q * q + q + 1
     return _emit_chain("CYCLIC", q, range(n), n)

@@ -145,22 +145,12 @@ class Embedding:
 
 @dataclass
 class VerifyReport:
-    vertices_injective: bool
-    edges_well_defined: bool
-    edges_injective: bool
-    degree_bound_ok: bool
-    violations: list
+    violations: list  # empty exactly when the embedding passes
     lines: tuple  # each edge's derived line, None where no line joins its ends
 
     @property
     def ok(self) -> bool:
-        return (
-            self.vertices_injective
-            and self.edges_well_defined
-            and self.edges_injective
-            and self.degree_bound_ok
-            and not self.violations
-        )
+        return not self.violations
 
 
 def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
@@ -197,19 +187,14 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
         elif stored is not None and stored[i] != line:
             violations.append(f"edge {(u, v)} stores line {stored[i]}, its endpoints span {line}")
 
-    vertices_injective = len(set(emb.vertex_images)) == graph.n_vertices
-    if not vertices_injective:
+    if len(set(emb.vertex_images)) != graph.n_vertices:
         violations.append("vertex images collide")
-    edges_well_defined = all(l is not None for l in lines)
     defined = [l for l in lines if l is not None]
-    edges_injective = len(set(defined)) == len(defined)
-    if not edges_injective:
+    if len(set(defined)) != len(defined):
         violations.append("edge lines collide")
-    degree_bound_ok = graph.max_degree <= plane.max_pencil
-    if not degree_bound_ok:
+    if graph.max_degree > plane.max_pencil:
         violations.append(f"max degree {graph.max_degree} exceeds pencil size {plane.max_pencil}")
-    return VerifyReport(vertices_injective, edges_well_defined, edges_injective,
-                        degree_bound_ok, violations, tuple(lines))
+    return VerifyReport(violations, tuple(lines))
 
 
 def emit(graph: Graph, vertex_images, plane) -> Embedding:
@@ -293,17 +278,18 @@ def read_embedding(path) -> Embedding:
         if len(vimg) != n or sorted(vimg) != list(range(n)):
             raise FormatError("vertex list must cover 0..n-1 exactly once")
         graph = graph or graph_from_json(doc["graph"])
+        edges = set(graph.edges)
         eimg = {}
         for item in doc["edges"]:
             (u, v), raw = item
             _check_ids(u, v)
             e = (u, v) if u < v else (v, u)
-            if e not in graph.edges:
+            if e not in edges:
                 raise FormatError(f"edge {e} is not in the graph")
             if e in eimg:
                 raise FormatError(f"edge {e} listed twice")
             eimg[e] = _img_load(raw, model)
-        if set(eimg) != set(graph.edges):
+        if set(eimg) != edges:
             raise FormatError("edge list must cover every graph edge")
     return Embedding(
         model=model,
@@ -313,18 +299,3 @@ def read_embedding(path) -> Embedding:
         edge_images=tuple(eimg[e] for e in graph.edges),
     )
 
-
-def make_embedding(graph: Graph, vertex_images, plane) -> Embedding:
-    """Build an embedding in ``plane`` from vertex images, deriving edge
-    lines; its model and order are the plane's.  An edge whose images no
-    line joins raises ValueError."""
-    vertex_images = tuple(
-        tuple(i) if isinstance(i, (list, tuple)) else i for i in vertex_images
-    )
-    edge_images = []
-    for u, v in graph.edges:
-        line = plane.line_between(vertex_images[u], vertex_images[v])
-        if line is None:
-            raise ValueError(f"no line joins images of edge {(u, v)}")
-        edge_images.append(line)
-    return Embedding(plane.model, plane.q, graph, vertex_images, tuple(edge_images))

@@ -111,9 +111,6 @@ class AffinePoint:
     x: FieldElement
     y: FieldElement
 
-    def pair(self) -> tuple:
-        return (self.x.enc, self.y.enc)
-
     def triple(self) -> Triple:
         return affine_triple(self.x.spec, self.x.enc, self.y.enc)
 
@@ -427,4 +424,7 @@ def load_plane(path) -> GenericPlane:
             if not isinstance(l, list) or not all(type(p) is int for p in l):
                 raise FormatError(f"line {i} is not a list of point ids")
             lines.append(tuple(sorted(l)))
+        # so that what is built per point is bounded by the file's size
+        if n > (ids := sum(map(len, lines))):
+            raise FormatError(f"points {n} exceeds the {ids} point ids the lines list")
     return GenericPlane(q=q, n_points=n, lines=tuple(lines))

@@ -12,8 +12,9 @@ and the gear from it, with the exhaustive oracle last.
 Every route is a generator of (vertex images, route) candidates, in either
 kind of plane.  One loop, ``_first_plan``, hands each candidate's images
 to ``graphs.emit``, which verifies them once and derives the edge lines,
-and returns the first that passes as a ``Plan``; no route returns an
-unchecked embedding.
+and returns the first that passes as a ``Plan``: the route's tag and the
+``Embedding`` that ``emit`` returned.  No route returns an unchecked
+embedding.
 """
 from __future__ import annotations
 
@@ -58,11 +59,10 @@ ROUTE_ORACLE = "ORACLE"
 
 @dataclass(frozen=True)
 class Plan:
-    """A verified wheel or gear embedding with the route that built it."""
+    """A verified wheel or gear embedding with the route that built it.
+    In the embedding the center is vertex 0's image, the rim the rest, in
+    rim order, and the spokes are the edge images of the edges (0, i)."""
 
-    center: object
-    rim: tuple
-    spokes: tuple
     route: str
     embedding: Embedding
 
@@ -81,8 +81,7 @@ def _first_plan(graph: Graph, candidates, plane) -> Plan:
         except ConstructionFailed as e:
             failure = e
             continue
-        spokes = tuple(img for (u, _), img in zip(graph.edges, emb.edge_images) if u == 0)
-        return Plan(emb.vertex_images[0], emb.vertex_images[1:], spokes, route, emb)
+        return Plan(route, emb)
     raise failure
 
 

@@ -283,7 +283,25 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         assert rc == 2 and "bad plane order" in err, q
 
 
-_C6_AG4 = json.loads(embedding_to_json(ag_cycle(4, 6).to_embedding()))
+def test_plane_file_declaring_more_points_than_it_lists_exits_two(tmp_path, capsys):
+    # refused before anything is built per point, so that memory stays
+    # bounded by the file's size
+    pg2 = tmp_path / "pg2.json"
+    assert run(capsys, "plane", "export", "--q", "2", "--out", str(pg2))[0] == 0
+    c3 = tmp_path / "c3.json"
+    assert run(capsys, "oracle", "--graph", "cycle:3", "--plane", str(pg2),
+               "--out", str(c3))[0] == 0
+    bad = tmp_path / "plane_points.json"
+    bad.write_text(json.dumps(dict(json.loads(pg2.read_text()), points=200_000)))
+    why = "points 200000 exceeds the 21 point ids the lines list"
+    for argv in (["plane", "check", str(bad)],
+                 ["oracle", "--graph", "cycle:3", "--plane", str(bad)],
+                 ["verify", str(c3), "--plane", str(bad)]):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2 and why in err, argv
+
+
+_C6_AG4 = json.loads(embedding_to_json(ag_cycle(4, 6)))
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=3),
@@ -350,6 +368,58 @@ def test_hypj_sweep_jobs_deterministic(tmp_path, capsys):
     lines = a.read_text().splitlines()
     assert len(lines) == 58  # prime powers in [4, 200]
     assert lines[0].startswith('{"q":4,')
+
+
+def test_hypj_sweep_caps_its_pool(monkeypatch, capsys):
+    # the pool forks all its workers at once, so it gets no more than the
+    # cores or the 64-order chunks; one chunk runs serially, without a pool
+    import planegraphs.cli as cli
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    def sweep(top, jobs):
+        rc, out, _ = run(capsys, "hypj", "sweep", "--min", "4", "--max", str(top),
+                         "--jobs", str(jobs))
+        assert rc == 0
+        return out
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    serial = {top: sweep(top, 1) for top in (200, 400, 1000)}  # 58, 95, 191 orders
+    assert sizes == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for top in (200, 400, 1000):
+        assert sweep(top, 100000) == serial[top]
+    assert sizes == [2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert sweep(1000, 100000) == serial[1000]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sweep(1000, 100000) == serial[1000]
+    assert sizes == [2, 3, 2]
+
+
+def test_hypj_sweep_pool_matches_serial(tmp_path, capsys):
+    # two chunks, so that --jobs 2 runs a real pool where there are two cores
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    for jobs, out in (("1", a), ("2", b)):
+        rc, _, _ = run(capsys, "hypj", "sweep", "--min", "4", "--max", "400",
+                       "--jobs", jobs, "--out", str(out))
+        assert rc == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 95
 
 
 def test_hypj_sweep_includes_q3_not_found(capsys):

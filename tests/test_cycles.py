@@ -16,6 +16,7 @@ from planegraphs.cycles import (
     long_cycle,
     path_closed_form,
     pg_cycle,
+    plane_for,
     singer_cycle,
     singer_difference_set,
 )
@@ -117,11 +118,10 @@ def test_return_point_is_gamma_beta():
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_long_cycle_length_law(q):
     lab = labeling_for(q)
-    chain = long_cycle(q, lab)
+    emb = long_cycle(q, lab)
     order = element_order(base_path(q, lab).multiplier)
-    assert chain.length == (q + 1) * order == q * q - 1
-    emb = chain.to_embedding()
-    assert verify_embedding(emb.graph, emb, chain.default_plane()).ok
+    assert len(emb.vertex_images) == (q + 1) * order == q * q - 1
+    assert verify_embedding(emb.graph, emb, plane_for(emb.model, emb.q)).ok
     # no chain line may pass through the origin
     spec = lab.spec
     for l in emb.edge_images:
@@ -130,17 +130,15 @@ def test_long_cycle_length_law(q):
 
 @pytest.mark.parametrize("q", [4, 5, 7, 9])
 def test_cycle_q2_covers_affine_plane(q):
-    chain = cycle_q2(q)
-    assert chain.length == q * q
-    pts = set(chain.points)
+    emb = cycle_q2(q)
+    assert len(emb.vertex_images) == q * q
+    pts = set(emb.vertex_images)
     assert len(pts) == q * q
     assert pts == set(ag_from_field(q).points())
-    emb = chain.to_embedding()
-    assert verify_embedding(emb.graph, emb, chain.default_plane()).ok
+    assert verify_embedding(emb.graph, emb, plane_for(emb.model, emb.q)).ok
 
 
-def _assert_chain(chain, plane):
-    emb = chain.to_embedding()
+def _assert_chain(emb, plane):
     rep = verify_embedding(emb.graph, emb, plane)
     assert rep.ok, rep.violations
 
@@ -150,7 +148,7 @@ def test_ag_full_range(q):
     plane = ag_from_field(q)
     for k in range(3, q * q + 1):
         chain = ag_cycle(q, k)
-        assert chain.length == k
+        assert len(chain.vertex_images) == k
         _assert_chain(chain, plane)
 
 
@@ -159,7 +157,7 @@ def test_pg_full_range(q):
     plane = pg_from_field(q)
     for k in range(3, q * q + q + 2):
         chain = pg_cycle(q, k)
-        assert chain.length == k
+        assert len(chain.vertex_images) == k
         if chain.model == "CYCLIC":
             continue  # the Singer rung is verified in its own test
         _assert_chain(chain, plane)
@@ -253,8 +251,7 @@ def test_cyclic_line_between_agrees_with_joins(q):
 
 
 def test_singer_cycle_49_verifies_without_pair_table():
-    chain = singer_cycle(49)
-    emb = chain.to_embedding()
+    emb = singer_cycle(49)
     plane = cyclic_plane(49)
     assert verify_embedding(emb.graph, emb, plane).ok
     assert "incidence" not in plane._cache
@@ -262,12 +259,11 @@ def test_singer_cycle_49_verifies_without_pair_table():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_singer_cycle_full_rung(q):
-    chain = singer_cycle(q)
+    emb = singer_cycle(q)
     n = q * q + q + 1
-    assert chain.model == "CYCLIC"
-    assert chain.length == n
-    assert len(set(chain.points)) == n
-    emb = chain.to_embedding()
+    assert emb.model == "CYCLIC"
+    assert len(emb.vertex_images) == n
+    assert len(set(emb.vertex_images)) == n
     assert len(set(emb.edge_images)) == n
     assert verify_embedding(emb.graph, emb, cyclic_plane(q)).ok
 
@@ -299,7 +295,7 @@ RUNGS = {
 
 @pytest.mark.parametrize("rung", sorted(RUNGS))
 def test_each_constructor_emits_once(rung, monkeypatch):
-    # a chain carries the embedding emit returned: verified once, never rebuilt
+    # a constructor returns the embedding emit returned: verified once, never rebuilt
     import planegraphs.cycles as cycles
 
     seen = []
@@ -312,10 +308,9 @@ def test_each_constructor_emits_once(rung, monkeypatch):
 
     monkeypatch.setattr(cycles, "emit", spy)
     build, args = RUNGS[rung]
-    chain = build(*args)
+    emb = build(*args)
     assert len(seen) == 1
-    assert chain.to_embedding() is seen[0]
-    assert seen[0].vertex_images == chain.points
+    assert emb is seen[0]
 
 
 def _cycles_digest(builds) -> str:
@@ -324,7 +319,7 @@ def _cycles_digest(builds) -> str:
     h = hashlib.sha256()
     for build in builds:
         try:
-            text = embedding_to_json(build().to_embedding())
+            text = embedding_to_json(build())
         except (ValueError, ConstructionFailed, NoCertificate) as e:
             text = f"{type(e).__name__}: {e}\n"
         h.update(text.encode())

@@ -7,9 +7,9 @@ from planegraphs.graphs import (
     FormatError,
     cycle_graph,
     edge_list_graph,
+    emit,
     gear_graph,
     graph_from_json,
-    make_embedding,
     read_embedding,
     verify_embedding,
     wheel_graph,
@@ -58,26 +58,36 @@ def test_graph_json_round_trip():
         assert h == g
 
 
+def _unchecked(graph, imgs, plane):
+    # vertex images alone, as emit receives them; the verifier derives the lines
+    return Embedding(plane.model, plane.q, graph, tuple(imgs), None)
+
+
 def _triangle_embedding(q=3):
     pgp = pg_from_field(q)
     graph = cycle_graph(3)
-    imgs = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-    return pgp, graph, make_embedding(graph, imgs, pgp)
+    return pgp, graph, emit(graph, [(0, 0, 1), (1, 0, 1), (0, 1, 1)], pgp)
 
 
 def test_verify_passes_triangle():
     pgp, graph, emb = _triangle_embedding()
-    rep = verify_embedding(graph, emb, pgp)
+    rep = verify_embedding(graph, _unchecked(graph, emb.vertex_images, pgp), pgp)
     assert rep.ok
-    assert rep.vertices_injective and rep.edges_injective and rep.degree_bound_ok
+    assert rep.violations == []
+    assert rep.lines == emb.edge_images and len(set(rep.lines)) == 3
 
 
 def test_verify_flags_duplicate_vertices():
     pgp = pg_from_field(3)
     graph = cycle_graph(3)
-    with pytest.raises(ValueError):
-        # coincident images never even build: the joining line is undefined
-        make_embedding(graph, [(0, 0, 1), (0, 0, 1), (0, 1, 1)], pgp)
+    emb = _unchecked(graph, [(0, 0, 1), (0, 0, 1), (0, 1, 1)], pgp)
+    rep = verify_embedding(graph, emb, pgp)
+    # coincident images: the joining line is undefined, and the images collide
+    assert not rep.ok
+    assert rep.violations == [
+        "edge (0, 1) endpoints map to one point", "vertex images collide", "edge lines collide",
+    ]
+    assert rep.lines[0] is None
 
 
 def test_verify_flags_tampered_edge_line():
@@ -95,10 +105,10 @@ def test_verify_flags_line_reuse():
     pgp = pg_from_field(3)
     graph = cycle_graph(4)
     imgs = [(0, 0, 1), (0, 1, 1), (0, 1, 2), (1, 0, 1)]  # first three collinear
-    emb = make_embedding(graph, imgs, pgp)
+    emb = _unchecked(graph, imgs, pgp)
     rep = verify_embedding(graph, emb, pgp)
     assert not rep.ok
-    assert not rep.edges_injective
+    assert "edge lines collide" in rep.violations
 
 
 def test_verify_degree_bound():
@@ -106,10 +116,36 @@ def test_verify_degree_bound():
     pgp = pg_from_field(2)
     graph = wheel_graph(4)
     imgs = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0)]
-    emb = make_embedding(graph, imgs, pgp)
+    emb = _unchecked(graph, imgs, pgp)
     rep = verify_embedding(graph, emb, pgp)
     assert not rep.ok
-    assert not rep.degree_bound_ok
+    assert "max degree 4 exceeds pencil size 3" in rep.violations
+
+
+def test_every_constructor_returns_a_verified_embedding():
+    # the embedding emit returned is the one result type, with its edge lines
+    from planegraphs import (
+        ag_cycle, cycle_q2, exists_embedding, gear, gear_plan, long_cycle, pg_cycle,
+        plane_for, singer_cycle, wheel, wheel_plan,
+    )
+
+    built = {
+        "ag_cycle": ag_cycle(5, 10),
+        "pg_cycle": pg_cycle(5, 28),
+        "long_cycle": long_cycle(5),
+        "cycle_q2": cycle_q2(5),
+        "singer_cycle": singer_cycle(4),
+        "wheel": wheel(5, 6),
+        "gear": gear(7, 5),
+        "wheel_plan": wheel_plan(7, 8).embedding,
+        "gear_plan": gear_plan(8, 9).embedding,
+        "exists_embedding": exists_embedding(cycle_graph(5), pg_from_field(3)).embedding,
+    }
+    for name, emb in built.items():
+        assert type(emb) is Embedding, name
+        assert emb.edge_images is not None, name
+        assert len(emb.edge_images) == len(emb.graph.edges), name
+        assert verify_embedding(emb.graph, emb, plane_for(emb.model, emb.q)).ok, name
 
 
 def test_emit_refuses_images_of_the_other_plane_kind():
@@ -176,7 +212,7 @@ def test_embedding_takes_model_and_order_from_its_plane(tmp_path):
         (cyclic_plane(5), [0, 1, 3], "CYCLIC", 5),
         (loaded, [0, 1, 4], "GENERIC", 3),
     ):
-        emb = make_embedding(graph, imgs, plane)
+        emb = emit(graph, imgs, plane)
         assert (emb.model, emb.q) == (model, q)
         assert verify_embedding(graph, emb, plane).ok
 
@@ -198,7 +234,7 @@ def _parity_cases():
     for q in (4, 5):
         agp = ag_from_field(q)
         for k in range(3, q * q + 1):
-            yield agp, ag_cycle(q, k).to_embedding()
+            yield agp, ag_cycle(q, k)
 
 
 def _in_point_ids(emb, view):
@@ -290,6 +326,6 @@ def test_only_graphs_builds_embeddings():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 f = node.func
-                if getattr(f, "id", getattr(f, "attr", None)) in ("Embedding", "make_embedding"):
+                if getattr(f, "id", getattr(f, "attr", None)) == "Embedding":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -71,11 +71,16 @@ def test_wheels_embed_and_verify(q):
         emb = plan.embedding
         rep = verify_embedding(wheel_graph(n), emb, plane)
         assert rep.ok, (q, n, rep.violations)
-        assert plan.center == emb.vertex_images[0]
-        assert plan.rim == emb.vertex_images[1:]
-        assert len(plan.spokes) == n
-        for l in plan.spokes:
-            assert incident(plane.spec, plan.center, l)
+        center = emb.vertex_images[0]
+        spokes = _spokes(emb)
+        assert len(spokes) == n
+        for l in spokes:
+            assert incident(plane.spec, center, l)
+
+
+def _spokes(emb):
+    # the edge images of the edges (0, i), center to rim
+    return [l for (u, _), l in zip(emb.graph.edges, emb.edge_images) if u == 0]
 
 
 def _collinear_arc(q):
@@ -189,14 +194,15 @@ def test_gear_invariants(q, n):
     graph = gear_graph(n)
     rep = verify_embedding(graph, emb, plane)
     assert rep.ok, rep.violations
-    center = emb.vertex_images[0]
-    assert all(p != center for p in plan.rim)
-    assert len(set(plan.rim)) == 2 * n
+    center, rim = emb.vertex_images[0], emb.vertex_images[1:]
+    assert all(p != center for p in rim)
+    assert len(set(rim)) == 2 * n
     # exactly the n spokes may pass through the center
     through = sum(1 for l in set(emb.edge_images) if incident(plane.spec, center, l))
     assert through == n
-    assert len(plan.spokes) == n
-    for l in plan.spokes:
+    spokes = _spokes(emb)
+    assert len(spokes) == n
+    for l in spokes:
         assert incident(plane.spec, center, l)
 
 
