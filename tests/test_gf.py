@@ -4,7 +4,9 @@ Fixed expected values below were computed independently (order checks by
 brute multiplication, irreducibility by root/factor scans) and frozen.
 """
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from planegraphs.gf import (
     certificate_line,
     consecutive_primitive_pair,
     element_order,
+    factorize,
     first_primitive,
     gamma_map,
     gamma_prime_map,
@@ -111,6 +114,62 @@ def test_prime_power_counts():
     assert len(prime_powers_in(4, 10000)) == 1278
     assert len(prime_powers_in(3, 10000)) == 1279
     assert prime_powers_in(14, 15) == []
+
+
+def test_prime_power_agrees_with_factorize():
+    for n in range(-2, 5000):
+        fac = factorize(n) if n >= 2 else {}
+        assert prime_power(n) == (next(iter(fac.items())) if len(fac) == 1 else None), n
+
+
+_PRIME_POWERS_TO_300 = [n for n in range(-2, 301) if prime_power(n) is not None]
+
+
+def test_prime_powers_in_small_windows():
+    for lo in range(-2, 61):
+        for hi in range(-2, 301):
+            want = [n for n in _PRIME_POWERS_TO_300 if lo <= n <= hi]
+            assert prime_powers_in(lo, hi) == want, (lo, hi)
+
+
+def test_prime_powers_in_random_windows():
+    rng = random.Random(20)
+    for _ in range(300):
+        lo = rng.randrange(-2, 1 << 20)
+        hi = min(lo + rng.randrange(-5, 400), (1 << 20) - 1)
+        want = [n for n in range(lo, hi + 1) if prime_power(n) is not None]
+        assert prime_powers_in(lo, hi) == want, (lo, hi)
+
+
+def _rows_digest(qs):
+    rows = "".join(certificate_line(q, hypothesis_j_search(q)) + "\n" for q in qs)
+    return hashlib.sha256(rows.encode()).hexdigest()[:16]
+
+
+def test_certificate_rows_frozen_to_2_16():
+    qs = prime_powers_in(3, 1 << 16)
+    assert len(qs) == 6634
+    assert _rows_digest(qs) == "eca0910738ef060c"
+
+
+def test_composite_certificate_rows_frozen_to_2_18():
+    qs = [q for q in prime_powers_in(3, 1 << 18) if prime_power(q)[1] > 1]
+    assert len(qs) == 150
+    assert _rows_digest(qs) == "1e7003fd96e40c0c"
+
+
+def test_cubic_extensions_frozen():
+    # GF(q^3) for q <= 101: the modulus and first primitive a Singer set starts from
+    rows = []
+    for q in prime_powers_in(2, 101):
+        p, a = prime_power(q)
+        big = make_field(p, 3 * a)
+        rows.append(json.dumps([q, list(big.modulus), first_primitive(big).enc], separators=(",", ":")))
+    assert len(rows) == 36
+    assert rows[:2] == ["[2,[1,1,0,1],2]", "[3,[1,2,0,1],3]"]
+    assert rows[-1] == "[101,[1,1,0,1],104]"
+    digest = hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()[:16]
+    assert digest == "37e43c68b792c441"
 
 
 def test_is_prime_small():
