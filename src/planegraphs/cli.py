@@ -307,6 +307,8 @@ def _cmd_hypj(args) -> int:
             return _usage_error("sweep needs --min >= 3")
         if args.max > MAX_ORDER:
             return _usage_error(f"--max {args.max} exceeds supported bound {MAX_ORDER}")
+        if args.jobs < 1:
+            return _usage_error(f"--jobs {args.jobs} is below 1")
         qs = prime_powers_in(args.min, args.max)
         if args.primes_only:
             qs = [q for q in qs if is_prime(q)]

@@ -30,6 +30,8 @@ import json
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 from typing import Iterator, Optional
 
 MAX_ORDER = 1 << 20
@@ -44,18 +46,14 @@ class ConjectureViolation(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Miller-Rabin with the bases 2, 3, 5 and 7, which is exact for every
+    n < 3,215,031,751; trial division above that."""
+    if n < 11 or n >= 3_215_031_751:
+        return n in (2, 3, 5, 7) or n > 10 and all(n % f for f in range(2, isqrt(n) + 1))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s))
+               for b in (2, 3, 5, 7))
 
 
 def factorize(n: int) -> dict:
@@ -76,6 +74,8 @@ def prime_power(n: int):
     """Return (p, a) when n = p^a for a prime p, else None."""
     if n < 2:
         return None
+    if is_prime(n):
+        return n, 1
     fac = factorize(n)
     if len(fac) != 1:
         return None
@@ -84,27 +84,26 @@ def prime_power(n: int):
 
 
 def prime_powers_in(lo: int, hi: int) -> list:
-    """All prime powers q with lo <= q <= hi, ascending."""
-    if hi < 2 or hi < lo:
+    """All prime powers q with lo <= q <= hi, ascending.  A segmented sieve:
+    the primes up to isqrt(hi) strike their multiples from the window alone
+    and add their powers in it, so the cost follows hi - lo, not hi."""
+    lo, root = max(lo, 2), isqrt(max(hi, 0))
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(hi ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    small = bytearray([0, 0]) + bytearray([1]) * (root - 1)
+    for i in range(2, isqrt(root) + 1):
+        small[i * i :: i] = bytes(len(small[i * i :: i]))
+    window = bytearray([1]) * (hi - lo + 1)
     out = []
-    for p in range(2, hi + 1):
-        if not sieve[p]:
-            continue
-        v = p
+    for p in compress(range(root + 1), small):
+        first = max(p * p, -(-lo // p) * p) - lo
+        window[first::p] = bytes(len(window[first::p]))
+        v = p * p
         while v <= hi:
             if v >= lo:
                 out.append(v)
-            if v > hi // p:
-                break
             v *= p
-    out.sort()
-    return out
+    return sorted(out + list(compress(range(lo, hi + 1), window)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +420,15 @@ def make_field(p: int, a: int = 1) -> FieldSpec:
     (by encoding) choice that yields an irreducible polynomial.  For a=1
     the modulus slot holds x itself and is never consulted.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if a < 1:
         raise ValueError("a must be positive")
+    # the bound first: no huge p is tested, and no p ** a formed for an a
+    # so large (p^a >= 2^65) that it must exceed the bound
+    if p > 1 and (p > MAX_ORDER or a > 64):
+        order = p if a == 1 else f"{p}^{a}"
+        raise ValueError(f"field order {order} exceeds supported bound {MAX_ORDER}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     q = p ** a
     if q > MAX_ORDER:
         raise ValueError(f"field order {q} exceeds supported bound {MAX_ORDER}")
@@ -474,10 +478,11 @@ def is_primitive(x: FieldElement, _factors=None) -> bool:
     return all(x.spec.epow(x.enc, n // ell) != 1 for ell in factors)
 
 
-def primitive_iter(spec: FieldSpec) -> Iterator[FieldElement]:
-    """Primitive elements in increasing encoding order."""
-    factors = tuple(factorize(spec.q - 1))
-    for enc in range(1, spec.q):
+def primitive_iter(spec: FieldSpec, _factors=None) -> Iterator[FieldElement]:
+    """Primitive elements in increasing encoding order.  For a > 1 the walk
+    starts at p: encodings below it are GF(p), of orders dividing p - 1."""
+    factors = _factors if _factors is not None else tuple(factorize(spec.q - 1))
+    for enc in range(spec.p if spec.a > 1 else 1, spec.q):
         x = spec.element(enc)
         if is_primitive(x, factors):
             yield x
@@ -517,7 +522,7 @@ def gamma_prime_map(alpha: FieldElement) -> FieldElement:
     return (alpha - one) / (alpha + one) ** 3
 
 
-def consecutive_primitive_pair(spec: FieldSpec) -> FieldElement:
+def consecutive_primitive_pair(spec: FieldSpec, _factors=None) -> FieldElement:
     """First alpha (by encoding) with alpha and alpha+1 both primitive.
 
     Only meaningful in even characteristic with a > 1; exhaustion would
@@ -525,7 +530,7 @@ def consecutive_primitive_pair(spec: FieldSpec) -> FieldElement:
     """
     if spec.p != 2 or spec.a < 2:
         raise ValueError("consecutive pair search needs GF(2^a) with a > 1")
-    factors = tuple(factorize(spec.q - 1))
+    factors = _factors if _factors is not None else tuple(factorize(spec.q - 1))
     one = spec.one_el
     for enc in range(2, spec.q):
         alpha = spec.element(enc)
@@ -577,13 +582,13 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     n = q - 1
     factors = tuple(factorize(n))
     if spec.p == 2:
-        alpha = consecutive_primitive_pair(spec)
+        alpha = consecutive_primitive_pair(spec, factors)
         gamma = gamma_prime_map(alpha)
         if not is_primitive(gamma, factors):
             raise ConjectureViolation(f"gamma' not primitive at q={q}")
         return HypothesisJCertificate(q, ROUTE_EVEN_GOLOMB, alpha, gamma, n, n)
     minus_one = spec.minus_one_el
-    for alpha in primitive_iter(spec):
+    for alpha in primitive_iter(spec, factors):
         if alpha == minus_one:
             continue
         gamma = gamma_map(alpha)

@@ -436,6 +436,15 @@ def test_negative_budget_exits_two(capsys):
     assert rc == 0 and json.loads(out) == {"status": "budget", "expansions": 0}
 
 
+def test_hypj_sweep_jobs_below_one_exits_two(tmp_path, capsys):
+    # refused before --out is opened, like a negative budget
+    out = tmp_path / "certs.txt"
+    for jobs in ("0", "-2"):
+        rc, stdout, err = run(capsys, "hypj", "sweep", "--max", "20", "--jobs", jobs, "--out", str(out))
+        assert rc == 2 and stdout == "" and err == f"error: --jobs {jobs} is below 1\n"
+    assert not out.exists()
+
+
 def test_gear_sweep_bound_exits_two(capsys):
     # refused before any work: above the bound, the sweep's prime sieve alone
     # would allocate q_max bytes

@@ -4,13 +4,20 @@ Fixed expected values below were computed independently (order checks by
 brute multiplication, irreducibility by root/factor scans) and frozen.
 """
 
+import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import planegraphs
+from planegraphs import gf
 from planegraphs.gf import (
     ConjectureViolation,
     DegenerateAlpha,
@@ -21,6 +28,7 @@ from planegraphs.gf import (
     consecutive_primitive_pair,
     element_order,
     factorize,
+    field_for,
     first_primitive,
     gamma_map,
     gamma_prime_map,
@@ -136,13 +144,19 @@ def test_prime_powers_in_random_windows():
     rng = random.Random(20)
     for _ in range(300):
         lo = rng.randrange(-2, 1 << 20)
-        hi = min(lo + rng.randrange(-5, 400), (1 << 20) - 1)
+        hi = min(lo + rng.randrange(-5, 200), (1 << 20) - 1)
         want = [n for n in range(lo, hi + 1) if prime_power(n) is not None]
         assert prime_powers_in(lo, hi) == want, (lo, hi)
 
 
+@functools.lru_cache(maxsize=None)
+def _row(q):
+    # shared, so the composite orders of both sweeps below are searched once
+    return certificate_line(q, hypothesis_j_search(q))
+
+
 def _rows_digest(qs):
-    rows = "".join(certificate_line(q, hypothesis_j_search(q)) + "\n" for q in qs)
+    rows = "".join(_row(q) + "\n" for q in qs)
     return hashlib.sha256(rows.encode()).hexdigest()[:16]
 
 
@@ -170,6 +184,73 @@ def test_cubic_extensions_frozen():
     assert rows[-1] == "[101,[1,1,0,1],104]"
     digest = hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()[:16]
     assert digest == "37e43c68b792c441"
+
+
+def test_first_primitive_skips_the_prime_field(monkeypatch):
+    # encodings below p are GF(p), whose orders divide p - 1
+    tested = []
+    real = gf.is_primitive
+    monkeypatch.setattr(gf, "is_primitive", lambda x, _factors=None: tested.append(x.enc) or real(x, _factors))
+    for q in (4, 8, 9, 25, 27, 49, 121, 125, 729, 101 ** 3):
+        spec = field_for(q)
+        tested.clear()
+        first_primitive(spec)
+        assert tested and min(tested) >= spec.p, q
+
+
+def test_search_factorises_q_minus_one_once(monkeypatch):
+    seen = []
+    real = gf.factorize
+    monkeypatch.setattr(gf, "factorize", lambda n: seen.append(n) or real(n))
+    for q in (3, 5, 7, 11, 9, 27, 64, 81, 121, 128, 1024, 65537, 1048573):
+        spec = field_for(q)
+        # a composite field builds its tables once, at its q-th operation, and
+        # looks its first_primitive up for them; build them before counting
+        while spec.a > 1 and spec._tables is None:
+            spec.emul(1, 1)
+        seen.clear()
+        hypothesis_j_search(q)
+        assert seen.count(q - 1) == 1, (q, seen)
+
+
+def _python(code):
+    path = os.pathsep.join(filter(None, [str(Path(planegraphs.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_new_field_is_one_cache_miss():
+    # a traced benchmark pass counts fields built as make_field's cache misses
+    proc = _python(
+        "from planegraphs.gf import field_for, hypothesis_j_search, make_field, prime_powers_in\n"
+        "qs = prime_powers_in(3, 2000)\n"
+        "m0 = make_field.cache_info().misses\n"
+        "for q in qs: hypothesis_j_search(q); field_for(q)\n"
+        "m1 = make_field.cache_info().misses\n"
+        "for q in qs: hypothesis_j_search(q)\n"
+        "print(len(qs), m1 - m0, make_field.cache_info().misses - m1)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    n, built, again = map(int, proc.stdout.split())
+    assert (built, again) == (n, 0) and n == 332
+
+
+def test_make_field_refuses_huge_order_at_once():
+    # neither a huge prime is trial-divided nor a huge power formed
+    proc = _python(
+        "from planegraphs.gf import make_field\n"
+        "for args in ((10**18 + 9,), (10**18 + 9, 2), (2, 10**12)):\n"
+        "    try:\n"
+        "        make_field(*args)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "field order 1000000000000000009 exceeds supported bound 1048576",
+        "field order 1000000000000000009^2 exceeds supported bound 1048576",
+        "field order 2^1000000000000 exceeds supported bound 1048576",
+    ]
 
 
 def test_is_prime_small():
