@@ -22,6 +22,10 @@ Zech logarithm table, log(1 + g^k), once the tables exist.
 The modulus is chosen deterministically: the first monic irreducible of
 degree a whose non-leading coefficient vector has the smallest encoding.
 Every run of every machine therefore agrees on the arithmetic tables.
+
+A certificate sweep builds thousands of fields and uses each briefly, so
+``prime_powers_in`` sieves only its window, ``is_prime`` is Miller-Rabin,
+and the search factorises q - 1 once and starts its primitive walk at p.
 """
 
 from __future__ import annotations
@@ -422,8 +426,7 @@ def make_field(p: int, a: int = 1) -> FieldSpec:
     """
     if a < 1:
         raise ValueError("a must be positive")
-    # the bound first: no huge p is tested, and no p ** a formed for an a
-    # so large (p^a >= 2^65) that it must exceed the bound
+    # the bound first: no huge p is tested, no p ** a formed for an a > 64
     if p > 1 and (p > MAX_ORDER or a > 64):
         order = p if a == 1 else f"{p}^{a}"
         raise ValueError(f"field order {order} exceeds supported bound {MAX_ORDER}")
