@@ -350,6 +350,8 @@ FROZEN_CYCLES = {
     ('AG', 9): 'fa36a1bd6a266f09',
     ('AG', 11): '8926f4ef24949c02',
     ('AG', 16): '128f4f86301c9641',
+    ('AG', 17): '5e1972f09d0b2e1c',
+    ('AG', 19): '99e20388aef73790',
     ('PG', 2): '6eaf746eec636fe5',
     ('PG', 3): 'aa4ab7a10771e8e3',
     ('PG', 4): '0124f32c6e0ce648',
@@ -359,6 +361,8 @@ FROZEN_CYCLES = {
     ('PG', 9): '2ad71c449db5a9a8',
     ('PG', 11): 'ca35ba0a66bec57e',
     ('PG', 16): '06954acda662ed23',
+    ('PG', 17): 'a7131f568432625f',
+    ('PG', 19): '11d3a85a907c70a1',
     ('LONG', 2): 'e93b7747279f384d',
     ('LONG', 3): 'b61602cb086abd4f',
     ('LONG', 4): '8229a23dbf22dfa8',
@@ -368,6 +372,8 @@ FROZEN_CYCLES = {
     ('LONG', 9): 'e411343d9d94904a',
     ('LONG', 11): '8cc3986f29e2c3e9',
     ('LONG', 16): '4b7cfb1b9c0b39d1',
+    ('LONG', 17): 'ce7b7d4664019068',
+    ('LONG', 19): 'b6cbacc355186887',
 }
 
 
