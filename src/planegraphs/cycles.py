@@ -228,15 +228,17 @@ def long_cycle(q: int, labeling=None) -> Embedding:
 
 
 def _long_chain(q: int, lab: SlopeLabeling) -> tuple:
-    # each path's last point returns to the next path's first along class 1
+    # each path's last point returns to the next path's first along class 1.
+    # The path from beta is the one from 1 scaled by beta, which maps
+    # (X : Y : Z) to (X : Y : Z/beta): still canonical, as no path meets O
     spec = lab.spec
     first = base_path(q, lab, spec.one_el)
     m = first.multiplier
-    points, b = [], spec.one_el
-    for t in range(element_order(m)):
-        path = first if t == 0 else base_path(q, lab, b)
-        points.extend(P.triple() for P in path.points)
-        b = m * b
+    base, step = [P.triple() for P in first.points], spec.einv(m.enc)
+    points, s = [], 1  # s = 1/beta
+    for _ in range(element_order(m)):
+        points.extend((X, Y, spec.emul(Z, s)) for X, Y, Z in base)
+        s = spec.emul(s, step)
     return tuple(points)
 
 

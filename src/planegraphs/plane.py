@@ -14,6 +14,8 @@ its one incidence index, built once per plane, serves both the search and
 Both kinds of plane give what the verifier and the embedding builder ask
 of a plane: ``model``, ``q``, ``n_points``, ``contains``, ``line_between``
 (None when the points coincide or no line joins them) and ``max_pencil``.
+Each order has one shared CoordPlane per model, whose ``line_between``
+keeps the line it first derived for each point pair, up to a bound.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ Triple = tuple
 
 LINE_INF: Triple = (0, 0, 1)
 DIR_VERTICAL: Triple = (0, 1, 0)
+
+# a CoordPlane forgets its memoised lines once it holds this many
+LINE_MEMO_BOUND = 1 << 16
 
 
 def canon(spec: FieldSpec, t) -> Triple:
@@ -212,6 +217,8 @@ class CoordPlane:
         self.model = model
         self.spec = spec
         self.q = spec.q
+        self._points = None
+        self._lines = {}  # line_between's memo, by unordered point pair
 
     def __repr__(self):
         return f"{self.model}(2,{self.q})"
@@ -220,28 +227,39 @@ class CoordPlane:
     def n_points(self) -> int:
         return self.q * self.q + (self.q + 1 if self.model == "PG" else 0)
 
-    def points(self) -> list:
-        sp = self.spec
-        q = self.q
-        pts = [affine_triple(sp, x, y) for x in range(q) for y in range(q)]
-        if self.model == "PG":
-            pts.append(DIR_VERTICAL)
-            pts.extend((1, s, 0) for s in range(q))
-        pts.sort()
-        return pts
+    def points(self) -> tuple:
+        """Every point in sorted order, built once per plane."""
+        if self._points is None:
+            sp, q = self.spec, self.q
+            pts = [affine_triple(sp, x, y) for x in range(q) for y in range(q)]
+            if self.model == "PG":
+                pts.append(DIR_VERTICAL)
+                pts.extend((1, s, 0) for s in range(q))
+            self._points = tuple(sorted(pts))
+        return self._points
 
     def contains(self, P: Triple) -> bool:
-        if type(P) is not tuple or len(P) != 3 or not any(P):
+        if type(P) is not tuple or len(P) != 3:
             return False
-        # canonical: the first nonzero entry is 1
-        if not all(0 <= v < self.q for v in P) or next(v for v in P if v) != 1:
-            return False
-        if self.model == "AG" and not is_affine(P):
-            return False
-        return True
+        x, y, z = P
+        q = self.q
+        # canonical: the first nonzero entry is 1, so the zero triple is out
+        return (
+            (x or y or z) == 1
+            and 0 <= x < q and 0 <= y < q and 0 <= z < q
+            and (z != 0 or self.model == "PG")
+        )
 
     def line_between(self, P: Triple, Q: Triple) -> Optional[Triple]:
-        return None if P == Q else line_through(self.spec, P, Q)
+        if P == Q:
+            return None
+        key = (P, Q) if P < Q else (Q, P)
+        line = self._lines.get(key)
+        if line is None:
+            if len(self._lines) >= LINE_MEMO_BOUND:
+                self._lines.clear()
+            line = self._lines[key] = line_through(self.spec, P, Q)
+        return line
 
     @property
     def max_pencil(self) -> int:
@@ -285,10 +303,12 @@ def _generic_view(model: str, spec: FieldSpec) -> GenericView:
     return GenericView(plane, tuple(pts))
 
 
+@lru_cache(maxsize=None)
 def pg_from_field(q: int) -> CoordPlane:
     return CoordPlane("PG", field_for(q))
 
 
+@lru_cache(maxsize=None)
 def ag_from_field(q: int) -> CoordPlane:
     return CoordPlane("AG", field_for(q))
 

@@ -86,6 +86,26 @@ def test_cycle_sweep(tmp_path, capsys):
     assert "2 cycles" in out
 
 
+def test_cycle_sweep_derives_each_line_once(tmp_path, capsys, monkeypatch):
+    # the shared plane memoises its lines: one derivation per unordered pair
+    from collections import Counter
+
+    import planegraphs.plane as plane_mod
+
+    pairs = Counter()
+    real = plane_mod.line_through
+
+    def spy(spec, P, Q):
+        pairs[frozenset((P, Q))] += 1
+        return real(spec, P, Q)
+
+    monkeypatch.setattr(plane_mod, "line_through", spy)
+    rc, out, _ = run(capsys, "cycle", "sweep", "--q", "16", "--plane", "pg",
+                     "--out-dir", str(tmp_path))
+    assert rc == 0 and "271 cycles" in out
+    assert pairs and max(pairs.values()) == 1
+
+
 def test_cycle_bad_range(capsys):
     rc, _, _ = run(capsys, "cycle", "--q", "4", "--k", "100")
     assert rc == 2

@@ -24,8 +24,10 @@ from planegraphs.gf import (
     element_order,
     gamma_map,
     gamma_prime_map,
+    hypothesis_j_search,
     make_field,
     prime_power,
+    prime_powers_in,
 )
 from planegraphs.graphs import (
     ConstructionFailed,
@@ -126,6 +128,47 @@ def test_long_cycle_length_law(q):
     spec = lab.spec
     for l in emb.edge_images:
         assert not incident(spec, (0, 0, 1), l)
+
+
+def test_long_chain_walks_one_base_path(monkeypatch):
+    import planegraphs.cycles as cycles
+
+    calls = []
+    real = cycles.base_path
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cycles, "base_path", spy)
+    assert len(cycles._long_chain(9, labeling_for(9))) == 80
+    assert len(calls) == 1
+
+
+def _per_beta_chain(q, lab):
+    # the reference: one walk of the recurrence for every beta of the orbit
+    m = base_path(q, lab, 1).multiplier
+    points, b = [], lab.spec.one_el
+    for _ in range(element_order(m)):
+        points.extend(P.triple() for P in base_path(q, lab, b).points)
+        b = m * b
+    return tuple(points)
+
+
+@pytest.mark.parametrize("kind", "AB")
+@pytest.mark.parametrize("q", [q for q in prime_powers_in(4, 32) if hypothesis_j_search(q)])
+def test_long_chain_is_the_per_beta_walk(q, kind):
+    from planegraphs.cycles import _long_chain
+
+    lab = labeling_for(q, kind=kind)
+    assert _long_chain(q, lab) == _per_beta_chain(q, lab)
+
+
+def test_plane_for_hands_out_one_plane_per_order():
+    for q in (4, 5, 9):
+        assert pg_from_field(q) is pg_from_field(q) is plane_for("PG", q)
+        assert ag_from_field(q) is ag_from_field(q) is plane_for("AG", q)
+        assert pg_from_field(q) is not ag_from_field(q)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 9])

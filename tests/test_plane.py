@@ -11,6 +11,7 @@ from planegraphs.cycles import cyclic_plane
 from planegraphs.gf import make_field, prime_power
 from planegraphs.plane import (
     LINE_INF,
+    CoordPlane,
     GenericPlane,
     affine_coords,
     affine_triple,
@@ -254,3 +255,29 @@ def test_contains_is_the_canonical_rule(q):
             assert plane.contains(P) == _reference_contains(plane, P), (plane, P)
             inside += plane.contains(P)
         assert inside == plane.n_points
+
+
+@pytest.mark.parametrize("plane", [pg_from_field(4), ag_from_field(5)], ids=repr)
+def test_line_between_is_line_through(plane):
+    # every ordered pair, so that each pair is asked twice, once from the memo
+    pts = plane.points()
+    for P, Q in product(pts, repeat=2):
+        want = None if P == Q else line_through(plane.spec, P, Q)
+        assert plane.line_between(P, Q) == want, (P, Q)
+
+
+def test_line_memo_stays_within_its_bound(monkeypatch):
+    import planegraphs.plane as plane_mod
+
+    monkeypatch.setattr(plane_mod, "LINE_MEMO_BOUND", 5)
+    plane = CoordPlane("PG", make_field(3))
+    pts = plane.points()
+    for P, Q in product(pts, repeat=2):
+        want = None if P == Q else line_through(plane.spec, P, Q)
+        assert plane.line_between(P, Q) == want, (P, Q)
+        assert len(plane._lines) <= 5
+
+
+def test_points_are_built_once():
+    plane = pg_from_field(5)
+    assert type(plane.points()) is tuple and plane.points() is plane.points()
