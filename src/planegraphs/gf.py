@@ -75,7 +75,10 @@ def factorize(n: int) -> dict:
 
 
 def prime_power(n: int):
-    """Return (p, a) when n = p^a for a prime p, else None."""
+    """Return (p, a) when n = p^a for a prime p, else None.  ValueError
+    when n exceeds MAX_ORDER, tested first so that no huge n is factorised."""
+    if n > MAX_ORDER:
+        raise ValueError(f"field order {n} exceeds supported bound {MAX_ORDER}")
     if n < 2:
         return None
     if is_prime(n):
@@ -449,9 +452,7 @@ def make_field(p: int, a: int = 1) -> FieldSpec:
 def field_for(q: int) -> FieldSpec:
     """GF(q), cached.  The one place that decides whether q names a field
     the package builds: ValueError when q is not a prime power, or when it
-    exceeds MAX_ORDER, tested first so that no huge q is factorised."""
-    if q > MAX_ORDER:
-        raise ValueError(f"field order {q} exceeds supported bound {MAX_ORDER}")
+    exceeds MAX_ORDER (``prime_power`` tests the bound first)."""
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")

@@ -219,6 +219,17 @@ def _python(code):
                           timeout=10, env={**os.environ, "PYTHONPATH": path})
 
 
+@pytest.mark.parametrize("n", [10**18 + 9, 10**18 + 3])
+def test_huge_prime_power_refused_at_once(n):
+    # both are prime: the bound is compared first, no trial division runs
+    proc = _python(
+        "from planegraphs.gf import prime_power\n"
+        f"try: prime_power({n})\n"
+        "except ValueError as e: print(e)\n"
+    )
+    assert proc.returncode == 0 and "exceeds supported bound" in proc.stdout
+
+
 def test_new_field_is_one_cache_miss():
     # a traced benchmark pass counts fields built as make_field's cache misses
     proc = _python(
