@@ -227,16 +227,11 @@ def embedding_to_json(emb: Embedding) -> str:
     doc = {
         "plane": {"model": emb.model, "q": emb.q},
         "graph": emb.graph.json_dict(),
-        "vertices": [[v, _img_json(img)] for v, img in enumerate(emb.vertex_images)],
-        "edges": [
-            [list(e), _img_json(img)] for e, img in zip(emb.graph.edges, emb.edge_images)
-        ],
+        # json writes each tuple, an image or a (vertex, image) pair, as a list
+        "vertices": list(enumerate(emb.vertex_images)),
+        "edges": list(zip(emb.graph.edges, emb.edge_images)),
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _img_json(img):
-    return list(img) if isinstance(img, tuple) else img
 
 
 def _img_load(raw, model: str):

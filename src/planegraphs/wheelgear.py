@@ -185,7 +185,7 @@ def _wheel_explicit(pgp: CoordPlane) -> Iterator[tuple]:
     # cut and a transversal m, closed off by a searched vertex T
     spec, q = pgp.spec, pgp.q
     O = (0, 0, 1)
-    P = sorted(t for t in pgp.points() if not is_affine(t))  # points of the infinite line
+    P = [t for t in pgp.points() if not is_affine(t)]  # points of the infinite line
     ells = [line_through(spec, O, t) for t in P]
     for c in range(1, q):
         m = canon(spec, (1, 0, spec.eneg(c)))  # x = c, through P[0]
@@ -197,8 +197,8 @@ def _wheel_explicit(pgp: CoordPlane) -> Iterator[tuple]:
                 zig.append(Qs[i + 1])
         # zig = [P_1, Q_2, P_3, ..., Q_{q-1}, P_q]; close through T on ell_{q+1}
         t_line = ells[q]
-        for T in sorted(t for t in pgp.points() if incident(spec, t, t_line)):
-            if T == O or T == P[q] or T in zig:
+        for T in pgp.points():
+            if T == O or T == P[q] or T in zig or not incident(spec, T, t_line):
                 continue
             yield [O] + zig + [T], ROUTE_EXPLICIT
 
