@@ -8,7 +8,9 @@ import pytest
 
 from planegraphs.cli import main
 from planegraphs.cycles import (
+    SlopeLabeling,
     ag_cycle,
+    base_path,
     cyclic_plane,
     labeling_for,
     path_closed_form,
@@ -16,7 +18,7 @@ from planegraphs.cycles import (
     plane_for,
     singer_difference_set,
 )
-from planegraphs.gf import hypothesis_j_search
+from planegraphs.gf import field_for, hypothesis_j_search
 from planegraphs.plane import ag_from_field, pg_from_field
 from planegraphs.wheelgear import arc_points, gear_plan, wheel_plan
 
@@ -206,3 +208,28 @@ def test_only_main_maps_errors_to_usage():
                 if caught & watched and [ast.dump(stmt) for stmt in node.body] == [bare]:
                     found.append(f"cli.py:{node.lineno} in {fn.name}")
     assert found == []
+
+
+# encodings outside 0..q-1 (and a zero beta, which starts no base path) are
+# refused by the entry points that take alpha or beta as a number
+ENCODING_REFUSALS = {
+    "make_alpha_q": (lambda: SlopeLabeling.make(field_for(7), "A", 7), "encoding 7 out of range for GF(7)"),
+    "make_alpha_negative": (lambda: SlopeLabeling.make(field_for(7), "A", -1),
+                            "encoding -1 out of range for GF(7)"),
+    "base_path_beta_zero": (lambda: base_path(7, labeling_for(7), 0), "base path must start off the origin"),
+    "base_path_beta_q": (lambda: base_path(7, labeling_for(7), 7), "encoding 7 out of range for GF(7)"),
+    "base_path_beta_negative": (lambda: base_path(7, labeling_for(7), -1), "encoding -1 out of range for GF(7)"),
+    "closed_form_alpha": (lambda: path_closed_form(7, 9, 1, 0), "encoding 9 out of range for GF(7)"),
+    "closed_form_beta": (lambda: path_closed_form(7, 3, 7, 0), "encoding 7 out of range for GF(7)"),
+    "closed_form_beta_negative": (lambda: path_closed_form(7, 3, -1, 0),
+                                  "encoding -1 out of range for GF(7)"),
+    "closed_form_composite": (lambda: path_closed_form(9, 9, 1, 0), "encoding 9 out of range for GF(9)"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(ENCODING_REFUSALS))
+def test_out_of_range_encodings_refused(cell):
+    call, text = ENCODING_REFUSALS[cell]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == text
