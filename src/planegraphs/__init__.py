@@ -9,7 +9,6 @@ passes, once, in ``graphs.emit`` before it is returned.
 from .gf import (
     ConjectureViolation,
     DegenerateAlpha,
-    FieldElement,
     FieldSpec,
     HypothesisJCertificate,
     consecutive_primitive_pair,
@@ -26,7 +25,6 @@ from .gf import (
     primitive_iter,
 )
 from .plane import (
-    AffinePoint,
     CoordPlane,
     FormatError,
     GenericPlane,
@@ -55,7 +53,6 @@ from .graphs import (
 )
 from .oracle import DEFAULT_BUDGET, OracleResult, exists_embedding, pancyclicity_table
 from .cycles import (
-    BasePath,
     NoCertificate,
     SlopeLabeling,
     ag_cycle,

@@ -66,7 +66,7 @@ def _cmd_field(args) -> int:
         "p": spec.p,
         "a": spec.a,
         "modulus": list(spec.modulus),
-        "first_primitive": first_primitive(spec).enc,
+        "first_primitive": first_primitive(spec),
     }
     print(json.dumps(doc, separators=(",", ":")))
     return 0

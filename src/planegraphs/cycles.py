@@ -24,7 +24,6 @@ from typing import Optional
 
 from .gf import (
     DegenerateAlpha,
-    FieldElement,
     FieldSpec,
     element_order,
     field_for,
@@ -35,7 +34,6 @@ from .gf import (
 from .graphs import ConstructionFailed, Embedding, cycle_graph, emit
 from .oracle import search_unverified
 from .plane import (
-    AffinePoint,
     GenericPlane,
     affine_coords,
     affine_triple,
@@ -63,23 +61,23 @@ class SlopeLabeling:
 
     spec: FieldSpec
     kind: str
-    alpha: FieldElement
+    alpha: int
     slopes: tuple  # index = class; entry None or a slope encoding
 
     @classmethod
-    def make(cls, spec: FieldSpec, kind: str, alpha) -> "SlopeLabeling":
-        a = alpha if isinstance(alpha, FieldElement) else spec.element(alpha)
+    def make(cls, spec: FieldSpec, kind: str, alpha: int) -> "SlopeLabeling":
+        spec.decode(alpha)  # ValueError unless 0 <= alpha < q
         q = spec.q
         if kind == "A":
-            slopes = [None] + [spec.epow(a.enc, i) for i in range(1, q)] + [0]
+            slopes = [None] + [spec.epow(alpha, i) for i in range(1, q)] + [0]
         elif kind == "B":
-            slopes = [None] + [spec.epow(a.enc, i) for i in range(1, q - 1)] + [0, 1]
+            slopes = [None] + [spec.epow(alpha, i) for i in range(1, q - 1)] + [0, 1]
         else:
             raise ValueError(f"unknown labeling kind {kind!r}")
         body = [s for s in slopes if s is not None]
         if len(set(body)) != q:
-            raise ValueError(f"alpha {a!r} does not generate distinct slopes")
-        return cls(spec, kind, a, tuple(slopes))
+            raise ValueError(f"alpha {alpha} does not generate distinct slopes in GF({q})")
+        return cls(spec, kind, alpha, tuple(slopes))
 
     @property
     def q(self) -> int:
@@ -129,26 +127,21 @@ def _resolve_labeling(q: int, labeling) -> SlopeLabeling:
 # base paths
 
 
-@dataclass(frozen=True)
-class BasePath:
-    q: int
-    labeling: SlopeLabeling
-    beta: FieldElement
-    points: tuple  # AffinePoint P_0..P_q, with P_i on l_i
-    return_point: AffinePoint  # Q_0 on l_0
-    multiplier: FieldElement  # y(Q_0) / beta
+def base_path(q: int, labeling=None, beta: int = 1) -> tuple:
+    """Walk the parallel-class recurrence from (0, beta); purely geometric.
 
-
-def base_path(q: int, labeling=None, beta=1) -> BasePath:
-    """Walk the parallel-class recurrence from (0, beta); purely geometric."""
+    Returns ``(points, multiplier)``: the canonical triples P_0..P_q, P_i on
+    l_i, and the encoding m with Q_0 = (0, m*beta), where the class-1 line
+    through P_q meets l_0.
+    """
     lab = _resolve_labeling(q, labeling)
     spec = lab.spec
-    b = beta if isinstance(beta, FieldElement) else spec.element(beta)
-    if b.is_zero:
+    spec.decode(beta)  # ValueError unless 0 <= beta < q
+    if beta == 0:
         raise ValueError("base path must start off the origin")
     n = q + 1
     origin = (0, 0, 1)
-    cur = affine_triple(spec, 0, b.enc)
+    cur = affine_triple(spec, 0, beta)
     pts = [cur]
     for j in range(q):
         # the link leaving P_j has class j+2; P_{j+1} sits on l_{j+1}
@@ -164,46 +157,33 @@ def base_path(q: int, labeling=None, beta=1) -> BasePath:
     if len(set(pts)) != n or not all(
         incident(spec, P, lab.through_o_line(i)) for i, P in enumerate(pts)
     ):
-        raise ConstructionFailed(f"base path from beta={b!r} leaves its pencil")
-    x0, y0 = affine_coords(spec, q0)
-    mult = spec.element(y0) / b
-
-    def _ap(t):
-        x, y = affine_coords(spec, t)
-        return AffinePoint(spec.element(x), spec.element(y))
-
-    return BasePath(
-        q=q,
-        labeling=lab,
-        beta=b,
-        points=tuple(_ap(t) for t in pts),
-        return_point=_ap(q0),
-        multiplier=mult,
-    )
+        raise ConstructionFailed(f"base path from beta={beta} leaves its pencil")
+    _, y0 = affine_coords(spec, q0)
+    return tuple(pts), spec.emul(y0, spec.einv(beta))
 
 
-def path_closed_form(q: int, alpha, beta, i: int) -> AffinePoint:
-    """Algebraic positions along the kind-A path: index i maps to the far
-    endpoint of link i (P_{i+1}; i=q gives the return point)."""
+def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
+    """Algebraic positions along the kind-A path, as canonical triples:
+    index i maps to the far endpoint of link i (P_{i+1}; i=q gives the
+    return point)."""
     spec = field_for(q)
-    a = alpha if isinstance(alpha, FieldElement) else spec.element(alpha)
-    b = beta if isinstance(beta, FieldElement) else spec.element(beta)
+    spec.decode(alpha), spec.decode(beta)  # ValueError unless in 0..q-1
     if not 0 <= i <= q:
         raise ValueError(f"index {i} outside 0..{q}")
-    one = spec.one_el
-    zero = spec.zero_el
+    add, sub, mul, inv, pw = spec.eadd, spec.esub, spec.emul, spec.einv, spec.epow
     try:
         if i <= q - 3:
-            num = b * (one + a) ** i
-            return AffinePoint(num / (a ** (i + 1) * (one - a)), num / (one - a))
-        c = b * (one + a) ** (q - 3) / (one - a)
+            num = mul(beta, pw(add(1, alpha), i))
+            x = mul(num, inv(mul(pw(alpha, i + 1), sub(1, alpha))))
+            return affine_triple(spec, x, mul(num, inv(sub(1, alpha))))
+        c = mul(mul(beta, pw(add(1, alpha), q - 3)), inv(sub(1, alpha)))
         if i == q - 2:
-            return AffinePoint(c, c)
+            return affine_triple(spec, c, c)
         if i == q - 1:
-            return AffinePoint(c, zero)
-        return AffinePoint(zero, -(a * c))
+            return affine_triple(spec, c, 0)
+        return affine_triple(spec, 0, spec.eneg(mul(alpha, c)))
     except ZeroDivisionError:
-        raise DegenerateAlpha(f"closed form undefined at alpha={a!r}")
+        raise DegenerateAlpha(f"closed form undefined at alpha={alpha} in GF({q})")
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +212,10 @@ def _long_chain(q: int, lab: SlopeLabeling) -> tuple:
     # The path from beta is the one from 1 scaled by beta, which maps
     # (X : Y : Z) to (X : Y : Z/beta): still canonical, as no path meets O
     spec = lab.spec
-    first = base_path(q, lab, spec.one_el)
-    m = first.multiplier
-    base, step = [P.triple() for P in first.points], spec.einv(m.enc)
+    base, m = base_path(q, lab, 1)
+    step = spec.einv(m)
     points, s = [], 1  # s = 1/beta
-    for _ in range(element_order(m)):
+    for _ in range(element_order(spec, m)):
         points.extend((X, Y, spec.emul(Z, s)) for X, Y, Z in base)
         s = spec.emul(s, step)
     return tuple(points)
@@ -403,7 +382,7 @@ def singer_difference_set(q: int) -> tuple:
     spec = field_for(q)
     big = make_field(spec.p, 3 * spec.a)
     add, mul = big.eadd, big.emul
-    g = first_primitive(big).enc
+    g = first_primitive(big)
     n = q * q + q + 1
     gn = big.epow(g, n)
     sub = [0]

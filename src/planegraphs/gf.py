@@ -1,14 +1,14 @@
 """Finite fields GF(p^a) with a canonical integer encoding.
 
-An element is stored as its encoding, an int in 0..q-1, and all
-arithmetic works on encodings in ``FieldSpec``.  For a = 1 the encoding
-is the residue itself and the operations are native modular arithmetic.
-For a > 1 the element is the residue polynomial with coefficients
-(c0, c1, ..., c_{a-1}), constant term first, modulo a fixed monic
-irreducible of degree a, and its encoding is sum(c_i * p^i), so
-encodings sort the same way the coefficient vectors do when read as
-base-p numerals.  ``FieldElement`` wraps one encoding for operator
-arithmetic; each of its operators is one ``FieldSpec`` call.
+An element is its encoding, an int in 0..q-1: every function here takes
+and returns encodings, with the ``FieldSpec`` where one is needed, and
+all arithmetic is the spec's.  For a = 1 the encoding is the residue
+itself and the operations are native modular arithmetic.  For a > 1 the
+element is the residue polynomial with coefficients (c0, c1, ...,
+c_{a-1}), constant term first, modulo a fixed monic irreducible of degree
+a, and its encoding is sum(c_i * p^i), so encodings sort the same way the
+coefficient vectors do when read as base-p numerals.  The encoding of -1
+is p - 1 for every a.
 
 A composite spec computes on polynomials (inverses by Fermat, x^(q-2))
 until it has done q operations that way.  At the q-th it builds, once,
@@ -236,23 +236,6 @@ class FieldSpec:
             e = e * self.p + c
         return e
 
-    def element(self, enc: int) -> "FieldElement":
-        if not 0 <= enc < self.q:
-            raise ValueError(f"encoding {enc} out of range for GF({self.q})")
-        return FieldElement(self, enc)
-
-    @property
-    def zero_el(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one_el(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def minus_one_el(self) -> "FieldElement":
-        return FieldElement(self, self.p - 1)
-
     # arithmetic on encodings: the one implementation of the field.  A
     # composite spec does its first q - 1 operations on polynomials and
     # then switches to the tables ``_warm`` builds.  ``_tables`` and
@@ -273,7 +256,7 @@ class FieldSpec:
         ops = self.__dict__["_cold_ops"] = self._cold_ops + 1
         if ops == self.q:
             p, n = self.p, self.q - 1
-            g = self.decode(first_primitive(self).enc)
+            g = self.decode(first_primitive(self))
             # exp has two periods, so sums of two logs need no reduction
             exp = array("i", bytes(8 * n))
             log = array("i", bytes(4 * self.q))
@@ -370,55 +353,6 @@ class FieldSpec:
         return 0 if e else 1
 
 
-class FieldElement:
-    """One element of GF(p^a): its spec and its encoding; immutable, hashable,
-    with operator arithmetic done by the spec."""
-
-    __slots__ = ("spec", "enc")
-
-    def __init__(self, spec: FieldSpec, enc: int):
-        self.spec = spec
-        self.enc = enc
-
-    @property
-    def is_zero(self) -> bool:
-        return self.enc == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.enc == other.enc
-        )
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.a, self.enc))
-
-    def __repr__(self):
-        return f"GF({self.spec.q}):{self.enc}"
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.eadd(self.enc, other.enc))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.esub(self.enc, other.enc))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.eneg(self.enc))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.emul(self.enc, other.enc))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.einv(self.enc))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.epow(self.enc, e))
-
-
 @lru_cache(maxsize=None)
 def make_field(p: int, a: int = 1) -> FieldSpec:
     """Construct GF(p^a) with the canonical modulus.
@@ -463,36 +397,34 @@ def field_for(q: int) -> FieldSpec:
 # multiplicative structure
 
 
-def element_order(x: FieldElement) -> int:
-    if x.is_zero:
+def element_order(spec: FieldSpec, x: int) -> int:
+    if x == 0:
         raise ValueError("order of zero is undefined")
-    n = x.spec.q - 1
-    t = n
+    n = t = spec.q - 1
     for ell in factorize(n):
-        while t % ell == 0 and x.spec.epow(x.enc, t // ell) == 1:
+        while t % ell == 0 and spec.epow(x, t // ell) == 1:
             t //= ell
     return t
 
 
-def is_primitive(x: FieldElement, _factors=None) -> bool:
-    if x.is_zero:
+def is_primitive(spec: FieldSpec, x: int, _factors=None) -> bool:
+    if x == 0:
         return False
-    n = x.spec.q - 1
+    n = spec.q - 1
     factors = _factors if _factors is not None else tuple(factorize(n))
-    return all(x.spec.epow(x.enc, n // ell) != 1 for ell in factors)
+    return all(spec.epow(x, n // ell) != 1 for ell in factors)
 
 
-def primitive_iter(spec: FieldSpec, _factors=None) -> Iterator[FieldElement]:
+def primitive_iter(spec: FieldSpec, _factors=None) -> Iterator[int]:
     """Primitive elements in increasing encoding order.  For a > 1 the walk
     starts at p: encodings below it are GF(p), of orders dividing p - 1."""
     factors = _factors if _factors is not None else tuple(factorize(spec.q - 1))
-    for enc in range(spec.p if spec.a > 1 else 1, spec.q):
-        x = spec.element(enc)
-        if is_primitive(x, factors):
+    for x in range(spec.p if spec.a > 1 else 1, spec.q):
+        if is_primitive(spec, x, factors):
             yield x
 
 
-def first_primitive(spec: FieldSpec) -> FieldElement:
+def first_primitive(spec: FieldSpec) -> int:
     return next(primitive_iter(spec))
 
 
@@ -500,33 +432,30 @@ def first_primitive(spec: FieldSpec) -> FieldElement:
 # the two closure maps
 
 
-def gamma_map(alpha: FieldElement) -> FieldElement:
+def gamma_map(spec: FieldSpec, alpha: int) -> int:
     """gamma = -alpha / ((1 - alpha) (1 + alpha)^2); defined off {0, 1, -1}."""
-    s = alpha.spec
-    one = s.one_el
-    if alpha.is_zero or alpha == one or alpha == s.minus_one_el:
-        raise DegenerateAlpha(f"gamma undefined at alpha={alpha!r}")
-    return -alpha / ((one - alpha) * (one + alpha) ** 2)
+    if alpha in (0, 1, spec.p - 1):
+        raise DegenerateAlpha(f"gamma undefined at alpha={alpha} in GF({spec.q})")
+    num = spec.eneg(alpha)
+    den = spec.emul(spec.esub(1, alpha), spec.epow(spec.eadd(1, alpha), 2))
+    return spec.emul(num, spec.einv(den))
 
 
-def gamma_prime_map(alpha: FieldElement) -> FieldElement:
+def gamma_prime_map(spec: FieldSpec, alpha: int) -> int:
     """gamma' = (alpha - 1) / (alpha + 1)^3.
 
     In characteristic 2 this collapses to 1/(alpha+1)^2.  Over GF(2) the
     only nonzero alpha is 1 and the map is taken to be 1 there.
     """
-    s = alpha.spec
-    if s.q == 2:
-        if alpha.is_zero:
-            raise DegenerateAlpha("gamma' undefined at alpha=0")
-        return s.one_el
-    one = s.one_el
-    if alpha.is_zero or alpha == s.minus_one_el:
-        raise DegenerateAlpha(f"gamma' undefined at alpha={alpha!r}")
-    return (alpha - one) / (alpha + one) ** 3
+    if alpha == 0 or (alpha == spec.p - 1 and spec.q > 2):
+        raise DegenerateAlpha(f"gamma' undefined at alpha={alpha} in GF({spec.q})")
+    if spec.q == 2:
+        return 1
+    num = spec.esub(alpha, 1)
+    return spec.emul(num, spec.einv(spec.epow(spec.eadd(alpha, 1), 3)))
 
 
-def consecutive_primitive_pair(spec: FieldSpec, _factors=None) -> FieldElement:
+def consecutive_primitive_pair(spec: FieldSpec, _factors=None) -> int:
     """First alpha (by encoding) with alpha and alpha+1 both primitive.
 
     Only meaningful in even characteristic with a > 1; exhaustion would
@@ -535,10 +464,8 @@ def consecutive_primitive_pair(spec: FieldSpec, _factors=None) -> FieldElement:
     if spec.p != 2 or spec.a < 2:
         raise ValueError("consecutive pair search needs GF(2^a) with a > 1")
     factors = _factors if _factors is not None else tuple(factorize(spec.q - 1))
-    one = spec.one_el
-    for enc in range(2, spec.q):
-        alpha = spec.element(enc)
-        if is_primitive(alpha, factors) and is_primitive(alpha + one, factors):
+    for alpha in range(2, spec.q):
+        if is_primitive(spec, alpha, factors) and is_primitive(spec, spec.eadd(alpha, 1), factors):
             return alpha
     raise ConjectureViolation(f"no consecutive primitive pair in GF({spec.q})")
 
@@ -557,8 +484,8 @@ class HypothesisJCertificate:
 
     q: int
     route: str
-    alpha: FieldElement
-    gamma: FieldElement
+    alpha: int
+    gamma: int
     ord_alpha: int
     ord_gamma: int
 
@@ -566,8 +493,8 @@ class HypothesisJCertificate:
         return {
             "q": self.q,
             "route": self.route,
-            "alpha": self.alpha.enc,
-            "gamma": self.gamma.enc,
+            "alpha": self.alpha,
+            "gamma": self.gamma,
             "ord": self.ord_alpha,
         }
 
@@ -587,16 +514,15 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     factors = tuple(factorize(n))
     if spec.p == 2:
         alpha = consecutive_primitive_pair(spec, factors)
-        gamma = gamma_prime_map(alpha)
-        if not is_primitive(gamma, factors):
+        gamma = gamma_prime_map(spec, alpha)
+        if not is_primitive(spec, gamma, factors):
             raise ConjectureViolation(f"gamma' not primitive at q={q}")
         return HypothesisJCertificate(q, ROUTE_EVEN_GOLOMB, alpha, gamma, n, n)
-    minus_one = spec.minus_one_el
     for alpha in primitive_iter(spec, factors):
-        if alpha == minus_one:
+        if alpha == spec.p - 1:
             continue
-        gamma = gamma_map(alpha)
-        if is_primitive(gamma, factors):
+        gamma = gamma_map(spec, alpha)
+        if is_primitive(spec, gamma, factors):
             return HypothesisJCertificate(q, ROUTE_ODD_GAMMA, alpha, gamma, n, n)
     return None
 

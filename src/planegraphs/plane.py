@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Optional
 
-from .gf import FieldElement, FieldSpec, field_for
+from .gf import FieldSpec, field_for
 
 Triple = tuple
 
@@ -109,15 +109,6 @@ def parallel_line(spec: FieldSpec, l: Triple, P: Triple) -> Triple:
     if d == P:
         raise ValueError("P is the direction of l itself")
     return line_through(spec, d, P)
-
-
-@dataclass(frozen=True)
-class AffinePoint:
-    x: FieldElement
-    y: FieldElement
-
-    def triple(self) -> Triple:
-        return affine_triple(self.x.spec, self.x.enc, self.y.enc)
 
 
 # ---------------------------------------------------------------------------

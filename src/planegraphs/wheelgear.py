@@ -271,18 +271,18 @@ def _gear_paths_even(n, lab) -> Iterator[tuple]:
     O = (0, 0, 1)
     d0, d1 = lab.direction_point(0), lab.direction_point(1)
     for bp in range(1, q):
-        P = [t.triple() for t in base_path(q, lab, bp).points]
+        P, _ = base_path(q, lab, bp)
         open_line = lab.class_line_through(1, P[0])  # joins (1) to P_0
         close_vert = lab.class_line_through(0, P[n - 2])  # joins P_{n-2} to (0)
         for bq in range(1, q):
             if bq == bp:
                 continue
-            Q = [t.triple() for t in base_path(q, lab, bq).points]
+            Q, _ = base_path(q, lab, bq)
             if incident(spec, Q[n - 1], open_line):
                 continue  # closing class-1 line would repeat the opening one
             if incident(spec, Q[1], close_vert):
                 continue  # the two vertical connectors would coincide
-            yield [O] + P[: n - 1] + [d0] + Q[1:n] + [d1], ROUTE_PATHS_EVEN
+            yield [O, *P[: n - 1], d0, *Q[1:n], d1], ROUTE_PATHS_EVEN
 
 
 def _gear_paths_odd(n, lab) -> Iterator[tuple]:
@@ -293,7 +293,7 @@ def _gear_paths_odd(n, lab) -> Iterator[tuple]:
     t_cands = [lab.direction_point(n)]
     t_cands += sorted(affine_triple(spec, x, spec.emul(s, x)) for x in range(1, q))
     for bp in range(1, q):
-        P = [t.triple() for t in base_path(q, lab, bp).points]
+        P, _ = base_path(q, lab, bp)
         for k in (1, n):
             back = lab.class_line_through(k, P[0])
             X = intersect(spec, back, lab.through_o_line(n - 3))
@@ -306,7 +306,7 @@ def _gear_paths_odd(n, lab) -> Iterator[tuple]:
                 Q[i - 1] = intersect(spec, link, lab.through_o_line(i - 1))
             for T in t_cands:
                 if T not in P and T not in Q:
-                    yield [O] + P[:n] + [d0, T] + Q, ROUTE_PATHS_ODD
+                    yield [O, *P[:n], d0, T, *Q], ROUTE_PATHS_ODD
 
 
 def _gear_max(lab, pgp: CoordPlane) -> list:

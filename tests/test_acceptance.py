@@ -34,7 +34,7 @@ from planegraphs.graphs import (
     wheel_graph,
 )
 from planegraphs.oracle import exists_embedding
-from planegraphs.plane import ag_from_field, pg_from_field
+from planegraphs.plane import affine_triple, ag_from_field, intersect, pg_from_field
 from planegraphs.wheelgear import ConstructionFailed, gear, gear_plan, wheel, wheel_plan
 
 PANCYCLIC_QS = (4, 5, 7, 8, 9, 11, 13)
@@ -116,7 +116,7 @@ def test_criterion_04_long_cycle_law(report):
     for q in prime_powers_in(4, 49):
         lab = labeling_for(q)
         chain = long_cycle(q, lab)
-        order = element_order(base_path(q, lab).multiplier)
+        order = element_order(lab.spec, base_path(q, lab)[1])
         length = len(chain.vertex_images)
         if length != (q + 1) * order or length != q * q - 1:
             bad.append((q, "length"))
@@ -140,15 +140,15 @@ def test_criterion_05_closed_form_adjudication(report):
         spec = lab.spec
         alpha = lab.alpha
         for b in range(1, q):
-            beta = spec.element(b)
-            path = base_path(q, lab, b)
+            points, m = base_path(q, lab, b)
             for i in range(q):
-                if path_closed_form(q, alpha, beta, i) != path.points[i + 1]:
+                if path_closed_form(q, alpha, b, i) != points[i + 1]:
                     bad.append((q, b, i))
-            if path_closed_form(q, alpha, beta, q) != path.return_point:
+            # Q_0 from the geometry: the class-1 line through P_q meets l_0
+            q0 = intersect(spec, lab.class_line_through(1, points[q]), lab.through_o_line(0))
+            if path_closed_form(q, alpha, b, q) != q0:
                 bad.append((q, b, "return"))
-            q0 = path.return_point
-            if not (q0.x.is_zero and q0.y == path.multiplier * beta):
+            if q0 != affine_triple(spec, 0, spec.emul(m, b)):
                 bad.append((q, b, "Q0"))
     ok = not bad
     report(5, ok, f"closed form matches geometry for odd q in {qs[0]}..{qs[-1]}, "

@@ -36,7 +36,14 @@ from planegraphs.graphs import (
     emit,
     verify_embedding,
 )
-from planegraphs.plane import ag_from_field, check_plane_axioms, incident, pg_from_field
+from planegraphs.plane import (
+    affine_triple,
+    ag_from_field,
+    check_plane_axioms,
+    incident,
+    intersect,
+    pg_from_field,
+)
 
 
 def test_labeling_covers_all_directions():
@@ -57,37 +64,35 @@ def test_labeling_for_q3_has_no_certificate():
 def test_base_path_geometry():
     for q in (5, 7, 9):
         lab = labeling_for(q)
-        path = base_path(q, lab)
+        points, m = base_path(q, lab)
         spec = lab.spec
-        assert len(path.points) == q + 1
-        assert len(set(path.points)) == q + 1
-        for i, pt in enumerate(path.points):
-            t = pt.triple()
+        assert len(points) == q + 1
+        assert len(set(points)) == q + 1
+        for i, t in enumerate(points):
             assert incident(spec, t, lab.through_o_line(i))
             assert t != (0, 0, 1)
-        # the return line closes back to the vertical axis
-        assert incident(spec, path.return_point.triple(), lab.through_o_line(0))
+        # the return line closes back to the vertical axis at (0, m)
+        assert incident(spec, affine_triple(spec, 0, m), lab.class_line_through(1, points[q]))
 
 
 def test_multiplier_matches_field_maps():
     # kind A returns gamma(alpha); kind B returns gamma'(alpha)
     lab5 = labeling_for(5)
-    assert base_path(5, lab5).multiplier == gamma_map(lab5.alpha)
+    assert base_path(5, lab5)[1] == gamma_map(lab5.spec, lab5.alpha)
     lab8 = labeling_for(8)
-    assert base_path(8, lab8).multiplier == gamma_prime_map(lab8.alpha)
+    assert base_path(8, lab8)[1] == gamma_prime_map(lab8.spec, lab8.alpha)
     # kind B in odd characteristic follows the same law
     spec7 = make_field(7)
-    lab7b = SlopeLabeling.make(spec7, "B", spec7.element(3))
-    got = base_path(7, lab7b).multiplier
-    assert got == gamma_prime_map(spec7.element(3))
-    assert got.enc == 2
+    lab7b = SlopeLabeling.make(spec7, "B", 3)
+    got = base_path(7, lab7b)[1]
+    assert got == gamma_prime_map(spec7, 3)
+    assert got == 2
 
 
 def test_base_path_q3_explicit_labeling():
     spec = make_field(3)
-    lab = SlopeLabeling.make(spec, "A", spec.element(2))  # alpha = -1
-    path = base_path(3, lab)
-    assert path.multiplier.enc == 2
+    lab = SlopeLabeling.make(spec, "A", 2)  # alpha = -1
+    assert base_path(3, lab)[1] == 2
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
@@ -96,14 +101,18 @@ def test_closed_form_matches_geometry(q):
     spec = lab.spec
     alpha = lab.alpha
     for b in range(1, q):
-        beta = spec.element(b)
-        path = base_path(q, lab, b)
+        points, m = base_path(q, lab, b)
         # index i names the far endpoint of link i; i=q is the return point
         for i in range(q):
-            want = path.points[i + 1]
-            got = path_closed_form(q, alpha, beta, i)
+            want = points[i + 1]
+            got = path_closed_form(q, alpha, b, i)
             assert got == want, (q, b, i)
-        assert path_closed_form(q, alpha, beta, q) == path.return_point
+        assert path_closed_form(q, alpha, b, q) == _return_point(lab, points)
+
+
+def _return_point(lab, points):
+    # Q_0 from the geometry: the class-1 line through P_q meets l_0
+    return intersect(lab.spec, lab.class_line_through(1, points[-1]), lab.through_o_line(0))
 
 
 def test_return_point_is_gamma_beta():
@@ -111,17 +120,17 @@ def test_return_point_is_gamma_beta():
         lab = labeling_for(q)
         spec = lab.spec
         for b in (1, 2, q - 1):
-            path = base_path(q, lab, b)
-            q0 = path.return_point
-            assert q0.x.is_zero
-            assert q0.y == path.multiplier * spec.element(b)
+            points, m = base_path(q, lab, b)
+            q0 = _return_point(lab, points)
+            assert q0 == affine_triple(spec, 0, spec.emul(m, b))
+            assert q0 == path_closed_form(q, lab.alpha, b, q)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_long_cycle_length_law(q):
     lab = labeling_for(q)
     emb = long_cycle(q, lab)
-    order = element_order(base_path(q, lab).multiplier)
+    order = element_order(lab.spec, base_path(q, lab)[1])
     assert len(emb.vertex_images) == (q + 1) * order == q * q - 1
     assert verify_embedding(emb.graph, emb, plane_for(emb.model, emb.q)).ok
     # no chain line may pass through the origin
@@ -147,11 +156,12 @@ def test_long_chain_walks_one_base_path(monkeypatch):
 
 def _per_beta_chain(q, lab):
     # the reference: one walk of the recurrence for every beta of the orbit
-    m = base_path(q, lab, 1).multiplier
-    points, b = [], lab.spec.one_el
-    for _ in range(element_order(m)):
-        points.extend(P.triple() for P in base_path(q, lab, b).points)
-        b = m * b
+    spec = lab.spec
+    m = base_path(q, lab, 1)[1]
+    points, b = [], 1
+    for _ in range(element_order(spec, m)):
+        points.extend(base_path(q, lab, b)[0])
+        b = spec.emul(m, b)
     return tuple(points)
 
 

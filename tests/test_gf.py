@@ -68,7 +68,7 @@ FROZEN_FIRST_PRIMITIVE = {
 
 @pytest.mark.parametrize("q,enc", sorted(FROZEN_FIRST_PRIMITIVE.items()))
 def test_first_primitive_frozen(q, enc):
-    assert first_primitive(make_field(*prime_power(q))).enc == enc
+    assert first_primitive(make_field(*prime_power(q))) == enc
 
 
 # frozen: the certificate row of every composite prime power up to 1024
@@ -178,7 +178,7 @@ def test_cubic_extensions_frozen():
     for q in prime_powers_in(2, 101):
         p, a = prime_power(q)
         big = make_field(p, 3 * a)
-        rows.append(json.dumps([q, list(big.modulus), first_primitive(big).enc], separators=(",", ":")))
+        rows.append(json.dumps([q, list(big.modulus), first_primitive(big)], separators=(",", ":")))
     assert len(rows) == 36
     assert rows[:2] == ["[2,[1,1,0,1],2]", "[3,[1,2,0,1],3]"]
     assert rows[-1] == "[101,[1,1,0,1],104]"
@@ -190,7 +190,7 @@ def test_first_primitive_skips_the_prime_field(monkeypatch):
     # encodings below p are GF(p), whose orders divide p - 1
     tested = []
     real = gf.is_primitive
-    monkeypatch.setattr(gf, "is_primitive", lambda x, _factors=None: tested.append(x.enc) or real(x, _factors))
+    monkeypatch.setattr(gf, "is_primitive", lambda spec, x, _factors=None: tested.append(x) or real(spec, x, _factors))
     for q in (4, 8, 9, 25, 27, 49, 121, 125, 729, 101 ** 3):
         spec = field_for(q)
         tested.clear()
@@ -270,74 +270,92 @@ def test_is_prime_small():
 
 def test_element_orders_gf5():
     spec = make_field(5)
-    orders = {e: element_order(spec.element(e)) for e in range(1, 5)}
+    orders = {e: element_order(spec, e) for e in range(1, 5)}
     assert orders == {1: 1, 2: 4, 3: 4, 4: 2}
-    assert [a.enc for a in primitive_iter(spec)] == [2, 3]
+    assert list(primitive_iter(spec)) == [2, 3]
 
 
 def test_first_primitive_is_primitive():
     for q in (4, 5, 7, 8, 9, 13, 16, 25, 27, 49):
         spec = make_field(*prime_power(q))
         a = first_primitive(spec)
-        assert is_primitive(a)
-        assert element_order(a) == q - 1
+        assert is_primitive(spec, a)
+        assert element_order(spec, a) == q - 1
 
 
 def test_gamma_frozen_values():
     spec5 = make_field(5)
-    assert gamma_map(spec5.element(2)).enc == 3
+    assert gamma_map(spec5, 2) == 3
     spec7 = make_field(7)
-    g = gamma_map(spec7.element(3))
-    assert g.enc == 6 and not is_primitive(g)
+    g = gamma_map(spec7, 3)
+    assert g == 6 and not is_primitive(spec7, g)
     spec13 = make_field(13)
-    assert is_primitive(spec13.element(7))
-    assert gamma_map(spec13.element(7)).enc == 1
+    assert is_primitive(spec13, 7)
+    assert gamma_map(spec13, 7) == 1
 
 
 def test_gamma_degenerate_inputs():
     spec = make_field(7)
     for e in (0, 1, 6):  # 0, 1, -1
         with pytest.raises(DegenerateAlpha):
-            gamma_map(spec.element(e))
+            gamma_map(spec, e)
+
+
+@pytest.mark.parametrize("q", [4, 9, 25, 27, 32, 49])
+def test_gamma_maps_degenerate_at_the_same_encodings(q):
+    # -1 is encoded p - 1 for every p^a; gamma is undefined at 0, 1 and -1,
+    # gamma' at 0 and -1, and both are defined everywhere else
+    spec = field_for(q)
+    for e in range(q):
+        if e in (0, 1, spec.p - 1):
+            with pytest.raises(DegenerateAlpha):
+                gamma_map(spec, e)
+        else:
+            gamma_map(spec, e)
+        if e in (0, spec.p - 1):
+            with pytest.raises(DegenerateAlpha):
+                gamma_prime_map(spec, e)
+        else:
+            gamma_prime_map(spec, e)
 
 
 def test_gamma_prime_frozen_values():
     spec7 = make_field(7)
-    assert gamma_prime_map(spec7.element(5)).enc == 3
+    assert gamma_prime_map(spec7, 5) == 3
     spec4 = make_field(2, 2)
-    assert gamma_prime_map(spec4.element(2)).enc == 3
+    assert gamma_prime_map(spec4, 2) == 3
     # order two collapses the formula; the map is pinned to one there
     spec2 = make_field(2)
-    assert gamma_prime_map(spec2.element(1)).enc == 1
+    assert gamma_prime_map(spec2, 1) == 1
 
 
 def test_gamma_prime_degenerate_inputs():
     spec = make_field(3, 2)
-    zero = spec.element(0)
     with pytest.raises(DegenerateAlpha):
-        gamma_prime_map(zero)
+        gamma_prime_map(spec, 0)
     with pytest.raises(DegenerateAlpha):
-        gamma_prime_map(-spec.element(1))
+        gamma_prime_map(spec, spec.eneg(1))
+    with pytest.raises(DegenerateAlpha):
+        gamma_prime_map(make_field(2), 0)
 
 
 def test_consecutive_primitive_pair_even():
     for q, enc in ((4, 2), (8, 2)):
         spec = make_field(*prime_power(q))
         a = consecutive_primitive_pair(spec)
-        assert a.enc == enc
-        one = spec.element(1)
-        assert is_primitive(a) and is_primitive(a + one)
+        assert a == enc
+        assert is_primitive(spec, a) and is_primitive(spec, spec.eadd(a, 1))
 
 
 def test_search_certificates():
     c5 = hypothesis_j_search(5)
-    assert (c5.route, c5.alpha.enc, c5.gamma.enc, c5.ord_gamma) == ("ODD_GAMMA", 2, 3, 4)
+    assert (c5.route, c5.alpha, c5.gamma, c5.ord_gamma) == ("ODD_GAMMA", 2, 3, 4)
     c7 = hypothesis_j_search(7)
-    assert (c7.route, c7.alpha.enc, c7.gamma.enc) == ("ODD_GAMMA", 5, 3)
+    assert (c7.route, c7.alpha, c7.gamma) == ("ODD_GAMMA", 5, 3)
     c4 = hypothesis_j_search(4)
-    assert (c4.route, c4.alpha.enc) == ("EVEN_GOLOMB", 2)
+    assert (c4.route, c4.alpha) == ("EVEN_GOLOMB", 2)
     c8 = hypothesis_j_search(8)
-    assert (c8.route, c8.alpha.enc) == ("EVEN_GOLOMB", 2)
+    assert (c8.route, c8.alpha) == ("EVEN_GOLOMB", 2)
     assert hypothesis_j_search(3) is None
 
 
@@ -366,14 +384,14 @@ def test_field_axioms_random(q):
 
     @given(st.integers(0, q - 1), st.integers(0, q - 1), st.integers(0, q - 1))
     def inner(x, y, z):
-        a, b, c = spec.element(x), spec.element(y), spec.element(z)
-        assert (a + b) * c == a * c + b * c
-        assert a * (b * c) == (a * b) * c
-        assert a + (-a) == spec.element(0)
-        if not a.is_zero:
-            assert a * a.inverse() == spec.element(1)
-            assert (a ** (q - 1)) == spec.element(1)
-            assert a ** -1 == a.inverse()
+        add, mul = spec.eadd, spec.emul
+        assert mul(add(x, y), z) == add(mul(x, z), mul(y, z))
+        assert mul(x, mul(y, z)) == mul(mul(x, y), z)
+        assert add(x, spec.eneg(x)) == 0
+        if x:
+            assert mul(x, spec.einv(x)) == 1
+            assert spec.epow(x, q - 1) == 1
+            assert spec.epow(x, -1) == spec.einv(x)
 
     inner()
 
@@ -382,11 +400,10 @@ def test_field_axioms_random(q):
 def test_gamma_fixed_field_total(e):
     # gamma is defined everywhere outside its three poles
     spec = make_field(61)
-    a = spec.element(e)
-    g = gamma_map(a)
-    one = spec.element(1)
-    denom = (one - a) * (one + a) * (one + a)
-    assert g * denom == -a
+    g = gamma_map(spec, e)
+    mul = spec.emul
+    denom = mul(mul(spec.esub(1, e), spec.eadd(1, e)), spec.eadd(1, e))
+    assert mul(g, denom) == spec.eneg(e)
 
 
 # ---------------------------------------------------------------------------
