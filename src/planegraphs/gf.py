@@ -49,25 +49,41 @@ class ConjectureViolation(RuntimeError):
     """A search that is expected to succeed on theoretical grounds came up empty."""
 
 
+_PRIMES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases 2, 3, 5 and 7, which is exact for every
-    n < 3,215,031,751; trial division above that."""
-    if n < 11 or n >= 3_215_031_751:
-        return n in (2, 3, 5, 7) or n > 10 and all(n % f for f in range(2, isqrt(n) + 1))
+    """Miller-Rabin.  The bases 2, 3, 5 and 7 are exact for every
+    n < 3,215,031,751, and the first thirteen primes (2..41) for every
+    n < psi_13 = 3,317,044,064,679,887,385,961,981 (J. Sorenson and
+    J. Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
+    86 (2017)).  Trial division only above psi_13."""
+    if n <= _PRIMES_13[-1]:
+        return n in _PRIMES_13
+    if n >= _PSI_13:
+        return all(n % f for f in range(2, isqrt(n) + 1))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
     return all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s))
-               for b in (2, 3, 5, 7))
+               for b in (_PRIMES_13[:4] if n < 3_215_031_751 else _PRIMES_13))
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization by trial division, {prime: exponent}."""
+    """Prime factorization by trial division, {prime: exponent}.  A cofactor
+    above 2^20, where ``is_prime`` costs less than dividing up to its root,
+    is tested first, and a prime cofactor ends the division."""
+    if n > 1 << 20 and is_prime(n):
+        return {n: 1}
     out = {}
     f = 2
     while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+        if n % f == 0:
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+            if n > 1 << 20 and is_prime(n):
+                break
         f += 1 if f == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1

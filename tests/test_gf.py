@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,37 @@ def test_make_field_refuses_huge_order_at_once():
         "field order 1000000000000000009^2 exceeds supported bound 1048576",
         "field order 2^1000000000000 exceeds supported bound 1048576",
     ]
+
+
+@pytest.mark.parametrize("n", [10**18 + 9, 2 * (10**18 + 9)])
+def test_is_prime_and_factorize_answer_a_huge_n_at_once(n):
+    # 10^18 + 9 is prime: Miller-Rabin decides it, and it ends the division
+    proc = _python(
+        "from planegraphs.gf import factorize, is_prime\n"
+        f"print(is_prime({n}), sorted(factorize({n}).items()))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = "[(1000000000000000009, 1)]" if n % 2 else "[(2, 1), (1000000000000000009, 1)]"
+    assert proc.stdout == f"{n % 2 == 1} {want}\n"
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    # the least strong pseudoprime to the bases 2, 3, 5 and 7, and psi_12,
+    # which passes all twelve prime bases 2..37 and fails base 41
+    psi_12 = 318_665_857_834_031_151_167_461
+    assert psi_12 == 399_165_290_221 * 798_330_580_441
+    assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
+    assert not is_prime(3_215_031_751)
+    assert not is_prime(psi_12)
+
+
+def test_is_prime_agrees_with_trial_division_near_the_base_switch():
+    # four bases below 3,215,031,751, thirteen from there on
+    lo, hi = 3_215_031_751 - 3000, 3_215_031_751 + 3000
+    root = isqrt(hi)
+    small = [p for p in range(2, root + 1) if all(p % f for f in range(2, isqrt(p) + 1))]
+    want = [n for n in range(lo, hi) if all(n % p for p in small)]
+    assert [n for n in range(lo, hi) if is_prime(n)] == want
 
 
 def test_is_prime_small():
