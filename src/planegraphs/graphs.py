@@ -74,7 +74,9 @@ def _norm_edges(edges) -> tuple:
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph("CYCLE", k, _norm_edges((i, (i + 1) % k) for i in range(k)), param=k)
+    # the sorted edges in closed form: (0, 1), (0, k-1), then (i, i+1)
+    edges = ((0, 1), (0, k - 1)) + tuple((i, i + 1) for i in range(1, k - 1))
+    return Graph("CYCLE", k, edges, param=k)
 
 
 def wheel_graph(n: int) -> Graph:

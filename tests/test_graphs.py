@@ -26,6 +26,13 @@ def test_cycle_graph_shape():
         cycle_graph(2)
 
 
+def test_cycle_graph_edges_are_the_normalised_cycle():
+    from planegraphs.graphs import _norm_edges
+
+    for k in range(3, 301):
+        assert cycle_graph(k).edges == _norm_edges((i, (i + 1) % k) for i in range(k)), k
+
+
 def test_wheel_graph_shape():
     g = wheel_graph(6)
     assert g.n_vertices == 7 and len(g.edges) == 12
