@@ -293,6 +293,36 @@ def test_package_holds_no_assert_statement():
     assert found == []
 
 
+PUBLIC_NAMES = """
+ConjectureViolation ConstructionFailed CoordPlane DEFAULT_BUDGET DegenerateAlpha
+Embedding FieldSpec FormatError GenericPlane GenericView Graph
+HypothesisJCertificate ImpossibleDegree NoCertificate OracleResult Plan
+PlaneReport SlopeLabeling VerifyReport ag_cycle ag_from_field arc_points
+base_path check_plane_axioms consecutive_primitive_pair cycle_graph cycle_q2
+cyclic_plane edge_list_graph element_order emit exists_embedding field_for
+first_primitive gamma_map gamma_prime_map gear gear_graph gear_plan
+hypothesis_j_search is_primitive labeling_for load_plane long_cycle make_field
+pancyclicity_table path_closed_form pg_cycle pg_from_field plane_for
+prime_power prime_powers_in primitive_iter read_embedding save_plane
+singer_cycle singer_difference_set verify_embedding wheel wheel_graph
+wheel_plan write_embedding
+""".split()
+
+
+def test_public_names_pinned():
+    # what the package exports, its submodules aside; adding or removing a
+    # name is an API change and edits this list on purpose
+    import types
+
+    import planegraphs
+
+    names = sorted(
+        name for name, value in vars(planegraphs).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+
+
 def test_package_imports_no_unused_name():
     # a name a module imports and never reads is a stale import;
     # ``__init__`` imports to re-export and is left out
