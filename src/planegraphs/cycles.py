@@ -167,7 +167,8 @@ def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
     index i maps to the far endpoint of link i (P_{i+1}; i=q gives the
     return point)."""
     spec = field_for(q)
-    spec.decode(alpha), spec.decode(beta)  # ValueError unless in 0..q-1
+    spec.decode(alpha)  # ValueError unless 0 <= alpha < q
+    spec.decode(beta)
     if not 0 <= i <= q:
         raise ValueError(f"index {i} outside 0..{q}")
     add, sub, mul, inv, pw = spec.eadd, spec.esub, spec.emul, spec.einv, spec.epow

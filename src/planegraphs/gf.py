@@ -416,7 +416,8 @@ def field_for(q: int) -> FieldSpec:
 def element_order(spec: FieldSpec, x: int) -> int:
     if x == 0:
         raise ValueError("order of zero is undefined")
-    n = t = spec.q - 1
+    n = spec.q - 1
+    t = n
     for ell in factorize(n):
         while t % ell == 0 and spec.epow(x, t // ell) == 1:
             t //= ell
