@@ -74,7 +74,7 @@ def _norm_edges(edges) -> tuple:
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    # the sorted edges in closed form: (0, 1), (0, k-1), then (i, i+1)
+    # in sorted order, as Graph.edges requires
     edges = ((0, 1), (0, k - 1)) + tuple((i, i + 1) for i in range(1, k - 1))
     return Graph("CYCLE", k, edges, param=k)
 

@@ -5,6 +5,7 @@ import pytest
 from planegraphs.graphs import (
     Embedding,
     FormatError,
+    _norm_edges,
     cycle_graph,
     edge_list_graph,
     emit,
@@ -27,8 +28,6 @@ def test_cycle_graph_shape():
 
 
 def test_cycle_graph_edges_are_the_normalised_cycle():
-    from planegraphs.graphs import _norm_edges
-
     for k in range(3, 301):
         assert cycle_graph(k).edges == _norm_edges((i, (i + 1) % k) for i in range(k)), k
 
