@@ -98,10 +98,9 @@ def test_base_path_q3_explicit_labeling():
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
 def test_closed_form_matches_geometry(q):
     lab = labeling_for(q)
-    spec = lab.spec
     alpha = lab.alpha
     for b in range(1, q):
-        points, m = base_path(q, lab, b)
+        points, _ = base_path(q, lab, b)
         # index i names the far endpoint of link i; i=q is the return point
         for i in range(q):
             want = points[i + 1]
