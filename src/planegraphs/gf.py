@@ -10,8 +10,10 @@ a, and its encoding is sum(c_i * p^i), so encodings sort the same way the
 coefficient vectors do when read as base-p numerals.  The encoding of -1
 is p - 1 for every a.
 
-A composite spec computes on polynomials (inverses by Fermat, x^(q-2))
-until it has done q operations that way.  At the q-th it builds, once,
+A composite spec computes on packed polynomials (inverses by Fermat,
+x^(q-2)) until it has done q operations that way: coefficient i sits in
+bits k*i.. of one int, so a product is one int multiply, and x^a..x^(2a-2)
+mod the modulus fold it back.  At the q-th operation it builds, once,
 exp and log tables of its ``first_primitive`` in ``array('i')``, and
 every later operation is a table lookup.  A field used only briefly, as
 in a certificate sweep, never pays for tables.  In characteristic 2 the
@@ -24,8 +26,10 @@ degree a whose non-leading coefficient vector has the smallest encoding.
 Every run of every machine therefore agrees on the arithmetic tables.
 
 A certificate sweep builds thousands of fields and uses each briefly, so
-``prime_powers_in`` sieves only its window, ``is_prime`` is Miller-Rabin,
-and the search factorises q - 1 once and starts its primitive walk at p.
+``prime_powers_in`` sieves only its window, ``is_prime`` is Miller-Rabin
+(bases 2 and 3 below 1,373,653, so for every field order), the search
+factorises q - 1 once and starts its primitive walk at p, and
+``make_field`` keeps only the 1,024 fields it built or used last.
 """
 
 from __future__ import annotations
@@ -54,19 +58,31 @@ _PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin.  The bases 2, 3, 5 and 7 are exact for every
-    n < 3,215,031,751, and the first thirteen primes (2..41) for every
-    n < psi_13 = 3,317,044,064,679,887,385,961,981 (J. Sorenson and
-    J. Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
-    86 (2017)).  Trial division only above psi_13."""
+    """Miller-Rabin.  The bases 2 and 3 are exact for every n < 1,373,653,
+    which covers every field order (C. Pomerance, J. L. Selfridge and
+    S. S. Wagstaff, "The pseudoprimes to 25*10^9", Math. Comp. 35 (1980));
+    2, 3, 5 and 7 for every n < 3,215,031,751; and the first thirteen
+    primes (2..41) for every n < psi_13 = 3,317,044,064,679,887,385,961,981
+    (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
+    bases", Math. Comp. 86 (2017)).  Trial division only above psi_13."""
     if n <= _PRIMES_13[-1]:
         return n in _PRIMES_13
     if n >= _PSI_13:
         return all(n % f for f in range(2, isqrt(n) + 1))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
-    return all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s))
-               for b in (_PRIMES_13[:4] if n < 3_215_031_751 else _PRIMES_13))
+    bases = 2 if n < 1_373_653 else 4 if n < 3_215_031_751 else 13
+    for b in _PRIMES_13[:bases]:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> dict:
@@ -140,17 +156,6 @@ def _trim(t):
     return t[:n]
 
 
-def _pmul(p, s, t):
-    if not s or not t:
-        return ()
-    out = [0] * (len(s) + len(t) - 1)
-    for i, a in enumerate(s):
-        if a:
-            for j, b in enumerate(t):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(tuple(out))
-
-
 def _pmod(p, s, m):
     # m need not be monic; reduce s modulo m
     s = list(s)
@@ -178,49 +183,18 @@ def _pgcd(p, s, t):
     return s
 
 
-def _ppowmod(p, base, e, m):
-    r = (1,)
-    base = _pmod(p, base, m)
-    while e:
-        if e & 1:
-            r = _pmod(p, _pmul(p, r, base), m)
-        base = _pmod(p, _pmul(p, base, base), m)
-        e >>= 1
-    return r
-
-
-def _psub(p, s, t):
-    if len(s) < len(t):
-        s = s + (0,) * (len(t) - len(s))
-    out = list(s)
-    for i, c in enumerate(t):
-        out[i] = (out[i] - c) % p
-    return _trim(tuple(out))
-
-
-def _is_irreducible(p: int, f: tuple) -> bool:
-    """f monic of degree >= 1.  Root scan for degree <= 3, Rabin test above."""
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    if deg <= 3:
-        # reducible iff it has a linear factor
-        for x in range(p):
-            acc = 0
-            for c in reversed(f):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
-        return True
-    # Rabin: x^(p^deg) == x mod f, and gcd(x^(p^(deg/r)) - x, f) == 1
-    # for every prime r dividing deg
-    x = (0, 1)
-    top = _ppowmod(p, x, p ** deg, f)
-    if _psub(p, top, _pmod(p, x, f)):
+def _is_irreducible(spec: FieldSpec) -> bool:
+    """Rabin's test of spec.modulus, of degree a >= 2: x^(p^a) == x mod f,
+    and gcd(x^(p^(a/r)) - x, f) == 1 for every prime r dividing a.  The
+    powers run on packed ints; the polynomial x is encoded p."""
+    p, f, deg = spec.p, spec.modulus, spec.a
+    x = spec._pack(p)
+    if spec._pow_packed(x, p ** deg) != x:
         return False
     for r in factorize(deg):
-        h = _psub(p, _ppowmod(p, x, p ** (deg // r), f), _pmod(p, x, f))
-        if len(_pgcd(p, f, h)) != 1:  # nontrivial common factor
+        h = list(spec.decode(spec._unpack(spec._pow_packed(x, p ** (deg // r)))))
+        h[1] = (h[1] - 1) % p
+        if len(_pgcd(p, f, _trim(tuple(h)))) != 1:  # nontrivial common factor
             return False
     return True
 
@@ -253,13 +227,65 @@ class FieldSpec:
         return e
 
     # arithmetic on encodings: the one implementation of the field.  A
-    # composite spec does its first q - 1 operations on polynomials and
-    # then switches to the tables ``_warm`` builds.  ``_tables`` and
-    # ``_cold_ops`` are caches, not fields: a composite spec writes them
-    # to its own __dict__, and prime specs never read the class defaults.
+    # composite spec does its first q - 1 operations on packed polynomials
+    # and then switches to the tables ``_warm`` builds.  ``_tables``,
+    # ``_cold_ops`` and ``_packing`` are caches, not fields: a composite
+    # spec writes them to its own __dict__, and prime specs never read the
+    # class defaults.
 
     _tables = None
     _cold_ops = 0
+    _packing = None
+
+    def _packed(self):
+        """(k, slot mask, low mask, x^j mod f packed for j = a..2a-2), once.
+
+        A packed polynomial keeps coefficient i in bits k*i..k*i+k-1.  A
+        product's slots hold at most a(p-1)^2, and folding its high slots,
+        each taken mod p, into the low ones adds at most (a-1)(p-1)^2; k is
+        the bit length of 2a(p-1)^2, so no slot ever carries into the next.
+        """
+        pk = self._packing
+        if pk is None:
+            p, a, f = self.p, self.a, self.modulus
+            k = (2 * a * (p - 1) ** 2).bit_length()
+            fold, r = [], [-c % p for c in f[:a]]  # x^a = -(f_0 + ... + f_{a-1} x^{a-1})
+            for _ in range(a - 1):
+                fold.append(sum(c << k * i for i, c in enumerate(r)))
+                r = [(u - r[-1] * c) % p for u, c in zip([0] + r, f[:a])]  # times x
+            pk = self.__dict__["_packing"] = (k, (1 << k) - 1, (1 << k * a) - 1, fold)
+        return pk
+
+    def _pack(self, enc: int) -> int:
+        k = self._packed()[0]
+        return sum(d << k * i for i, d in enumerate(self.decode(enc)))
+
+    def _unpack(self, s: int) -> int:
+        k, m = self._packed()[:2]
+        return self.encode([(s >> k * i) & m for i in range(self.a)])
+
+    def _mul_packed(self, s: int, t: int) -> int:
+        # one int product; fold the high slots back, then each slot mod p
+        k, m, low, fold = self._packed()
+        p, z = self.p, s * t
+        high, z = z >> k * self.a, z & low
+        for r in fold:
+            z += (high & m) % p * r
+            high >>= k
+        out = 0
+        for i in range(k * (self.a - 1), -1, -k):
+            out = (out << k) | ((z >> i) & m) % p
+        return out
+
+    def _pow_packed(self, b: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_packed(r, b)
+            e >>= 1
+            if e:
+                b = self._mul_packed(b, b)
+        return r
 
     def _warm(self):
         """Count one operation without tables; build them at the q-th.
@@ -272,16 +298,16 @@ class FieldSpec:
         ops = self.__dict__["_cold_ops"] = self._cold_ops + 1
         if ops == self.q:
             p, n = self.p, self.q - 1
-            g = self.decode(first_primitive(self))
+            g = self._pack(first_primitive(self))
             # exp has two periods, so sums of two logs need no reduction
             exp = array("i", bytes(8 * n))
             log = array("i", bytes(4 * self.q))
             zech = None
-            x = (1,)
+            x = 1
             for i in range(n):
-                exp[i] = exp[i + n] = e = self.encode(x)
+                exp[i] = exp[i + n] = e = self._unpack(x)
                 log[e] = i
-                x = _pmod(p, _pmul(p, x, g), self.modulus)
+                x = self._mul_packed(x, g)
             if p != 2:
                 # Zech logarithm: g^zech[k] = 1 + g^k, or -1 where that is 0;
                 # adding 1 changes only the constant digit of the encoding
@@ -331,8 +357,7 @@ class FieldSpec:
             return (x * y) % self.p
         t = self._tables or self._warm()
         if t is None:
-            r = _pmul(self.p, self.decode(x), self.decode(y))
-            return self.encode(_pmod(self.p, r, self.modulus))
+            return self._unpack(self._mul_packed(self._pack(x), self._pack(y)))
         q = self.q
         if not (0 <= x < q and 0 <= y < q):
             self.decode(x), self.decode(y)  # raises ValueError
@@ -360,8 +385,8 @@ class FieldSpec:
             return pow(x, e, self.p)
         t = self._tables or self._warm()
         if t is None:
-            # one decode and one encode around the whole square-and-multiply
-            return self.encode(_ppowmod(self.p, self.decode(x), e, self.modulus))
+            # one pack and one unpack around the whole square-and-multiply
+            return self._unpack(self._pow_packed(self._pack(x), e))
         if not 0 <= x < self.q:
             self.decode(x)  # raises ValueError
         if x:
@@ -369,7 +394,7 @@ class FieldSpec:
         return 0 if e else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def make_field(p: int, a: int = 1) -> FieldSpec:
     """Construct GF(p^a) with the canonical modulus.
 
@@ -392,10 +417,9 @@ def make_field(p: int, a: int = 1) -> FieldSpec:
         return FieldSpec(p, 1, q, (0, 1))
     tmp = FieldSpec(p, a, q, (0,) * a + (1,))  # encode/decode helper only
     for low_enc in range(1, q):
-        low = tmp.decode(low_enc)
-        cand = low + (1,)
-        if _is_irreducible(p, cand):
-            return FieldSpec(p, a, q, cand)
+        spec = FieldSpec(p, a, q, tmp.decode(low_enc) + (1,))
+        if _is_irreducible(spec):
+            return spec
     raise ConjectureViolation(f"no irreducible polynomial of degree {a} over GF({p})")
 
 
@@ -414,6 +438,8 @@ def field_for(q: int) -> FieldSpec:
 
 
 def element_order(spec: FieldSpec, x: int) -> int:
+    if not 0 <= x < spec.q:
+        spec.decode(x)  # raises ValueError
     if x == 0:
         raise ValueError("order of zero is undefined")
     n = spec.q - 1
@@ -425,11 +451,15 @@ def element_order(spec: FieldSpec, x: int) -> int:
 
 
 def is_primitive(spec: FieldSpec, x: int, _factors=None) -> bool:
+    if not 0 <= x < spec.q:
+        spec.decode(x)  # raises ValueError
     if x == 0:
         return False
     n = spec.q - 1
-    factors = _factors if _factors is not None else tuple(factorize(n))
-    return all(spec.epow(x, n // ell) != 1 for ell in factors)
+    for ell in _factors if _factors is not None else factorize(n):
+        if spec.epow(x, n // ell) == 1:
+            return False
+    return True
 
 
 def primitive_iter(spec: FieldSpec, _factors=None) -> Iterator[int]:
@@ -451,6 +481,8 @@ def first_primitive(spec: FieldSpec) -> int:
 
 def gamma_map(spec: FieldSpec, alpha: int) -> int:
     """gamma = -alpha / ((1 - alpha) (1 + alpha)^2); defined off {0, 1, -1}."""
+    if not 0 <= alpha < spec.q:
+        spec.decode(alpha)  # raises ValueError
     if alpha in (0, 1, spec.p - 1):
         raise DegenerateAlpha(f"gamma undefined at alpha={alpha} in GF({spec.q})")
     num = spec.eneg(alpha)
@@ -464,6 +496,8 @@ def gamma_prime_map(spec: FieldSpec, alpha: int) -> int:
     In characteristic 2 this collapses to 1/(alpha+1)^2.  Over GF(2) the
     only nonzero alpha is 1 and the map is taken to be 1 there.
     """
+    if not 0 <= alpha < spec.q:
+        spec.decode(alpha)  # raises ValueError
     if alpha == 0 or (alpha == spec.p - 1 and spec.q > 2):
         raise DegenerateAlpha(f"gamma' undefined at alpha={alpha} in GF({spec.q})")
     if spec.q == 2:
@@ -493,6 +527,8 @@ def consecutive_primitive_pair(spec: FieldSpec, _factors=None) -> int:
 ROUTE_ODD_GAMMA = "ODD_GAMMA"
 ROUTE_EVEN_GOLOMB = "EVEN_GOLOMB"
 ROUTE_NOT_FOUND = "NOT_FOUND"
+
+_JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per row
 
 
 @dataclass(frozen=True)
@@ -550,4 +586,4 @@ def certificate_line(q: int, cert: Optional[HypothesisJCertificate]) -> str:
         row = {"q": q, "route": ROUTE_NOT_FOUND}
     else:
         row = cert.to_json_dict()
-    return json.dumps(row, separators=(",", ":"))
+    return _JSON.encode(row)

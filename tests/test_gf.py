@@ -24,7 +24,7 @@ from planegraphs.gf import (
     DegenerateAlpha,
     FieldSpec,
     _pmod,
-    _pmul,
+    _trim,
     certificate_line,
     consecutive_primitive_pair,
     element_order,
@@ -287,13 +287,40 @@ def test_is_prime_refuses_strong_pseudoprimes():
     assert not is_prime(psi_12)
 
 
+def _primes_by_trial_division(lo, hi):
+    small = [p for p in range(2, isqrt(hi) + 1) if all(p % f for f in range(2, isqrt(p) + 1))]
+    return [n for n in range(lo, hi) if all(n % p for p in small)]
+
+
 def test_is_prime_agrees_with_trial_division_near_the_base_switch():
     # four bases below 3,215,031,751, thirteen from there on
     lo, hi = 3_215_031_751 - 3000, 3_215_031_751 + 3000
-    root = isqrt(hi)
-    small = [p for p in range(2, root + 1) if all(p % f for f in range(2, isqrt(p) + 1))]
-    want = [n for n in range(lo, hi) if all(n % p for p in small)]
-    assert [n for n in range(lo, hi) if is_prime(n)] == want
+    assert [n for n in range(lo, hi) if is_prime(n)] == _primes_by_trial_division(lo, hi)
+
+
+def test_is_prime_two_base_seam():
+    # 1,373,653 is the least strong pseudoprime to the bases 2 and 3, so the
+    # two-base tier ends below it and four bases decide it
+    assert 1_373_653 == 829 * 1657
+    assert not is_prime(1_373_653)
+    lo, hi = 1_373_653 - 3000, 1_373_653 + 3000
+    assert [n for n in range(lo, hi) if is_prime(n)] == _primes_by_trial_division(lo, hi)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 1 << 17
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_is_prime_with_many_factors_of_two():
+    # n - 1 = d * 2^s with s = 16 and s = 18: the squarings run to the end
+    assert 65_537 == 2**16 + 1 and 786_433 == 3 * 2**18 + 1
+    assert is_prime(65_537) and is_prime(786_433)
+    assert not is_prime(65_537 * 17) and not is_prime(786_433 * 3)
 
 
 def test_is_prime_small():
@@ -324,6 +351,16 @@ def test_gamma_frozen_values():
     spec13 = make_field(13)
     assert is_primitive(spec13, 7)
     assert gamma_map(spec13, 7) == 1
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_public_maps_refuse_out_of_range_encodings(q):
+    # a prime spec refuses them too, though its field operations do not check
+    spec = field_for(q)
+    for x in (-1, q, q + 2):
+        for fn in (element_order, is_primitive, gamma_map, gamma_prime_map):
+            with pytest.raises(ValueError, match=rf"^encoding {x} out of range for GF\({q}\)$"):
+                fn(spec, x)
 
 
 def test_gamma_degenerate_inputs():
@@ -450,6 +487,17 @@ def _fresh(q):
     return FieldSpec(p, a, q, make_field(p, a).modulus)
 
 
+def _pmul(p, s, t):
+    if not s or not t:
+        return ()
+    out = [0] * (len(s) + len(t) - 1)
+    for i, a in enumerate(s):
+        if a:
+            for j, b in enumerate(t):
+                out[i + j] = (out[i + j] + a * b) % p
+    return _trim(tuple(out))
+
+
 class _Reference:
     """GF(q) by coefficient tuples, with inverses found by brute force."""
 
@@ -473,6 +521,14 @@ class _Reference:
         for _ in range(top):
             out.append(self.mul(out[-1], x))
         return out
+
+    def pow(self, x, e):
+        r = 1
+        for bit in bin(e)[2:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, x)
+        return r
 
 
 def _check_binary(q, xs, ys):
@@ -560,3 +616,53 @@ def test_out_of_range_encodings_rejected(q):
             ):
                 with pytest.raises(ValueError):
                     call()
+
+
+@pytest.mark.parametrize("q", [2**18, 2**20, 3**12, 7**6, 101**3, 1021**2])
+def test_cold_packed_arithmetic_at_the_extremes(q):
+    # a fresh spec of a large field: every operation here runs on packed ints
+    ref, spec = _Reference(q), _fresh(q)
+    xs = sorted({0, 1, spec.p - 1, q - 1} | set(range(q // 21, q, q // 21)))
+    for x in xs:
+        for y in xs:
+            assert spec.emul(x, y) == ref.mul(x, y), (q, x, y)
+        inv = ref.pow(x, q - 2)  # x^-1, or 0 at 0
+        want = {0: 1, 1: x, 2: ref.mul(x, x), q - 2: inv, q - 1: ref.mul(inv, x)}
+        for e, w in want.items():
+            assert spec.epow(x, e) == w, (q, x, e)
+        if x == 0:
+            with pytest.raises(ZeroDivisionError):
+                spec.einv(0)
+            continue
+        assert ref.mul(x, inv) == 1
+        assert spec.einv(x) == inv and spec.epow(x, -1) == inv, (q, x)
+    assert spec._tables is None
+
+
+def test_sweep_keeps_a_bounded_field_cache():
+    proc = _python(
+        "from planegraphs.gf import hypothesis_j_search, make_field, prime_powers_in\n"
+        "qs = prime_powers_in(3, 2**15)\n"
+        "for q in qs: hypothesis_j_search(q)\n"
+        "info = make_field.cache_info()\n"
+        "print(len(qs), info.misses, info.currsize, info.maxsize)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    n, built, kept, cap = map(int, proc.stdout.split())
+    assert built == n > cap >= kept
+
+
+def test_cold_search_builds_no_tables():
+    # GF(7^6) finds its certificate after 804 operations, far below the
+    # q = 117,649 at which its tables would pay
+    proc = _python(
+        "from planegraphs.gf import certificate_line, field_for, hypothesis_j_search\n"
+        "print(certificate_line(7**6, hypothesis_j_search(7**6)))\n"
+        "spec = field_for(7**6)\n"
+        "print(spec._tables is None, spec._cold_ops)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        '{"q":117649,"route":"ODD_GAMMA","alpha":164,"gamma":93120,"ord":117648}',
+        "True 804",
+    ]
