@@ -28,7 +28,6 @@ from .plane import (
     CoordPlane,
     FormatError,
     GenericPlane,
-    GenericView,
     PlaneReport,
     ag_from_field,
     check_plane_axioms,

@@ -80,10 +80,10 @@ def _cmd_plane(args) -> int:
     if args.mode == "export":
         if args.q is None or args.out is None:
             return _usage_error("plane export needs --q and --out")
-        view = plane_for(args.model.upper(), args.q).to_generic()
-        save_plane(view.plane, args.out)
+        plane = plane_for(args.model.upper(), args.q).to_generic()
+        save_plane(plane, args.out)
         print(f"{args.model}:{args.q} -> {args.out} "
-              f"({view.plane.n_points} points, {len(view.plane.lines)} lines)")
+              f"({plane.n_points} points, {len(plane.lines)} lines)")
         return 0
     if not args.file:  # the check mode
         return _usage_error("plane check needs a file argument")

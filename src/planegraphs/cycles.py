@@ -32,7 +32,7 @@ from .gf import (
     make_field,
 )
 from .graphs import ConstructionFailed, Embedding, cycle_graph, emit
-from .oracle import search_unverified
+from .oracle import oracle
 from .plane import (
     GenericPlane,
     affine_coords,
@@ -268,14 +268,6 @@ def _ellipse_points(q: int, spec: FieldSpec) -> list:
 # pancyclicity constructors
 
 
-def _oracle_chain(k: int, plane) -> list:
-    # unverified: the caller's emit verifies the walk once
-    status, images, _ = search_unverified(cycle_graph(k), plane)
-    if images is None:
-        raise ConstructionFailed(f"search gave {status} for a {k}-cycle in {plane}")
-    return images
-
-
 def ag_cycle(q: int, k: int) -> Embedding:
     """A k-cycle in AG(2,q) for any feasible k (3 <= k <= q^2)."""
     return _emit_chain("AG", q, _ag_chain(q, k), k)
@@ -286,7 +278,7 @@ def _ag_chain(q: int, k: int):
     if not 3 <= k <= q * q:
         raise ValueError(f"k={k} outside 3..{q * q}")
     if q in (2, 3):
-        return _oracle_chain(k, ag_from_field(q))
+        return oracle(cycle_graph(k), ag_from_field(q))
     if k <= q:
         return parabola_points(spec, k)
     if k == q + 1:
@@ -318,7 +310,7 @@ def pg_cycle(q: int, k: int) -> Embedding:
     if k == top:
         return singer_cycle(q)
     if q in (2, 3):
-        points = _oracle_chain(k, pg_from_field(q))
+        points = oracle(cycle_graph(k), pg_from_field(q))
     elif k <= q * q:
         points = _ag_chain(q, k)
     else:

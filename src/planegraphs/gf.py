@@ -27,16 +27,16 @@ Every run of every machine therefore agrees on the arithmetic tables.
 
 A certificate sweep builds thousands of fields and uses each briefly, so
 ``prime_powers_in`` sieves only its window, ``is_prime`` is Miller-Rabin
-(bases 2 and 3 below 1,373,653, so for every field order), the search
-factorises q - 1 once and starts its primitive walk at p, and
-``make_field`` keeps only the 1,024 fields it built or used last.
+(bases 2 and 3 below 1,373,653, so for every field order), ``make_field``
+factorises q - 1 once per field and keeps only the 1,024 fields it built
+or used last, and the primitive walk starts at p.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
@@ -204,12 +204,14 @@ def _is_irreducible(spec: FieldSpec) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Arithmetic context for GF(p^a).  modulus is little-endian, monic, length a+1."""
+    """Arithmetic context for GF(p^a).  modulus is little-endian, monic,
+    length a+1; factors are the primes dividing q - 1."""
 
     p: int
     a: int
     q: int
     modulus: tuple
+    factors: tuple = field(compare=False)
 
     def decode(self, enc: int) -> tuple:
         if not 0 <= enc < self.q:
@@ -413,11 +415,12 @@ def make_field(p: int, a: int = 1) -> FieldSpec:
     q = p ** a
     if q > MAX_ORDER:
         raise ValueError(f"field order {q} exceeds supported bound {MAX_ORDER}")
+    factors = tuple(factorize(q - 1))
     if a == 1:
-        return FieldSpec(p, 1, q, (0, 1))
-    tmp = FieldSpec(p, a, q, (0,) * a + (1,))  # encode/decode helper only
+        return FieldSpec(p, 1, q, (0, 1), factors)
+    tmp = FieldSpec(p, a, q, (0,) * a + (1,), factors)  # encode/decode helper only
     for low_enc in range(1, q):
-        spec = FieldSpec(p, a, q, tmp.decode(low_enc) + (1,))
+        spec = FieldSpec(p, a, q, tmp.decode(low_enc) + (1,), factors)
         if _is_irreducible(spec):
             return spec
     raise ConjectureViolation(f"no irreducible polynomial of degree {a} over GF({p})")
@@ -442,32 +445,30 @@ def element_order(spec: FieldSpec, x: int) -> int:
         spec.decode(x)  # raises ValueError
     if x == 0:
         raise ValueError("order of zero is undefined")
-    n = spec.q - 1
-    t = n
-    for ell in factorize(n):
+    t = spec.q - 1
+    for ell in spec.factors:
         while t % ell == 0 and spec.epow(x, t // ell) == 1:
             t //= ell
     return t
 
 
-def is_primitive(spec: FieldSpec, x: int, _factors=None) -> bool:
+def is_primitive(spec: FieldSpec, x: int) -> bool:
     if not 0 <= x < spec.q:
         spec.decode(x)  # raises ValueError
     if x == 0:
         return False
     n = spec.q - 1
-    for ell in _factors if _factors is not None else factorize(n):
+    for ell in spec.factors:
         if spec.epow(x, n // ell) == 1:
             return False
     return True
 
 
-def primitive_iter(spec: FieldSpec, _factors=None) -> Iterator[int]:
+def primitive_iter(spec: FieldSpec) -> Iterator[int]:
     """Primitive elements in increasing encoding order.  For a > 1 the walk
     starts at p: encodings below it are GF(p), of orders dividing p - 1."""
-    factors = _factors if _factors is not None else tuple(factorize(spec.q - 1))
     for x in range(spec.p if spec.a > 1 else 1, spec.q):
-        if is_primitive(spec, x, factors):
+        if is_primitive(spec, x):
             yield x
 
 
@@ -506,7 +507,7 @@ def gamma_prime_map(spec: FieldSpec, alpha: int) -> int:
     return spec.emul(num, spec.einv(spec.epow(spec.eadd(alpha, 1), 3)))
 
 
-def consecutive_primitive_pair(spec: FieldSpec, _factors=None) -> int:
+def consecutive_primitive_pair(spec: FieldSpec) -> int:
     """First alpha (by encoding) with alpha and alpha+1 both primitive.
 
     Only meaningful in even characteristic with a > 1; exhaustion would
@@ -514,9 +515,8 @@ def consecutive_primitive_pair(spec: FieldSpec, _factors=None) -> int:
     """
     if spec.p != 2 or spec.a < 2:
         raise ValueError("consecutive pair search needs GF(2^a) with a > 1")
-    factors = _factors if _factors is not None else tuple(factorize(spec.q - 1))
     for alpha in range(2, spec.q):
-        if is_primitive(spec, alpha, factors) and is_primitive(spec, spec.eadd(alpha, 1), factors):
+        if is_primitive(spec, alpha) and is_primitive(spec, spec.eadd(alpha, 1)):
             return alpha
     raise ConjectureViolation(f"no consecutive primitive pair in GF({spec.q})")
 
@@ -533,14 +533,13 @@ _JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one pe
 
 @dataclass(frozen=True)
 class HypothesisJCertificate:
-    """Witness that alpha is primitive and its closure value gamma is too."""
+    """Witness that alpha is primitive and its closure value gamma is too,
+    so both have order q - 1."""
 
     q: int
     route: str
     alpha: int
     gamma: int
-    ord_alpha: int
-    ord_gamma: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -548,7 +547,7 @@ class HypothesisJCertificate:
             "route": self.route,
             "alpha": self.alpha,
             "gamma": self.gamma,
-            "ord": self.ord_alpha,
+            "ord": self.q - 1,
         }
 
 
@@ -563,20 +562,18 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     spec = field_for(q)
     if q < 3:
         raise ValueError(f"q={q} is not a prime power greater than 2")
-    n = q - 1
-    factors = tuple(factorize(n))
     if spec.p == 2:
-        alpha = consecutive_primitive_pair(spec, factors)
+        alpha = consecutive_primitive_pair(spec)
         gamma = gamma_prime_map(spec, alpha)
-        if not is_primitive(spec, gamma, factors):
+        if not is_primitive(spec, gamma):
             raise ConjectureViolation(f"gamma' not primitive at q={q}")
-        return HypothesisJCertificate(q, ROUTE_EVEN_GOLOMB, alpha, gamma, n, n)
-    for alpha in primitive_iter(spec, factors):
+        return HypothesisJCertificate(q, ROUTE_EVEN_GOLOMB, alpha, gamma)
+    for alpha in primitive_iter(spec):
         if alpha == spec.p - 1:
             continue
         gamma = gamma_map(spec, alpha)
-        if is_primitive(spec, gamma, factors):
-            return HypothesisJCertificate(q, ROUTE_ODD_GAMMA, alpha, gamma, n, n)
+        if is_primitive(spec, gamma):
+            return HypothesisJCertificate(q, ROUTE_ODD_GAMMA, alpha, gamma)
     return None
 
 

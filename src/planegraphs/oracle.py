@@ -2,9 +2,9 @@
 
 The oracle answers the ground-truth question: does this graph embed in
 this plane at all?  It searches in point ids only, a coordinate plane
-through its generic view, and is used both as a fallback constructor for
-tiny planes and as the referee that constructive routes are tested
-against.
+through ``to_generic``, and is used both as a fallback constructor for
+tiny planes (``oracle``) and as the referee that constructive routes are
+tested against (``exists_embedding``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Embedding, Graph, cycle_graph, emit
+from .graphs import ConstructionFailed, Embedding, Graph, cycle_graph, emit
 from .plane import CoordPlane, GenericPlane
 
 DEFAULT_BUDGET = 10**8
@@ -163,27 +163,27 @@ def exists_embedding(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> Oracl
     for a coordinate plane), as ``graphs.emit`` returns it: verified once,
     in that plane.
     """
-    status, img, count = search_unverified(graph, plane, budget)
+    status, img, count = _search_in(graph, plane, budget)
     return OracleResult(status, None if img is None else emit(graph, img, plane), count)
 
 
-def search_unverified(graph: Graph, plane, budget: int = DEFAULT_BUDGET) -> tuple:
-    """The search of ``exists_embedding``, unverified: (status, vertex images
-    in the plane's own points or None, expansions), for constructors, which
-    hand the images to ``graphs.emit``."""
-    ids, points = _id_plane(plane)
-    status, img, count = _search(graph, ids, budget)
-    if img is not None and points is not None:
-        img = [points[i] for i in img]
-    return status, img, count
+def oracle(graph: Graph, plane) -> list:
+    """The search as a constructor: the vertex images it found, in the
+    plane's own points and unverified, for the caller to hand to
+    ``graphs.emit``.  ConstructionFailed when it finds none."""
+    status, img, _ = _search_in(graph, plane, DEFAULT_BUDGET)
+    if img is None:
+        raise ConstructionFailed(f"{graph.kind.lower()} search ended with {status}")
+    return img
 
 
-def _id_plane(plane) -> tuple:
-    # the plane the search runs on, and the coordinates of its point ids
-    if isinstance(plane, CoordPlane):
-        view = plane.to_generic()
-        return view.plane, view.point_triples
-    return plane, None
+def _search_in(graph: Graph, plane, budget: int) -> tuple:
+    # the search in point ids; a coordinate plane's images become its points
+    if not isinstance(plane, CoordPlane):
+        return _search(graph, plane, budget)
+    status, img, count = _search(graph, plane.to_generic(), budget)
+    pts = plane.points()
+    return status, None if img is None else [pts[i] for i in img], count
 
 
 def pancyclicity_table(plane, budget: int = DEFAULT_BUDGET) -> dict:

@@ -191,14 +191,6 @@ class GenericPlane:
         return mp
 
 
-@dataclass(frozen=True)
-class GenericView:
-    """A generic plane plus the coordinate labels it was built from."""
-
-    plane: GenericPlane
-    point_triples: tuple
-
-
 class CoordPlane:
     """PG(2,q) or its affine part AG(2,q), with arithmetic incidence tests."""
 
@@ -209,6 +201,7 @@ class CoordPlane:
         self.spec = spec
         self.q = spec.q
         self._points = None
+        self._generic = None
         self._lines = {}  # line_between's memo, by unordered point pair
 
     def __repr__(self):
@@ -256,42 +249,38 @@ class CoordPlane:
     def max_pencil(self) -> int:
         return self.q + 1
 
-    def to_generic(self) -> GenericView:
-        """The plane as point ids 0..N-1 in sorted triple order; one shared
-        view per (model, field)."""
-        return _generic_view(self.model, self.spec)
-
-
-@lru_cache(maxsize=None)
-def _generic_view(model: str, spec: FieldSpec) -> GenericView:
-    # each line's points are solved for directly: q field steps per line
-    q, neg, add, mul = spec.q, spec.eneg, spec.eadd, spec.emul
-    pts = CoordPlane(model, spec).points()
-    index = {P: i for i, P in enumerate(pts)}
-    aff = [index[affine_triple(spec, x, y)] for x in range(q) for y in range(q)]
-    lines = []
-    for b in range(q):
-        for c in range(q):
-            # x + by + c = 0, and (-b : 1 : 0) at infinity
-            ids = [aff[neg(add(mul(b, y), c)) * q + y] for y in range(q)]
+    def to_generic(self) -> GenericPlane:
+        """The plane in point ids, built once per plane: point i is
+        ``points()[i]``."""
+        if self._generic is None:
+            # each line's points are solved for directly: q field steps per line
+            spec, model, pts = self.spec, self.model, self.points()
+            q, neg, add, mul = spec.q, spec.eneg, spec.eadd, spec.emul
+            index = {P: i for i, P in enumerate(pts)}
+            aff = [index[affine_triple(spec, x, y)] for x in range(q) for y in range(q)]
+            lines = []
+            for b in range(q):
+                for c in range(q):
+                    # x + by + c = 0, and (-b : 1 : 0) at infinity
+                    ids = [aff[neg(add(mul(b, y), c)) * q + y] for y in range(q)]
+                    if model == "PG":
+                        ids.append(index[canon(spec, (neg(b), 1, 0))])
+                    lines.append(ids)
+            for c in range(q):
+                # y + c = 0, and (1 : 0 : 0) at infinity
+                ids = [aff[x * q + neg(c)] for x in range(q)]
+                if model == "PG":
+                    ids.append(index[(1, 0, 0)])
+                lines.append(ids)
             if model == "PG":
-                ids.append(index[canon(spec, (neg(b), 1, 0))])
-            lines.append(ids)
-    for c in range(q):
-        # y + c = 0, and (1 : 0 : 0) at infinity
-        ids = [aff[x * q + neg(c)] for x in range(q)]
-        if model == "PG":
-            ids.append(index[(1, 0, 0)])
-        lines.append(ids)
-    if model == "PG":
-        lines.append([index[DIR_VERTICAL]] + [index[(1, s, 0)] for s in range(q)])
-    plane = GenericPlane(
-        q=q,
-        n_points=len(pts),
-        lines=tuple(sorted(tuple(sorted(ids)) for ids in lines)),
-        transitive=True,
-    )
-    return GenericView(plane, tuple(pts))
+                lines.append([index[DIR_VERTICAL]] + [index[(1, s, 0)] for s in range(q)])
+            self._generic = GenericPlane(
+                q=q,
+                n_points=len(pts),
+                lines=tuple(sorted(tuple(sorted(ids)) for ids in lines)),
+                transitive=True,
+            )
+        return self._generic
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ from .graphs import (
     gear_graph,
     wheel_graph,
 )
-from .oracle import search_unverified
+from .oracle import oracle
 from .plane import (
     CoordPlane,
     GenericPlane,
@@ -86,22 +86,17 @@ def _first_plan(graph: Graph, candidates, plane) -> Plan:
 
 
 def _setup(kind: str, q: int, n: int, plane) -> tuple:
-    # the cell's graph, and its plane: ``plane`` if generic, else PG(2,q)
-    if not isinstance(plane, GenericPlane):
+    # the cell's graph, and its plane: ``plane`` if given, which must be
+    # generic, else PG(2,q)
+    if plane is None:
         plane = pg_from_field(q)
+    elif not isinstance(plane, GenericPlane):
+        raise ValueError(f"{kind} plane must be a GenericPlane, not {plane!r}")
     # the degree bound comes first, so an absurd n builds no graph
     if n > plane.q + 1:
         raise ImpossibleDegree(f"{kind} center degree {n} exceeds the pencil size {plane.q + 1}")
     graph = wheel_graph(n) if kind == "wheel" else gear_graph(n)  # ValueError for n < 3
     return graph, plane
-
-
-def _searched(graph: Graph, plane) -> tuple:
-    """The exhaustive oracle's candidate, in coordinates for a CoordPlane."""
-    status, images, _ = search_unverified(graph, plane)
-    if images is None:
-        raise ConstructionFailed(f"{graph.kind.lower()} search ended with {status}")
-    return images, ROUTE_ORACLE
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +131,12 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
     then ORACLE.  In a generic plane it is ARC on a greedy arc, then ORACLE.
     The returned embedding has passed the verifier.
 
-    Raises ValueError when ``gf.field_for`` refuses q or when n < 3, and
-    ImpossibleDegree when n > q+1 (the center needs n lines of one pencil).
-    Raises ConstructionFailed when every route fails, the oracle included
-    where it is the fallback: no embedding exists (or the oracle's budget
-    runs out first).  For 2 <= q <= 32 that happens only at (q, n) = (3, 4):
+    Raises ValueError when ``gf.field_for`` refuses q, when n < 3 or when
+    a plane is passed that is not a GenericPlane, and ImpossibleDegree
+    when n > q+1 (the center needs n lines of one pencil).  Raises
+    ConstructionFailed when every route fails, the oracle included where
+    it is the fallback: no embedding exists (or the oracle's budget runs
+    out first).  For 2 <= q <= 32 that happens only at (q, n) = (3, 4):
     the five vertices of W_4 must form a 5-arc, since any three of them span
     two edges at one vertex, which would share a line if the three were
     collinear; and PG(2,3) has no 5-arc (an arc of PG(2,q), q odd, has at
@@ -160,12 +156,12 @@ def _wheel_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
         arc = _greedy_arc(plane, n + 1)
         if len(arc) == n + 1:
             yield arc, ROUTE_ARC
-        yield _searched(graph, plane)
+        yield oracle(graph, plane), ROUTE_ORACLE
     elif _arc_serves(plane.q, n):
         yield arc_points(plane.q)[: n + 1], ROUTE_ARC
     else:
         yield from _wheel_explicit(plane)
-        yield _searched(graph, plane)
+        yield oracle(graph, plane), ROUTE_ORACLE
 
 
 def _greedy_arc(plane: GenericPlane, size: int) -> list:
@@ -225,12 +221,13 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
     W_{2n} fails, then ORACLE.  The returned embedding has passed the
     verifier.
 
-    Raises ValueError when ``gf.field_for`` refuses q or when n < 3, and
-    ImpossibleDegree when n > q+1.  Raises ConstructionFailed when every
-    route fails, the oracle included where it is the fallback; from q = 8
-    on, running out of path candidates raises "path route exhausted".  For
-    2 <= q <= 32 the only refused cell is G_3 in PG(2,2), which the oracle
-    proves empty.
+    Raises ValueError when ``gf.field_for`` refuses q, when n < 3 or when
+    a plane is passed that is not a GenericPlane, and ImpossibleDegree
+    when n > q+1.  Raises ConstructionFailed when every route fails, the
+    oracle included where it is the fallback; from q = 8 on, running out
+    of path candidates raises "path route exhausted".  For 2 <= q <= 32
+    the only refused cell is G_3 in PG(2,2), which the oracle proves
+    empty.
     """
     graph, plane = _setup("gear", q, n, plane)
     return _first_plan(graph, _gear_routes(plane, graph, n), plane)
@@ -246,9 +243,9 @@ def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
                 pass  # no W_2n; the oracle may still find G_n
             else:
                 yield big.embedding.vertex_images, ROUTE_FROM_WHEEL
-        yield _searched(graph, plane)
+        yield oracle(graph, plane), ROUTE_ORACLE
     elif q <= 4 or (q, n) == (5, 4):
-        yield _searched(graph, plane)
+        yield oracle(graph, plane), ROUTE_ORACLE
     elif n <= (q + 1) // 2:
         # same vertex numbering; the gear simply forgets the even-rim spokes.
         # The arc needs no check as a wheel, the explicit wheel's candidates do.
@@ -261,7 +258,7 @@ def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
         yield from paths(n, labeling_for(q))
         if q >= 8:
             raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
-        yield _searched(graph, plane)
+        yield oracle(graph, plane), ROUTE_ORACLE
     else:
         yield _gear_max(labeling_for(q), plane), ROUTE_MAX_EVEN if q % 2 == 0 else ROUTE_MAX_ODD
 

@@ -172,7 +172,7 @@ def test_criterion_06_wheels(report):
             try:
                 plan = wheel_plan(q, n)
             except ConstructionFailed:
-                res = exists_embedding(wheel_graph(n), plane.to_generic().plane)
+                res = exists_embedding(wheel_graph(n), plane.to_generic())
                 refused.append((q, n, res.status, res.expansions))
                 continue
             if verify_embedding(wheel_graph(n), plan.embedding, plane).ok:
@@ -206,14 +206,14 @@ def test_criterion_07_gears(report):
             if not verify_embedding(gear_graph(n), plan.embedding, plane).ok:
                 bad.append((q, n))
     table = []
-    v2 = pg_from_field(2).to_generic().plane
+    v2 = pg_from_field(2).to_generic()
     for n in (3, 4, 5):
         if exists_embedding(gear_graph(n), v2).status != "notfound":
             table.append((2, n))
-    v3 = pg_from_field(3).to_generic().plane
+    v3 = pg_from_field(3).to_generic()
     if exists_embedding(gear_graph(3), v3).status != "found":
         table.append((3, 3))
-    v4 = pg_from_field(4).to_generic().plane
+    v4 = pg_from_field(4).to_generic()
     for n in (3, 4, 5):
         if exists_embedding(gear_graph(n), v4).status != "found":
             table.append((4, n))
@@ -226,7 +226,7 @@ def test_criterion_07_gears(report):
 def test_criterion_08_oracle_equivalence(report):
     mismatches = []
     for q in (2, 3, 4):
-        view = pg_from_field(q).to_generic().plane
+        view = pg_from_field(q).to_generic()
         for n in range(3, q + 3):
             for name, build, graph in (
                 ("wheel", wheel, wheel_graph(n)),
@@ -240,7 +240,7 @@ def test_criterion_08_oracle_equivalence(report):
                 found = exists_embedding(graph, view).status == "found"
                 if emitted != found:
                     mismatches.append((name, q, n, emitted, found))
-        agv = ag_from_field(q).to_generic().plane
+        agv = ag_from_field(q).to_generic()
         for k in range(3, q * q + 1):
             ag_cycle(q, k)
             if exists_embedding(cycle_graph(k), agv).status != "found":

@@ -449,6 +449,23 @@ def test_hypj_sweep_includes_q3_not_found(capsys):
     assert "not found: [3]" in out
 
 
+def test_hypj_sweep_primes_only(tmp_path, capsys):
+    # the prime orders of the window, each row as the unfiltered sweep writes it
+    full, primes = tmp_path / "full.txt", tmp_path / "primes.txt"
+    rc, _, _ = run(capsys, "hypj", "sweep", "--min", "3", "--max", "400", "--out", str(full))
+    assert rc == 0
+    rc, out, _ = run(capsys, "hypj", "sweep", "--min", "3", "--max", "400",
+                     "--primes-only", "--out", str(primes))
+    assert rc == 0
+    want = [q for q in range(3, 401) if all(q % d for d in range(2, q))]
+    rows = primes.read_text().splitlines()
+    assert [json.loads(r)["q"] for r in rows] == want
+    every = full.read_text().splitlines()
+    assert len(every) > len(rows)
+    assert rows == [r for r in every if json.loads(r)["q"] in want]
+    assert out == f"{len(want)} prime powers, {len(want) - 1} certificates, not found: [3]\n"
+
+
 def test_negative_budget_exits_two(capsys):
     rc, out, err = run(capsys, "oracle", "--graph", "cycle:3", "--plane", "pg:2", "--budget", "-3")
     assert rc == 2 and out == "" and "--budget -3" in err

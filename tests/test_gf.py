@@ -191,7 +191,7 @@ def test_first_primitive_skips_the_prime_field(monkeypatch):
     # encodings below p are GF(p), whose orders divide p - 1
     tested = []
     real = gf.is_primitive
-    monkeypatch.setattr(gf, "is_primitive", lambda spec, x, _factors=None: tested.append(x) or real(spec, x, _factors))
+    monkeypatch.setattr(gf, "is_primitive", lambda spec, x: tested.append(x) or real(spec, x))
     for q in (4, 8, 9, 25, 27, 49, 121, 125, 729, 101 ** 3):
         spec = field_for(q)
         tested.clear()
@@ -200,18 +200,25 @@ def test_first_primitive_skips_the_prime_field(monkeypatch):
 
 
 def test_search_factorises_q_minus_one_once(monkeypatch):
+    # q - 1 is factorised once per field, when make_field builds it; the
+    # table build and the search read spec.factors
     seen = []
     real = gf.factorize
     monkeypatch.setattr(gf, "factorize", lambda n: seen.append(n) or real(n))
     for q in (3, 5, 7, 11, 9, 27, 64, 81, 121, 128, 1024, 65537, 1048573):
-        spec = field_for(q)
-        # a composite field builds its tables once, at its q-th operation, and
-        # looks its first_primitive up for them; build them before counting
+        p, a = prime_power(q)
+        seen.clear()
+        spec = make_field.__wrapped__(p, a)  # a fresh spec; the cache is left alone
+        assert seen.count(q - 1) == 1, (q, seen)
+        assert spec.factors == tuple(real(q - 1))
+        field_for(q)  # the cached spec the search reads, built before counting
+        seen.clear()
+        # a composite field builds its tables once, at its q-th operation,
+        # and looks its first_primitive up for them
         while spec.a > 1 and spec._tables is None:
             spec.emul(1, 1)
-        seen.clear()
         hypothesis_j_search(q)
-        assert seen.count(q - 1) == 1, (q, seen)
+        assert q - 1 not in seen, (q, seen)
 
 
 def _python(code):
@@ -418,7 +425,7 @@ def test_consecutive_primitive_pair_even():
 
 def test_search_certificates():
     c5 = hypothesis_j_search(5)
-    assert (c5.route, c5.alpha, c5.gamma, c5.ord_gamma) == ("ODD_GAMMA", 2, 3, 4)
+    assert (c5.route, c5.alpha, c5.gamma, c5.to_json_dict()["ord"]) == ("ODD_GAMMA", 2, 3, 4)
     c7 = hypothesis_j_search(7)
     assert (c7.route, c7.alpha, c7.gamma) == ("ODD_GAMMA", 5, 3)
     c4 = hypothesis_j_search(4)
@@ -484,7 +491,8 @@ COMPOSITE_UP_TO_81 = [q for q in prime_powers_in(4, 81) if prime_power(q)[1] > 1
 def _fresh(q):
     """A new spec of GF(q): nothing it caches is shared with make_field's."""
     p, a = prime_power(q)
-    return FieldSpec(p, a, q, make_field(p, a).modulus)
+    spec = make_field(p, a)
+    return FieldSpec(p, a, q, spec.modulus, spec.factors)
 
 
 def _pmul(p, s, t):

@@ -210,7 +210,7 @@ def test_embedding_takes_model_and_order_from_its_plane(tmp_path):
 
     graph = cycle_graph(3)
     tri = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-    save_plane(pg_from_field(3).to_generic().plane, tmp_path / "pg3.json")
+    save_plane(pg_from_field(3).to_generic(), tmp_path / "pg3.json")
     loaded = load_plane(tmp_path / "pg3.json")
     for plane, imgs, model, q in (
         (pg_from_field(3), tri, "PG", 3),
@@ -243,10 +243,10 @@ def _parity_cases():
             yield agp, ag_cycle(q, k)
 
 
-def _in_point_ids(emb, view):
-    index = {P: i for i, P in enumerate(view.point_triples)}
+def _in_point_ids(emb, coord):
+    index = {P: i for i, P in enumerate(coord.points())}
     ids = tuple(index[P] for P in emb.vertex_images)
-    lines = tuple(view.plane.line_between(ids[u], ids[v]) for u, v in emb.graph.edges)
+    lines = tuple(coord.to_generic().line_between(ids[u], ids[v]) for u, v in emb.graph.edges)
     return Embedding("GENERIC", emb.q, emb.graph, ids, lines)
 
 
@@ -266,10 +266,10 @@ def test_verifier_agrees_on_both_plane_kinds():
     seen = 0
     for coord, emb in _parity_cases():
         view = coord.to_generic()
-        ids = _in_point_ids(emb, view)
+        ids = _in_point_ids(emb, coord)
         for i, (a, b) in enumerate(zip(_damaged(emb), _damaged(ids))):
             ra = verify_embedding(emb.graph, a, coord)
-            rb = verify_embedding(emb.graph, b, view.plane)
+            rb = verify_embedding(emb.graph, b, view)
             assert (ra.ok, len(ra.violations)) == (rb.ok, len(rb.violations)), (coord, emb.graph)
             assert ra.ok == (i == 0), (coord, emb.graph, i, ra.violations)
         seen += 1
@@ -292,9 +292,32 @@ def test_package_holds_no_assert_statement():
     assert found == []
 
 
+def test_public_api_has_no_private_parameters():
+    # a parameter a caller must not pass is no part of a public signature
+    import ast
+    from pathlib import Path
+
+    import planegraphs
+
+    def public_defs(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from public_defs(node.body)
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield node
+
+    found = []
+    for path in sorted(Path(planegraphs.__file__).parent.glob("*.py")):
+        for fn in public_defs(ast.parse(path.read_text()).body):
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            found += [f"{path.name}:{fn.name}({p.arg})" for p in params if p and p.arg.startswith("_")]
+    assert found == []
+
+
 PUBLIC_NAMES = """
 ConjectureViolation ConstructionFailed CoordPlane DEFAULT_BUDGET DegenerateAlpha
-Embedding FieldSpec FormatError GenericPlane GenericView Graph
+Embedding FieldSpec FormatError GenericPlane Graph
 HypothesisJCertificate ImpossibleDegree NoCertificate OracleResult Plan
 PlaneReport SlopeLabeling VerifyReport ag_cycle ag_from_field arc_points
 base_path check_plane_axioms consecutive_primitive_pair cycle_graph cycle_q2

@@ -28,7 +28,7 @@ from planegraphs.wheelgear import ConstructionFailed, gear, wheel
 
 
 def _pg(q):
-    return pg_from_field(q).to_generic().plane
+    return pg_from_field(q).to_generic()
 
 
 def test_no_gear_in_order_two():
@@ -133,7 +133,7 @@ def test_pancyclicity_tables():
     assert sorted(table) == list(range(3, 8))
     assert all(r.status == "found" for r in table.values())
 
-    ag3 = ag_from_field(3).to_generic().plane
+    ag3 = ag_from_field(3).to_generic()
     table = pancyclicity_table(ag3)
     assert sorted(table) == list(range(3, 10))
     assert all(r.status == "found" for r in table.values())
@@ -171,7 +171,7 @@ def test_constructions_agree_with_search_at_order_five():
     # cycle the constructions emit or refuse for q = 5 gets the same verdict
     # from exhaustive search
     q, mismatches = 5, []
-    view, agv = _pg(q), ag_from_field(q).to_generic().plane
+    view, agv = _pg(q), ag_from_field(q).to_generic()
     for n in range(3, q + 3):
         for name, build, graph in (("wheel", wheel, wheel_graph(n)), ("gear", gear, gear_graph(n))):
             try:
@@ -256,7 +256,7 @@ def _plane_ref(ref):
     model, q = ref.split(":")
     if model == "cyclic":
         return cyclic_plane(int(q))
-    return {"pg": pg_from_field, "ag": ag_from_field}[model](int(q)).to_generic().plane
+    return {"pg": pg_from_field, "ag": ag_from_field}[model](int(q)).to_generic()
 
 
 def _graph_ref(ref):
@@ -292,7 +292,7 @@ def test_frozen_searches_cover_every_question():
 
 def test_searches_share_one_index(monkeypatch):
     # the plane's incidence index is built by the first search and reused
-    view = pg_from_field(3).to_generic().plane
+    view = pg_from_field(3).to_generic()
     plane = GenericPlane(q=3, n_points=view.n_points, lines=view.lines, transitive=True)
     seen, incidence = [], GenericPlane.incidence
     monkeypatch.setattr(GenericPlane, "incidence", lambda p: seen.append(incidence(p)) or seen[-1])

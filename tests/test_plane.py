@@ -33,9 +33,9 @@ from planegraphs.plane import (
 def test_pg_counts_and_axioms(q):
     view = pg_from_field(q).to_generic()
     n = q * q + q + 1
-    assert view.plane.n_points == n
-    assert len(view.plane.lines) == n
-    rep = check_plane_axioms(view.plane)
+    assert view.n_points == n
+    assert len(view.lines) == n
+    rep = check_plane_axioms(view)
     assert rep.ok, rep.violations
     assert rep.line_size == q + 1
 
@@ -45,10 +45,10 @@ def test_ag_counts_and_structure(q):
     # the axiom report is projective by contract; affine planes are checked
     # structurally: uniform line size and every point pair on exactly one line
     view = ag_from_field(q).to_generic()
-    assert view.plane.n_points == q * q
-    assert len(view.plane.lines) == q * q + q
-    assert all(len(l) == q for l in view.plane.lines)
-    rep = check_plane_axioms(view.plane)
+    assert view.n_points == q * q
+    assert len(view.lines) == q * q + q
+    assert all(len(l) == q for l in view.lines)
+    rep = check_plane_axioms(view)
     assert all("meet in 0 points" in v for v in rep.violations), rep.violations
 
 
@@ -114,17 +114,17 @@ def test_parallels_partition():
 def test_pencil_size():
     pgp = pg_from_field(4)
     view = pgp.to_generic()
-    for pid in range(view.plane.n_points):
-        assert len(view.plane.incidence().pencils[pid]) == 5
+    for pid in range(view.n_points):
+        assert len(view.incidence().pencils[pid]) == 5
 
 
 def test_plane_file_round_trip(tmp_path):
     view = pg_from_field(3).to_generic()
     path = tmp_path / "pg3.json"
-    save_plane(view.plane, path)
+    save_plane(view, path)
     again = load_plane(path)
-    assert again.n_points == view.plane.n_points
-    assert again.lines == view.plane.lines
+    assert again.n_points == view.n_points
+    assert again.lines == view.lines
     save_plane(again, tmp_path / "pg3b.json")
     assert (tmp_path / "pg3.json").read_bytes() == (tmp_path / "pg3b.json").read_bytes()
 
@@ -133,8 +133,8 @@ def test_axiom_check_catches_damage(tmp_path):
     view = pg_from_field(2).to_generic()
     doc = {
         "q": 2,
-        "points": view.plane.n_points,
-        "lines": [sorted(l) for l in view.plane.lines],
+        "points": view.n_points,
+        "lines": [sorted(l) for l in view.lines],
     }
     doc["lines"][0] = sorted(set(doc["lines"][0]) ^ {0, 1})  # corrupt one line
     bad = tmp_path / "bad.json"
@@ -147,7 +147,7 @@ def test_axiom_check_catches_damage(tmp_path):
 def test_axiom_check_stray_id_meets_nothing():
     # PG(2,2) with point 6 cut off: the lines through it are listed as naming
     # a stray id, and as meeting nowhere, since 6 is no point
-    lines = pg_from_field(2).to_generic().plane.lines
+    lines = pg_from_field(2).to_generic().lines
     rep = check_plane_axioms(GenericPlane(q=2, n_points=6, lines=lines))
     through = [i for i, l in enumerate(lines) if 6 in l]
     assert len(through) == 3
@@ -167,12 +167,12 @@ def test_coord_plane_point_count(builder):
 def test_two_points_one_line(i, j):
     view = pg_from_field(3).to_generic()
     if i == j:
-        assert view.plane.line_between(i, j) is None
+        assert view.line_between(i, j) is None
         return
-    li = view.plane.line_between(i, j)
+    li = view.line_between(i, j)
     assert li is not None
-    assert {i, j} <= set(view.plane.lines[li])
-    hits = [k for k, l in enumerate(view.plane.lines) if {i, j} <= set(l)]
+    assert {i, j} <= set(view.lines[li])
+    hits = [k for k, l in enumerate(view.lines) if {i, j} <= set(l)]
     assert hits == [li]
 
 
@@ -197,8 +197,8 @@ def _incidence_lines(coord):
 def test_to_generic_matches_incidence(builder, q):
     coord = builder(q)
     view = coord.to_generic()
-    assert view.point_triples == tuple(coord.points())
-    assert view.plane.lines == _incidence_lines(coord)
+    assert view.n_points == len(coord.points())  # point i is coord.points()[i]
+    assert view.lines == _incidence_lines(coord)
     # one shared view per plane
     assert builder(q).to_generic() is view
 
@@ -206,8 +206,8 @@ def test_to_generic_matches_incidence(builder, q):
 @pytest.mark.parametrize(
     "plane",
     [
-        pg_from_field(3).to_generic().plane,
-        ag_from_field(3).to_generic().plane,
+        pg_from_field(3).to_generic(),
+        ag_from_field(3).to_generic(),
         cyclic_plane(3),
         # damaged: points 0,1 lie on lines 0 and 2, and ids -1 and 5 stray
         GenericPlane(q=2, n_points=5, lines=((0, 1, 5), (-1, 2, 3), (0, 1, 4), (2, 4))),

@@ -16,7 +16,7 @@ from planegraphs.graphs import (
     verify_embedding,
     wheel_graph,
 )
-from planegraphs.plane import incident, line_through, pg_from_field
+from planegraphs.plane import ag_from_field, incident, line_through, pg_from_field
 from planegraphs.wheelgear import (
     ConstructionFailed,
     arc_points,
@@ -217,8 +217,7 @@ def test_smallest_plane_has_no_gear():
 
 
 def test_generic_plane_routes():
-    view = pg_from_field(5).to_generic()
-    gp = view.plane
+    gp = pg_from_field(5).to_generic()
     wplan = wheel_plan(0, 4, plane=gp)
     rep = verify_embedding(wheel_graph(4), wplan.embedding, gp)
     assert rep.ok, rep.violations
@@ -228,6 +227,17 @@ def test_generic_plane_routes():
     assert gplan.route in ("FROM_WHEEL", "ORACLE")
     with pytest.raises(ImpossibleDegree):
         gear_plan(0, 7, plane=gp)
+
+
+@pytest.mark.parametrize("build", [wheel_plan, gear_plan, wheel, gear])
+@pytest.mark.parametrize(
+    "plane", [ag_from_field(5), pg_from_field(5), "pg:5"], ids=["AG(2,5)", "PG(2,5)", "str"]
+)
+def test_plane_that_is_not_generic_is_refused(build, plane):
+    # a plane that is passed is the one built in, so one that is not a
+    # GenericPlane is refused rather than replaced by PG(2,q)
+    with pytest.raises(ValueError, match="GenericPlane"):
+        build(5, 4, plane=plane)
 
 
 def test_oracle_route_verifies_once(monkeypatch):
@@ -261,7 +271,7 @@ def _plans_digest(cells) -> str:
 def _frozen_cells(kind, q):
     if kind == "MAX":
         return [(gear_plan, q, q + 1, None)]
-    plane = pg_from_field(q).to_generic().plane if kind == "GENERIC" else None
+    plane = pg_from_field(q).to_generic() if kind == "GENERIC" else None
     return [(b, q, n, plane) for b in (wheel_plan, gear_plan) for n in range(3, q + 3)]
 
 
