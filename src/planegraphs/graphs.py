@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .plane import FormatError, format_errors
@@ -32,16 +33,22 @@ class Graph:
     edges: tuple  # sorted (u, v) pairs, u < v
     param: Optional[int] = None
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    @property
-    def max_degree(self) -> int:
+    @cached_property
+    def degrees(self) -> tuple:
+        """Each vertex's degree, counted once per graph; kept outside the
+        fields, so equality, hashing and ``json_dict`` ignore it."""
         deg = [0] * self.n_vertices
         for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
-        return max(deg, default=0)
+        return tuple(deg)
+
+    def degree(self, v: int) -> int:
+        return self.degrees[v] if 0 <= v < self.n_vertices else 0
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(self.degrees, default=0)
 
     def json_dict(self) -> dict:
         if self.kind == "CYCLE":

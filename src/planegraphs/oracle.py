@@ -10,6 +10,7 @@ tested against (``exists_embedding``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .graphs import ConstructionFailed, Embedding, Graph, cycle_graph, emit
@@ -74,6 +75,16 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
     line), so after d placements at most d*r // (s - 1) of them exist
     (r the largest pencil): the count runs only while edges are left and
     that bound exceeds the spare lines, ``len(lines) - len(edges)``.
+
+    While it runs, a candidate is also refused when more free points are
+    *starved* than spare, ``n_points - m`` (m the vertices).  A free point is
+    starved when fewer of its lines are neither used nor dead than the
+    smallest degree among the vertices not yet placed.  Sound: a vertex of
+    degree d placed later at x needs d distinct unused lines through x, none
+    dead, and distinct vertices need distinct points; a starved point stays
+    starved down the branch, since blocked lines stay blocked and that
+    smallest degree never falls.  Only the points of the lines used or dead
+    at a step are tested again, so the mask may miss a point, never add one.
     """
     if graph.n_vertices > plane.n_points or len(graph.edges) > len(plane.lines):
         return STATUS_NOTFOUND, None, 0
@@ -95,10 +106,13 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
                 last[u] = t
         for v in order:
             ends[last[v]].append(v)
+    # per number placed: the smallest degree among the vertices still to place
+    least = [*accumulate(reversed([graph.degrees[v] for v in order]), min)][::-1] + [0]
 
     img = [-1] * graph.n_vertices
     pools, taken = [0] * m, [0] * m  # per depth: untried candidates, lines claimed
     dead, idle = [0] * (m + 1), [0] * (m + 1)  # per depth: dead lines, inactive images
+    starved = [0] * (m + 1)  # per depth: free points with too few open lines
     used_pts = used_lines = depth = count = 0
     while depth < m:
         if not back[depth]:
@@ -139,15 +153,30 @@ def _search(graph: Graph, plane: GenericPlane, budget: int) -> tuple:
                     idl, dl, free = idle[depth], dead[depth] | here, ~(used_pts | low)
                     for w in ends[depth]:
                         idl |= 1 << img[w]
+                    hit, used = 0, here  # hit: the points of the lines dead or used here
                     for w in (order[depth], *ends[depth]):
                         for bit, mask in pencil[img[w]]:
                             if not dl & bit and (
                                 not mask & free or not (live := mask & ~idl) & (live - 1)
                             ):
                                 dl |= bit
+                                hit |= mask
                     if dl.bit_count() > cap[depth + 1]:
                         continue  # too few lines left for the edges left
-                    dead[depth + 1], idle[depth + 1] = dl, idl
+                    while used:
+                        bit = used & -used
+                        used ^= bit
+                        hit |= masks[bit.bit_length() - 1]
+                    st, need, open_ = starved[depth] & free, least[depth + 1], ~dl
+                    hit &= free & ~st
+                    while hit:
+                        x = hit & -hit
+                        hit ^= x
+                        if (lines_at[x.bit_length() - 1] & open_).bit_count() < need:
+                            st |= x
+                    if st.bit_count() > n - m:
+                        continue  # too few points left for the vertices left
+                    dead[depth + 1], idle[depth + 1], starved[depth + 1] = dl, idl, st
                 used_pts |= low
                 used_lines |= here
                 pools[depth], taken[depth] = pool, here

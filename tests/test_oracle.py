@@ -7,7 +7,11 @@ being frozen here.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,7 +167,8 @@ def test_order_five_pancyclic(plane):
     assert sorted(table) == list(range(3, 32))
     assert all(r.status == "found" for r in table.values())
     if plane.model == "PG":
-        assert table[31].expansions == 190_976  # the Hamiltonian cycle
+        # the Hamiltonian cycle: 190,976 expansions without the starved-point refusal
+        assert table[31].expansions == 12_878
 
 
 def test_constructions_agree_with_search_at_order_five():
@@ -192,12 +197,14 @@ def test_constructions_agree_with_search_at_order_five():
     assert not mismatches, mismatches
 
 
-# (status, expansions, expansions without the counting prune, sha256
-# prefix of the vertex images) of every cycle, wheel and gear question on
-# four tiny planes, the notfound proofs included.  They pin the search's
-# candidate order: increasing point id, point 0 pinned for the first vertex
-# on a transitive plane, and one expansion per candidate examined.  The
-# prune may only lower a count.
+# (status, expansions, plain DFS count, sha256 prefix of the vertex
+# images) of every cycle, wheel and gear question on four tiny planes, the
+# notfound proofs included, and of the top four cycles on four planes of
+# orders 4 and 5.  They pin the search's candidate order: increasing point
+# id, point 0 pinned for the first vertex on a transitive plane, and one
+# expansion per candidate examined.  The plain DFS count is what
+# ``oracle_reference.plain_search`` examines; the prunes may only lower a
+# count.
 FROZEN_SEARCHES = {
     ("pg:2", "cycle:3"): ("found", 3, 3, '13ef2c0ad127178e'),
     ("pg:2", "cycle:4"): ("found", 5, 5, '29709191e000fab8'),
@@ -218,7 +225,7 @@ FROZEN_SEARCHES = {
     ("pg:3", "cycle:10"): ("found", 16, 16, 'c6ede8fe31c094e2'),
     ("pg:3", "cycle:11"): ("found", 11, 11, '54eb1c6b809913da'),
     ("pg:3", "cycle:12"): ("found", 13, 13, 'eaec1de0a6b7cceb'),
-    ("pg:3", "cycle:13"): ("found", 18, 20, 'db319155741675db'),
+    ("pg:3", "cycle:13"): ("found", 15, 20, 'db319155741675db'),
     ("pg:3", "wheel:3"): ("found", 4, 4, '7039ec2e0d89d827'),
     ("pg:3", "gear:3"): ("found", 7, 7, '746d0c36e1337198'),
     ("pg:3", "wheel:4"): ("notfound", 985, 985, None),
@@ -249,6 +256,22 @@ FROZEN_SEARCHES = {
     ("cyclic:3", "gear:3"): ("found", 8, 8, '5c13add34818e12e'),
     ("cyclic:3", "wheel:4"): ("notfound", 985, 985, None),
     ("cyclic:3", "gear:4"): ("found", 23, 23, 'd53b25c42df8f5e0'),
+    ("pg:4", "cycle:18"): ("found", 62, 72, '3e544ed11618ff5a'),
+    ("pg:4", "cycle:19"): ("found", 30, 54, '05dee06bafaac88e'),
+    ("pg:4", "cycle:20"): ("found", 39, 125, '7a537c0dd5ea4f01'),
+    ("pg:4", "cycle:21"): ("found", 51, 719_900, '6cc5ed69da399aa9'),
+    ("cyclic:4", "cycle:18"): ("found", 48, 94, 'ddd529a39769e016'),
+    ("cyclic:4", "cycle:19"): ("found", 182, 2341, 'ceddfe62601731e4'),
+    ("cyclic:4", "cycle:20"): ("found", 35, 33_901, 'f3b57be996dff905'),
+    ("cyclic:4", "cycle:21"): ("found", 75, 308_512, '4de07efa7ba4188b'),
+    ("ag:4", "cycle:13"): ("found", 14, 14, '4af70789f881a516'),
+    ("ag:4", "cycle:14"): ("found", 14, 14, 'bd5b69e81156a1fc'),
+    ("ag:4", "cycle:15"): ("found", 15, 15, '3330caf21c8eec80'),
+    ("ag:4", "cycle:16"): ("found", 21, 33, 'd27db6cee6631166'),
+    ("ag:5", "cycle:22"): ("found", 22, 22, '249f6203b9ed0713'),
+    ("ag:5", "cycle:23"): ("found", 41, 45, '3c349d3e2aae2554'),
+    ("ag:5", "cycle:24"): ("found", 30, 42, '412d39f251a10279'),
+    ("ag:5", "cycle:25"): ("found", 64, 216, '98937a2322b799d6'),
 }
 
 
@@ -277,8 +300,66 @@ def test_search_frozen(plane_ref, graph_ref):
     assert (res.status, res.expansions, _digest(res.embedding)) == (status, expansions, digest)
 
 
+@lru_cache(maxsize=None)
+def _plain(plane_ref, graph_ref):
+    # the unpruned reference, run once per question and shared by the tests
+    return plain_search(_graph_ref(graph_ref), _plane_ref(plane_ref), DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("plane_ref,graph_ref", sorted(FROZEN_SEARCHES))
+def test_frozen_plain_counts_are_measured(plane_ref, graph_ref):
+    status, _, plain, _ = FROZEN_SEARCHES[(plane_ref, graph_ref)]
+    got, _, count = _plain(plane_ref, graph_ref)
+    assert (got, count) == (status, plain)
+
+
 def test_frozen_counts_never_rise():
     assert all(new <= old for _, new, old, _ in FROZEN_SEARCHES.values())
+
+
+# every cycle length up to zero slack, where the plane has no spare point
+# and the starved-point refusal fires most
+_ZERO_SLACK = [
+    (ref, f"cycle:{k}")
+    for ref in ("pg:2", "pg:3", "ag:3", "cyclic:3", "ag:4")
+    for k in range(3, _plane_ref(ref).n_points + 1)
+] + [("cyclic:4", "cycle:20"), ("cyclic:4", "cycle:21")]
+
+
+@pytest.mark.parametrize("plane_ref,graph_ref", _ZERO_SLACK)
+def test_cycles_agree_with_plain_dfs(plane_ref, graph_ref):
+    status, img, count = _plain(plane_ref, graph_ref)
+    got = _search(_graph_ref(graph_ref), _plane_ref(plane_ref), DEFAULT_BUDGET)
+    assert got[:2] == (status, img)
+    assert got[2] <= count
+
+
+_UNDER_O = """
+import hashlib, json
+from planegraphs.graphs import cycle_graph
+from planegraphs.oracle import exists_embedding
+from planegraphs.plane import pg_from_field
+res = exists_embedding(cycle_graph(21), pg_from_field(4).to_generic())
+digest = hashlib.sha256(json.dumps(res.embedding.vertex_images).encode()).hexdigest()[:16]
+print(json.dumps([res.status, res.expansions, digest]))
+"""
+
+
+def test_search_under_python_O():
+    # the prunes hold nothing that -O strips: same verdict, count and images
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    res = exists_embedding(cycle_graph(21), _plane_ref("pg:4"))
+    status, expansions, _, digest = FROZEN_SEARCHES[("pg:4", "cycle:21")]
+    here = [res.status, res.expansions, _digest(res.embedding)]
+    assert json.loads(out.stdout) == here == [status, expansions, digest]
 
 
 def test_frozen_searches_cover_every_question():
@@ -314,21 +395,28 @@ def _capped(n, pairs):
     return n, keep
 
 
-# up to 10 vertices, disconnected graphs and isolated vertices included
-_EDGE_LISTS = st.integers(1, 10).flatmap(
-    lambda n: st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=n, max_size=2 * n + 4
-    ).map(lambda pairs: _capped(n, pairs))
+def _edge_lists(top):
+    # up to `top` vertices, disconnected graphs and isolated vertices included
+    return st.integers(1, top).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=n, max_size=2 * n + 4
+        ).map(lambda pairs: _capped(n, pairs))
+    )
+
+
+# a plane, and an edge list on up to as many vertices as it has points
+_EDGE_LISTS = st.sampled_from(["pg:2", "pg:3", "ag:3", "cyclic:3"]).flatmap(
+    lambda ref: st.tuples(st.just(ref), _edge_lists(_plane_ref(ref).n_points))
 )
 
 
 @settings(max_examples=150)
-@given(plane_ref=st.sampled_from(["pg:2", "pg:3", "ag:3", "cyclic:3"]), graph=_EDGE_LISTS)
-def test_search_agrees_with_plain_dfs(plane_ref, graph):
+@given(case=_EDGE_LISTS)
+def test_search_agrees_with_plain_dfs(case):
     # pruning may only skip candidates: a plain DFS in the same candidate
     # order reaches the same verdict and the same vertex images, and
     # examines at least as many candidates
-    n, edges = graph
+    plane_ref, (n, edges) = case
     g, plane, budget = edge_list_graph(edges, n), _plane_ref(plane_ref), 20_000
     status, img, count = plain_search(g, plane, budget)
     got = _search(g, plane, budget)
