@@ -60,6 +60,21 @@ def test_modulus_choice(q, coeffs):
     assert spec.modulus == coeffs
 
 
+# frozen: sha256 of "q:modulus" lines, one for each of the 242 composite
+# prime powers up to MAX_ORDER, each field built afresh
+FROZEN_MODULI_DIGEST = "bd7e930ad1bc2371b3c6c4bce330fb5eb28d882226223715ef80758a3ba26f95"
+
+
+def test_every_composite_modulus_frozen():
+    primes = [p for p in range(2, isqrt(gf.MAX_ORDER) + 1) if is_prime(p)]
+    orders = sorted(p**a for p in primes for a in range(2, 21) if p**a <= gf.MAX_ORDER)
+    assert len(orders) == 242
+    h = hashlib.sha256()
+    for q in orders:
+        h.update(f"{q}:{make_field.__wrapped__(*prime_power(q)).modulus}\n".encode())
+    assert h.hexdigest() == FROZEN_MODULI_DIGEST
+
+
 # frozen: encoding of the first primitive element of each composite order
 FROZEN_FIRST_PRIMITIVE = {
     4: 2, 8: 2, 9: 4, 16: 2, 25: 6, 27: 3, 32: 2, 49: 9, 64: 2, 81: 3,
