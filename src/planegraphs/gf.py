@@ -22,8 +22,9 @@ XOR throughout and do not count; in odd characteristic they go through a
 Zech logarithm table, log(1 + g^k), once the tables exist.
 
 The modulus is chosen deterministically: the first monic irreducible of
-degree a whose non-leading coefficient vector has the smallest encoding.
-Every run of every machine therefore agrees on the arithmetic tables.
+degree a whose non-leading coefficient vector has the smallest encoding,
+decided by Rabin's test on packed ints.  Every run of every machine
+therefore agrees on the arithmetic tables.
 
 A certificate sweep builds thousands of fields and uses each briefly, so
 ``prime_powers_in`` sieves only its window, ``is_prime`` is Miller-Rabin
@@ -37,7 +38,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import isqrt
 from typing import Iterator, Optional
@@ -145,56 +146,24 @@ def prime_powers_in(lo: int, hi: int) -> list:
     return sorted(out + list(compress(range(lo, hi + 1), window)))
 
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p), little-endian coefficient tuples
-
-
-def _trim(t):
-    n = len(t)
-    while n and t[n - 1] == 0:
-        n -= 1
-    return t[:n]
-
-
-def _pmod(p, s, m):
-    # m need not be monic; reduce s modulo m
-    s = list(s)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(s) - 1 >= dm and any(s):
-        ds = len(s) - 1
-        if s[ds] == 0:
-            s.pop()
-            continue
-        c = (s[ds] * inv_lead) % p
-        shift = ds - dm
-        for i, b in enumerate(m):
-            s[shift + i] = (s[shift + i] - c * b) % p
-        s.pop()
-    return _trim(tuple(s))
-
-
-def _pgcd(p, s, t):
-    while t:
-        s, t = t, _pmod(p, s, t)
-    if s:
-        inv = pow(s[-1], p - 2, p)
-        s = tuple((c * inv) % p for c in s)
-    return s
-
-
 def _is_irreducible(spec: FieldSpec) -> bool:
-    """Rabin's test of spec.modulus, of degree a >= 2: x^(p^a) == x mod f,
-    and gcd(x^(p^(a/r)) - x, f) == 1 for every prime r dividing a.  The
-    powers run on packed ints; the polynomial x is encoded p."""
-    p, f, deg = spec.p, spec.modulus, spec.a
+    """Rabin's test of spec.modulus f, of degree a >= 2, on packed ints.
+
+    Once x^(p^a) == x mod f, f is a product of distinct irreducibles whose
+    degrees divide a, so GF(p)[x]/(f) is a product of fields GF(p^d) with
+    d | a.  Then h = x^(p^(a/r)) - x is prime to f exactly when it is a unit
+    there, h^(p^a - 1) == 1, and f is irreducible when that holds for every
+    prime r dividing a.  The polynomial x is encoded p."""
+    p, deg = spec.p, spec.a
+    k, m = spec._packed[:2]
     x = spec._pack(p)
-    if spec._pow_packed(x, p ** deg) != x:
+    if spec._pow_packed(x, spec.q) != x:
         return False
     for r in factorize(deg):
-        h = list(spec.decode(spec._unpack(spec._pow_packed(x, p ** (deg // r)))))
-        h[1] = (h[1] - 1) % p
-        if len(_pgcd(p, f, _trim(tuple(h)))) != 1:  # nontrivial common factor
+        s = spec._pow_packed(x, p ** (deg // r))
+        c = (s >> k) & m  # the coefficient of x in s
+        h = s + ((c - 1) % p - c << k)  # s - x
+        if spec._pow_packed(h, spec.q - 1) != 1:
             return False
     return True
 
@@ -230,16 +199,15 @@ class FieldSpec:
 
     # arithmetic on encodings: the one implementation of the field.  A
     # composite spec does its first q - 1 operations on packed polynomials
-    # and then switches to the tables ``_warm`` builds.  ``_tables``,
-    # ``_cold_ops`` and ``_packing`` are caches, not fields: a composite
-    # spec writes them to its own __dict__, and prime specs never read the
-    # class defaults.
+    # and then switches to the tables ``_warm`` builds.  ``_tables`` and
+    # ``_cold_ops`` are caches, not fields: a composite spec writes them to
+    # its own __dict__, and prime specs never read the class defaults.
 
     _tables = None
     _cold_ops = 0
-    _packing = None
 
-    def _packed(self):
+    @cached_property
+    def _packed(self) -> tuple:
         """(k, slot mask, low mask, x^j mod f packed for j = a..2a-2), once.
 
         A packed polynomial keeps coefficient i in bits k*i..k*i+k-1.  A
@@ -247,28 +215,25 @@ class FieldSpec:
         each taken mod p, into the low ones adds at most (a-1)(p-1)^2; k is
         the bit length of 2a(p-1)^2, so no slot ever carries into the next.
         """
-        pk = self._packing
-        if pk is None:
-            p, a, f = self.p, self.a, self.modulus
-            k = (2 * a * (p - 1) ** 2).bit_length()
-            fold, r = [], [-c % p for c in f[:a]]  # x^a = -(f_0 + ... + f_{a-1} x^{a-1})
-            for _ in range(a - 1):
-                fold.append(sum(c << k * i for i, c in enumerate(r)))
-                r = [(u - r[-1] * c) % p for u, c in zip([0] + r, f[:a])]  # times x
-            pk = self.__dict__["_packing"] = (k, (1 << k) - 1, (1 << k * a) - 1, fold)
-        return pk
+        p, a, f = self.p, self.a, self.modulus
+        k = (2 * a * (p - 1) ** 2).bit_length()
+        fold, r = [], [-c % p for c in f[:a]]  # x^a = -(f_0 + ... + f_{a-1} x^{a-1})
+        for _ in range(a - 1):
+            fold.append(sum(c << k * i for i, c in enumerate(r)))
+            r = [(u - r[-1] * c) % p for u, c in zip([0] + r, f[:a])]  # times x
+        return k, (1 << k) - 1, (1 << k * a) - 1, fold
 
     def _pack(self, enc: int) -> int:
-        k = self._packed()[0]
+        k = self._packed[0]
         return sum(d << k * i for i, d in enumerate(self.decode(enc)))
 
     def _unpack(self, s: int) -> int:
-        k, m = self._packed()[:2]
+        k, m = self._packed[:2]
         return self.encode([(s >> k * i) & m for i in range(self.a)])
 
     def _mul_packed(self, s: int, t: int) -> int:
         # one int product; fold the high slots back, then each slot mod p
-        k, m, low, fold = self._packed()
+        k, m, low, fold = self._packed
         p, z = self.p, s * t
         high, z = z >> k * self.a, z & low
         for r in fold:

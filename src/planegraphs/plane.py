@@ -14,8 +14,10 @@ its one incidence index, built once per plane, serves both the search and
 Both kinds of plane give what the verifier and the embedding builder ask
 of a plane: ``model``, ``q``, ``n_points``, ``contains``, ``line_between``
 (None when the points coincide or no line joins them) and ``max_pencil``.
-Each order has one shared CoordPlane per model, whose ``line_between``
-keeps the line it first derived for each point pair, up to a bound.
+Each order has one shared CoordPlane per model.  A process keeps one memo
+of the lines ``line_between`` derived, keyed by order and point pair, up
+to a bound; AG(2,q) and PG(2,q) share it, since the line through two
+affine points is the same triple in both.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ Triple = tuple
 LINE_INF: Triple = (0, 0, 1)
 DIR_VERTICAL: Triple = (0, 1, 0)
 
-# a CoordPlane forgets its memoised lines once it holds this many
+# CoordPlane.line_between's memo, by (q, P, Q) with P < Q (an order names
+# one field); cleared whole once it holds LINE_MEMO_BOUND lines
+_line_memo = {}
 LINE_MEMO_BOUND = 1 << 16
 
 
@@ -202,7 +206,6 @@ class CoordPlane:
         self.q = spec.q
         self._points = None
         self._generic = None
-        self._lines = {}  # line_between's memo, by unordered point pair
 
     def __repr__(self):
         return f"{self.model}(2,{self.q})"
@@ -237,12 +240,12 @@ class CoordPlane:
     def line_between(self, P: Triple, Q: Triple) -> Optional[Triple]:
         if P == Q:
             return None
-        key = (P, Q) if P < Q else (Q, P)
-        line = self._lines.get(key)
+        key = (self.q, P, Q) if P < Q else (self.q, Q, P)
+        line = _line_memo.get(key)
         if line is None:
-            if len(self._lines) >= LINE_MEMO_BOUND:
-                self._lines.clear()
-            line = self._lines[key] = line_through(self.spec, P, Q)
+            if len(_line_memo) >= LINE_MEMO_BOUND:
+                _line_memo.clear()
+            line = _line_memo[key] = line_through(self.spec, P, Q)
         return line
 
     @property

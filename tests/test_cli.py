@@ -92,6 +92,7 @@ def test_cycle_sweep_derives_each_line_once(tmp_path, capsys, monkeypatch):
 
     import planegraphs.plane as plane_mod
 
+    monkeypatch.setattr(plane_mod, "_line_memo", {})  # no lines from earlier tests
     pairs = Counter()
     real = plane_mod.line_through
 

@@ -23,8 +23,7 @@ from planegraphs.gf import (
     ConjectureViolation,
     DegenerateAlpha,
     FieldSpec,
-    _pmod,
-    _trim,
+    _is_irreducible,
     certificate_line,
     consecutive_primitive_pair,
     element_order,
@@ -510,6 +509,31 @@ def _fresh(q):
     return FieldSpec(p, a, q, spec.modulus, spec.factors)
 
 
+def _trim(t):
+    n = len(t)
+    while n and t[n - 1] == 0:
+        n -= 1
+    return t[:n]
+
+
+def _pmod(p, s, m):
+    # m need not be monic; reduce s modulo m
+    s = list(s)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(s) - 1 >= dm and any(s):
+        ds = len(s) - 1
+        if s[ds] == 0:
+            s.pop()
+            continue
+        c = (s[ds] * inv_lead) % p
+        shift = ds - dm
+        for i, b in enumerate(m):
+            s[shift + i] = (s[shift + i] - c * b) % p
+        s.pop()
+    return _trim(tuple(s))
+
+
 def _pmul(p, s, t):
     if not s or not t:
         return ()
@@ -552,6 +576,38 @@ class _Reference:
             if bit == "1":
                 r = self.mul(r, x)
         return r
+
+
+def _monic(p, deg):
+    """Every monic polynomial of degree deg over GF(p), as a tuple."""
+    for low in range(p**deg):
+        yield tuple(low // p**i % p for i in range(deg)) + (1,)
+
+
+def _xpow_mod(p, e, f):
+    r, b = (1,), (0, 1)
+    for bit in bin(e)[2:]:
+        r = _pmod(p, _pmul(p, r, r), f)
+        if bit == "1":
+            r = _pmod(p, _pmul(p, r, b), f)
+    return r
+
+
+def test_rabin_test_agrees_with_factoring():
+    # f is irreducible when no monic polynomial of degree <= a/2 divides it
+    cases = [(2, a) for a in range(2, 7)] + [
+        (3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 3), (7, 2), (11, 2)
+    ]
+    candidates = past_first_condition = 0
+    for p, a in cases:
+        divisors = [g for d in range(1, a // 2 + 1) for g in _monic(p, d)]
+        for f in _monic(p, a):
+            irreducible = all(_pmod(p, f, g) for g in divisors)
+            assert _is_irreducible(FieldSpec(p, a, p**a, f, ())) == irreducible, (p, f)
+            candidates += 1
+            # reducible, yet x^(p^a) == x mod f: only the second condition refuses f
+            past_first_condition += not irreducible and _xpow_mod(p, p**a, f) == (0, 1)
+    assert (candidates, past_first_condition) == (1290, 237)
 
 
 def _check_binary(q, xs, ys):

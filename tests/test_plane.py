@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle_reference import reference_joins
-from planegraphs.cycles import cyclic_plane
+from planegraphs.cycles import ag_cycle, cyclic_plane
 from planegraphs.gf import make_field, prime_power
+from planegraphs.graphs import emit
 from planegraphs.plane import (
     LINE_INF,
     CoordPlane,
@@ -270,12 +271,29 @@ def test_line_memo_stays_within_its_bound(monkeypatch):
     import planegraphs.plane as plane_mod
 
     monkeypatch.setattr(plane_mod, "LINE_MEMO_BOUND", 5)
+    monkeypatch.setattr(plane_mod, "_line_memo", {})
     plane = CoordPlane("PG", make_field(3))
     pts = plane.points()
     for P, Q in product(pts, repeat=2):
         want = None if P == Q else line_through(plane.spec, P, Q)
         assert plane.line_between(P, Q) == want, (P, Q)
-        assert len(plane._lines) <= 5
+        assert len(plane_mod._line_memo) <= 5
+
+
+def test_line_memo_is_shared_by_both_models(monkeypatch):
+    # the line through two affine points is one triple in AG(2,q) and PG(2,q)
+    import planegraphs.plane as plane_mod
+
+    monkeypatch.setattr(plane_mod, "_line_memo", {})
+    emb = ag_cycle(7, 20)
+    derived = []
+    real = plane_mod.line_through
+    monkeypatch.setattr(
+        plane_mod, "line_through", lambda spec, P, Q: derived.append((P, Q)) or real(spec, P, Q)
+    )
+    again = emit(emb.graph, emb.vertex_images, pg_from_field(7))
+    assert again.model == "PG" and again.edge_images == emb.edge_images
+    assert derived == []
 
 
 def test_points_are_built_once():
