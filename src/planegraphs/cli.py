@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from .cycles import NoCertificate, ag_cycle, pg_cycle, plane_for
@@ -317,6 +316,7 @@ def _cmd_hypj(args) -> int:
             # the pool forks all its workers at once: no more than cores or chunks
             jobs = min(args.jobs, os.cpu_count() or 1, -(-len(qs) // 64))
             if jobs > 1:
+                from concurrent.futures import ProcessPoolExecutor  # no other run pays for it
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     lines = list(pool.map(_hypj_line, qs, chunksize=64))
             else:

@@ -1,11 +1,15 @@
 """Cycle embeddings in AG(2,q) and PG(2,q) built from slope labelings.
 
-The engine is a labeled pencil of lines through the origin: class 0 is
-vertical, the remaining classes are slopes drawn from powers of a
-primitive element.  Walking parallels of consecutive classes produces a
-base path of q+1 points whose return to the vertical axis is multiplication
-by a constant; when that constant generates GF(q)*, glued paths sweep the
-whole affine plane.  Everything longer or shorter is surgery on that chain.
+The engine is a labeled pencil of lines through the origin O.  A labeling
+is its slopes: class 0 is vertical, the remaining classes are slopes drawn
+from powers of a primitive element, and class i has the direction point
+(i) at infinity.  Every construction line is a join with a direction
+point: the class-i line through P joins P to (i), and l_i, the class-i
+line through O, joins O to (i).  Walking parallels of consecutive classes
+produces a base path of q+1 points whose return to the vertical axis is
+multiplication by a constant; when that constant generates GF(q)*, glued
+paths sweep the whole affine plane.  Everything longer or shorter is
+surgery on that chain.
 
 Every chain is a walk of points in traversal order; its lines are never
 kept by hand.  Each public constructor hands its walk to ``graphs.emit``
@@ -34,15 +38,15 @@ from .gf import (
 from .graphs import ConstructionFailed, Embedding, cycle_graph, emit
 from .oracle import oracle
 from .plane import (
+    ORIGIN,
     GenericPlane,
     affine_coords,
     affine_triple,
     ag_from_field,
-    canon,
     incident,
     intersect,
+    line_through,
     parabola_points,
-    parallel_line,
     pg_from_field,
 )
 
@@ -83,34 +87,27 @@ class SlopeLabeling:
     def q(self) -> int:
         return self.spec.q
 
-    def through_o_line(self, i: int):
-        s = self.slopes[i]
-        if s is None:
-            return (1, 0, 0)  # x = 0
-        return canon(self.spec, (s, self.spec.eneg(1), 0))  # y = s x
-
     def direction_point(self, i: int):
         s = self.slopes[i]
         return (0, 1, 0) if s is None else (1, s, 0)
 
     def class_line_through(self, i: int, P):
-        # the unique line of class i through P (P itself may sit on l_i)
-        if incident(self.spec, P, self.through_o_line(i)):
-            return self.through_o_line(i)
-        return parallel_line(self.spec, self.through_o_line(i), P)
+        # the join of P with the direction point (i); P is affine
+        return line_through(self.spec, self.direction_point(i), P)
+
+    def through_o_line(self, i: int):
+        return self.class_line_through(i, ORIGIN)  # l_i
 
 
-def labeling_for(q: int, kind: Optional[str] = None, alpha=None) -> SlopeLabeling:
+def labeling_for(q: int, kind: Optional[str] = None) -> SlopeLabeling:
     """Default labeling: certificate alpha, kind A for odd q and B for even."""
     spec = field_for(q)
-    if alpha is None:
-        cert = hypothesis_j_search(q)
-        if cert is None:
-            raise NoCertificate(f"no primitive-pair certificate for q={q}")
-        alpha = cert.alpha
+    cert = hypothesis_j_search(q)
+    if cert is None:
+        raise NoCertificate(f"no primitive-pair certificate for q={q}")
     if kind is None:
         kind = "A" if q % 2 else "B"
-    return SlopeLabeling.make(spec, kind, alpha)
+    return SlopeLabeling.make(spec, kind, cert.alpha)
 
 
 def _resolve_labeling(q: int, labeling) -> SlopeLabeling:
@@ -140,14 +137,13 @@ def base_path(q: int, labeling=None, beta: int = 1) -> tuple:
     if beta == 0:
         raise ValueError("base path must start off the origin")
     n = q + 1
-    origin = (0, 0, 1)
     cur = affine_triple(spec, 0, beta)
     pts = [cur]
     for j in range(q):
         # the link leaving P_j has class j+2; P_{j+1} sits on l_{j+1}
         link = lab.class_line_through((j + 2) % n, cur)
         cur = intersect(spec, link, lab.through_o_line(j + 1))
-        if cur == origin:
+        if cur == ORIGIN:
             raise ValueError("path degenerated into the origin")
         pts.append(cur)
     ret = lab.class_line_through(1, cur)
@@ -232,7 +228,7 @@ def _through_origin(q: int, chain: tuple) -> tuple:
     if len(chain) != q * q - 1:
         raise ValueError("rerouting needs the full-orbit long cycle")
     # drop the edge P_0(beta=1) -- P_1 and run both ends into O instead
-    return ((0, 0, 1),) + chain[1:] + (chain[0],)
+    return (ORIGIN,) + chain[1:] + (chain[0],)
 
 
 @lru_cache(maxsize=None)
@@ -295,10 +291,10 @@ def _surgery_chain(q: int, k: int, chain: tuple) -> tuple:
     # open the long chain after k-1 points and close through O along the
     # through-O line of class (k-1) mod (q+1); when that class collides with
     # the opening line l_1, skip one period ahead along a through-O line instead
-    N, n, O = q * q - 1, q + 1, (0, 0, 1)
+    N, n = q * q - 1, q + 1
     if (k - 1) % n >= 2:
-        return (O,) + chain[1:k]
-    return (O,) + chain[1 : k - 2] + (chain[(k - 3 + n) % N], chain[(k - 2 + n) % N])
+        return (ORIGIN,) + chain[1:k]
+    return (ORIGIN,) + chain[1 : k - 2] + (chain[(k - 3 + n) % N], chain[(k - 2 + n) % N])
 
 
 def pg_cycle(q: int, k: int) -> Embedding:
@@ -321,47 +317,35 @@ def pg_cycle(q: int, k: int) -> Embedding:
 def _ladder_chain(q: int, k: int) -> tuple:
     """The q^2+1 .. q^2+q rungs: splice infinite points into the long chain."""
     lab, ch = _default_chain(q)
-    n = q + 1
-    O = (0, 0, 1)
-    d = [lab.direction_point(i) for i in range(n)]
+    d = [lab.direction_point(i) for i in range(q + 1)]
+    m = q * q - q - 2  # first index of the final glued path
 
     def Q(c):
         # class-c point of the final glued path
-        return ch[q * q - q - 2 + c]
+        return ch[m + c]
 
     def tail(t0):
         return tuple(p for t in range(t0, q + 1) for p in (d[t], Q(t)))
 
-    seg = ch[1 : q * q - q]  # P_1 .. P_{q^2-q-1}, whose link leads into Q(2)
+    seg = ch[1 : m + 2]  # P_1 .. P_{q^2-q-1}, whose link leads into Q(2)
     delta = q * q + q - k
     if delta == 0:
-        return _full_rung(q, lab, ch)
+        # all points but one, every line but one chain link: ch[m-1] rides
+        # the glue line into the final path on to d[1]
+        return ch[:m] + (d[1], ORIGIN, d[2], Q(1), Q(2), Q(3), d[3]) + tail(4) + (d[0],)
     if delta == 1:
-        return seg + (Q(2), d[2], d[3], Q(3)) + tail(4) + (ch[0], O)
+        return seg + (Q(2), d[2], d[3], Q(3)) + tail(4) + (ch[0], ORIGIN)
     if delta == 2:
         return seg + (Q(2), d[2], d[3], Q(3)) + tail(4) + (ch[0],)
     if delta == 3:
-        return seg + (Q(2), O, Q(3)) + tail(4) + (ch[0],)
+        return seg + (Q(2), ORIGIN, Q(3)) + tail(4) + (ch[0],)
     if delta == 4:
         return seg + (d[3], Q(3)) + tail(4) + (ch[0],)
     if delta % 2 == 1:
         i = (delta + 3) // 2  # skip the loop back through classes 4..i
-        return seg + (d[3], O, Q(i)) + tail(i + 1) + (ch[0],)
+        return seg + (d[3], ORIGIN, Q(i)) + tail(i + 1) + (ch[0],)
     i = (delta + 4) // 2
-    return seg + (d[3], d[2], O, Q(i)) + tail(i + 1) + (ch[0],)
-
-
-def _full_rung(q: int, lab: SlopeLabeling, ch: tuple) -> list:
-    # the q^2+q cycle: all points but one, every line except one chain link
-    n = q + 1
-    O = (0, 0, 1)
-    d = [lab.direction_point(i) for i in range(n)]
-    m = q * q - q - 2  # first index of the final path, whose points are ch[m + j]
-    # ch[m-1] rides the glue line into the final path on to d[1]
-    pts = list(ch[:m]) + [d[1], O, d[2], ch[m + 1], ch[m + 2], ch[m + 3], d[3], d[4]]
-    for i in range(4, q + 1):
-        pts += [ch[m + i], d[(i + 1) % n]]
-    return pts
+    return seg + (d[3], d[2], ORIGIN, Q(i)) + tail(i + 1) + (ch[0],)
 
 
 # ---------------------------------------------------------------------------

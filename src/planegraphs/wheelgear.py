@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .oracle import oracle
 from .plane import (
+    ORIGIN,
     CoordPlane,
     GenericPlane,
     affine_triple,
@@ -180,9 +181,8 @@ def _wheel_explicit(pgp: CoordPlane) -> Iterator[tuple]:
     # odd q, n = q+1: rim points alternate between a fixed line's pencil
     # cut and a transversal m, closed off by a searched vertex T
     spec, q = pgp.spec, pgp.q
-    O = (0, 0, 1)
     P = [t for t in pgp.points() if not is_affine(t)]  # points of the infinite line
-    ells = [line_through(spec, O, t) for t in P]
+    ells = [line_through(spec, ORIGIN, t) for t in P]
     for c in range(1, q):
         m = canon(spec, (1, 0, spec.eneg(c)))  # x = c, through P[0]
         Qs = {i: intersect(spec, ells[i], m) for i in range(1, q + 1, 2)}
@@ -194,9 +194,9 @@ def _wheel_explicit(pgp: CoordPlane) -> Iterator[tuple]:
         # zig = [P_1, Q_2, P_3, ..., Q_{q-1}, P_q]; close through T on ell_{q+1}
         t_line = ells[q]
         for T in pgp.points():
-            if T == O or T == P[q] or T in zig or not incident(spec, T, t_line):
+            if T == ORIGIN or T == P[q] or T in zig or not incident(spec, T, t_line):
                 continue
-            yield [O] + zig + [T], ROUTE_EXPLICIT
+            yield [ORIGIN] + zig + [T], ROUTE_EXPLICIT
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,6 @@ def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
 
 def _gear_paths_even(n, lab) -> Iterator[tuple]:
     spec, q = lab.spec, lab.q
-    O = (0, 0, 1)
     d0, d1 = lab.direction_point(0), lab.direction_point(1)
     for bp in range(1, q):
         P, _ = base_path(q, lab, bp)
@@ -279,12 +278,11 @@ def _gear_paths_even(n, lab) -> Iterator[tuple]:
                 continue  # closing class-1 line would repeat the opening one
             if incident(spec, Q[1], close_vert):
                 continue  # the two vertical connectors would coincide
-            yield [O, *P[: n - 1], d0, *Q[1:n], d1], ROUTE_PATHS_EVEN
+            yield [ORIGIN, *P[: n - 1], d0, *Q[1:n], d1], ROUTE_PATHS_EVEN
 
 
 def _gear_paths_odd(n, lab) -> Iterator[tuple]:
     spec, q = lab.spec, lab.q
-    O = (0, 0, 1)
     d0 = lab.direction_point(0)
     s = lab.slopes[n]
     t_cands = [lab.direction_point(n)]
@@ -303,7 +301,7 @@ def _gear_paths_odd(n, lab) -> Iterator[tuple]:
                 Q[i - 1] = intersect(spec, link, lab.through_o_line(i - 1))
             for T in t_cands:
                 if T not in P and T not in Q:
-                    yield [O, *P[:n], d0, T, *Q], ROUTE_PATHS_ODD
+                    yield [ORIGIN, *P[:n], d0, T, *Q], ROUTE_PATHS_ODD
 
 
 def _gear_max(lab, pgp: CoordPlane) -> list:
@@ -313,8 +311,7 @@ def _gear_max(lab, pgp: CoordPlane) -> list:
     # those two neighbours the ones already placed.  Odd q places the
     # corner A_0 last, once both its neighbours are known.
     spec, q = lab.spec, lab.q
-    O = (0, 0, 1)
-    cand = [t for t in pgp.points() if is_affine(t) and t != O]
+    cand = [t for t in pgp.points() if is_affine(t) and t != ORIGIN]
     A, used = {}, set()
     for i in range(q + 1) if q % 2 == 0 else [*range(1, q + 1), 0]:
         prev, nxt = (i - 1) % (q + 1), (i + 1) % (q + 1)
@@ -330,4 +327,4 @@ def _gear_max(lab, pgp: CoordPlane) -> list:
             raise ConstructionFailed(f"greedy rim choice exhausted PG(2,{q})")
         A[i] = pt
         used.add(pt)
-    return [O] + [x for i in range(q + 1) for x in (lab.direction_point(i), A[i])]
+    return [ORIGIN] + [x for i in range(q + 1) for x in (lab.direction_point(i), A[i])]

@@ -365,6 +365,19 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert rc in (1, 2)
 
 
+def test_verify_refuses_a_point_off_the_plane(tmp_path, capsys):
+    # a point at infinity is no point of AG(2,3): refused as a non-embedding
+    f = tmp_path / "c.json"
+    rc, _, _ = run(capsys, "cycle", "--q", "3", "--k", "5", "--out", str(f))
+    assert rc == 0
+    doc = json.loads(f.read_text())
+    doc["vertices"][0][1] = [0, 1, 0]
+    f.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", str(f))
+    assert (rc, out) == (1, "")
+    assert err.startswith("fail: not an embedding in this plane")
+
+
 def test_hypj_single_lines(capsys):
     rc, out, _ = run(capsys, "hypj", "--q", "5")
     assert rc == 0
@@ -394,7 +407,7 @@ def test_hypj_sweep_jobs_deterministic(tmp_path, capsys):
 def test_hypj_sweep_caps_its_pool(monkeypatch, capsys):
     # the pool forks all its workers at once, so it gets no more than the
     # cores or the 64-order chunks; one chunk runs serially, without a pool
-    import planegraphs.cli as cli
+    import concurrent.futures
 
     sizes = []
 
@@ -417,7 +430,7 @@ def test_hypj_sweep_caps_its_pool(monkeypatch, capsys):
         assert rc == 0
         return out
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     serial = {top: sweep(top, 1) for top in (200, 400, 1000)}  # 58, 95, 191 orders
     assert sizes == []
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -593,3 +606,14 @@ def test_declared_size_is_checked_before_the_graph_is_built(name, tmp_path):
     proc = _run_capped(["verify", "e.json"], tmp_path)
     assert (proc.returncode, proc.stderr) == (
         2, "error: cannot read embedding: vertex list must cover 0..n-1 exactly once\n")
+
+
+def test_plane_check_decides_a_large_near_pencil_at_once(tmp_path):
+    # point 0 off a line through the other 999: the quadrangle rule reads
+    # line sizes, where a search of 4-subsets from point 0 takes minutes
+    n = 1000
+    lines = [list(range(1, n))] + [[0, p] for p in range(1, n)]
+    (tmp_path / "np.json").write_text(json.dumps({"q": 2, "points": n, "lines": lines}))
+    proc = _run_capped(["plane", "check", "np.json"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "  no quadrangle: every 4-point subset has 3 collinear points\n" in proc.stdout

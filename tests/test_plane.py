@@ -1,13 +1,14 @@
 """Coordinate planes, canonical triples, axiom checks, plane files."""
 
 import json
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracle_reference import reference_joins
-from planegraphs.cycles import ag_cycle, cyclic_plane
+from planegraphs.cycles import ag_cycle, cyclic_plane, labeling_for
 from planegraphs.gf import make_field, prime_power
 from planegraphs.graphs import emit
 from planegraphs.plane import (
@@ -24,7 +25,6 @@ from planegraphs.plane import (
     is_affine,
     line_through,
     load_plane,
-    parallel_line,
     pg_from_field,
     save_plane,
 )
@@ -95,21 +95,24 @@ def test_affine_round_trip():
 
 
 def test_parallels_partition():
-    spec = make_field(5)
-    l = canon(spec, (1, 3, 2))
-    seen = {l}
-    for x in range(5):
-        for y in range(5):
-            P = affine_triple(spec, x, y)
-            if incident(spec, P, l):
-                continue
-            m = parallel_line(spec, l, P)
-            assert incident(spec, P, m)
-            assert intersect(spec, l, m)[2] == 0  # they meet at infinity
-            seen.add(m)
-    assert len(seen) == 5
-    with pytest.raises(ValueError):
-        parallel_line(spec, LINE_INF, (1, 1, 1))
+    # the class-i line through P is the join of P with the point at infinity
+    # of l_i, the line y = s x of slope s through O (x = 0 for the vertical)
+    for q in (4, 5, 7, 8, 9):
+        lab = labeling_for(q)
+        spec = lab.spec
+        for i, s in enumerate(lab.slopes):
+            l = (1, 0, 0) if s is None else canon(spec, (s, spec.eneg(1), 0))
+            assert lab.through_o_line(i) == l
+            d = intersect(spec, l, LINE_INF)
+            parts = {}
+            for x in range(q):
+                for y in range(q):
+                    P = affine_triple(spec, x, y)
+                    m = lab.class_line_through(i, P)
+                    assert m == line_through(spec, d, P)
+                    parts.setdefault(m, []).append(P)
+            # q parallels of q points each: the class-i lines partition AG(2,q)
+            assert sorted(map(len, parts.values())) == [q] * q
 
 
 def test_pencil_size():
@@ -156,6 +159,44 @@ def test_axiom_check_stray_id_meets_nothing():
         assert f"lines {i},{j} meet in 0 points" in rep.violations
     for i in through:
         assert f"line {i} references point 6 outside 0..5" in rep.violations
+
+
+def _has_quadrangle_by_subsets(plane):
+    # four points of which no three lie on one line, by trying every 4-subset
+    collinear = {t for l in plane.lines for t in combinations(sorted(set(l)), 3)}
+    return any(
+        not any(t in collinear for t in combinations(four, 3))
+        for four in combinations(range(plane.n_points), 4)
+    )
+
+
+def _near_pencil(n, off):
+    # every point but ``off`` on one line, and ``off`` joined to each of them
+    on = [p for p in range(n) if p != off]
+    return GenericPlane(q=2, n_points=n, lines=(tuple(on), *(tuple(sorted((p, off))) for p in on)))
+
+
+def _linear_spaces():
+    for q in (2, 3, 4):
+        yield pg_from_field(q).to_generic()
+        yield ag_from_field(q).to_generic()
+    for n in range(1, 13):
+        yield GenericPlane(q=2, n_points=n, lines=(tuple(range(n)),))
+        if n >= 3:
+            yield from (_near_pencil(n, off) for off in (0, n // 2, n - 1))
+    for n in range(1, 8):
+        yield GenericPlane(q=2, n_points=n, lines=tuple(combinations(range(n), 2)))
+
+
+def test_quadrangle_rule_matches_brute_force():
+    # each pair of points on exactly one line: the rule on line sizes decides
+    note = "no quadrangle: every 4-point subset has 3 collinear points"
+    for plane in _linear_spaces():
+        pairs = Counter(p for l in plane.lines for p in combinations(l, 2))
+        assert sorted(pairs) == list(combinations(range(plane.n_points), 2))
+        assert set(pairs.values()) <= {1}
+        rep = check_plane_axioms(plane)
+        assert (note in rep.violations) == (not _has_quadrangle_by_subsets(plane)), plane
 
 
 @pytest.mark.parametrize("builder", [pg_from_field, ag_from_field])

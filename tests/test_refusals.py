@@ -151,6 +151,13 @@ PINNED = {
                         "cycle needs at least 3 vertices"),
     "oracle_big_graph_bad_plane": (["oracle", "--graph", "gear:1000", "--plane", "pg:6"],
                                    "q=6 is not a prime power"),
+    # a required argument left out
+    "plane_export_no_out": (["plane", "export", "--q", "3"], "plane export needs --q and --out"),
+    "plane_check_no_file": (["plane", "check"], "plane check needs a file argument"),
+    "cycle_no_k": (["cycle", "--q", "5"], "cycle needs --k (or the sweep mode)"),
+    "gear_no_n": (["gear", "--q", "5"], "gear needs --q and --n (or the sweep mode)"),
+    "hypj_sweep_min_low": (["hypj", "sweep", "--min", "2"], "sweep needs --min >= 3"),
+    "hypj_no_q": (["hypj"], "hypj needs --q (or the sweep mode)"),
 }
 
 
