@@ -40,7 +40,7 @@ from .graphs import (
     write_embedding,
 )
 from .oracle import DEFAULT_BUDGET, STATUS_NOTFOUND, OracleResult, exists_embedding
-from .plane import check_plane_axioms, load_plane, save_plane
+from .plane import check_plane_axioms, line_faults, load_plane, save_plane
 from .wheelgear import gear_plan, wheel_plan
 
 
@@ -212,25 +212,19 @@ def _parse_graph_ref(ref: str):
 
 
 def _load_indexed_plane(path):
-    """A plane file the search and the verifier can index: unlike ``plane
-    check``, which lists them as violations, it refuses point ids outside
-    0..points-1, a point named twice by one line, and a pair of points on
-    two lines (a repeated line too), as both look up one line per pair.
+    """A plane file the search and the verifier can index, as both look up
+    one line per pair: refused at the first stray id, repeated point or pair
+    on two lines that ``line_faults`` meets (``plane check`` lists them).
     The projective axioms are not required: an affine plane file passes."""
     plane = load_plane(path)
-    n = plane.n_points
-    if any(not 0 <= p < n for line in plane.lines for p in line):
-        raise FormatError(f"plane file {path} references a point outside 0..{n - 1}")
-    joined = [0] * n  # per point, the points that share a line with it so far
-    for i, line in enumerate(plane.lines):
-        if twice := [p for p, r in zip(line, line[1:]) if p == r]:  # lines are sorted
-            raise FormatError(f"plane file {path} line {i} repeats point {twice[0]}")
-        mask = sum(1 << p for p in line)
-        for p in line:
-            if joined[p] & mask:
-                other = (joined[p] & mask).bit_length() - 1
-                raise FormatError(f"plane file {path} puts points {p},{other} on two lines")
-            joined[p] |= mask ^ (1 << p)
+    for i, kind, x in line_faults(plane):
+        if kind == "stray":
+            raise FormatError(f"plane file {path} line {i} references point {x} "
+                              f"outside 0..{plane.n_points - 1}")
+        if kind == "repeat":
+            raise FormatError(f"plane file {path} line {i} repeats point {x}")
+        if kind == "pair":
+            raise FormatError(f"plane file {path} puts points {x[0]},{x[1]} on two lines")
     return plane
 
 

@@ -8,8 +8,10 @@ last coordinate is nonzero.
 
 GenericPlane forgets coordinates: points are 0..N-1 and lines are sorted
 id tuples.  It is what the search oracle and the file format speak, and
-its one incidence index, built once per plane, serves both the search and
-``line_between`` (the cyclic model joins points by its difference set).
+its one incidence index, built once per plane, serves the search,
+``line_between`` (the cyclic model joins points by its difference set) and
+``line_faults``, the one scan of a plane file's lines that ``plane check``
+and the CLI's plane loader both read.
 
 Both kinds of plane give what the verifier and the embedding builder ask
 of a plane: ``model``, ``q``, ``n_points``, ``contains``, ``line_between``
@@ -22,12 +24,12 @@ affine points is the same triple in both.
 
 from __future__ import annotations
 
+import heapq
 import json
-from collections import Counter, namedtuple
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
 from typing import Optional
 
 from .gf import FieldSpec, field_for
@@ -177,13 +179,11 @@ class GenericPlane:
 
     @property
     def max_pencil(self) -> int:
-        mp = self._cache.get("max_pencil")
-        if mp is None:
-            # the most distinct lines through one point
-            n, counts = self.n_points, Counter(chain.from_iterable(map(set, self.lines)))
-            mp = max((c for p, c in counts.items() if 0 <= p < n), default=0)
-            self._cache["max_pencil"] = mp
-        return mp
+        # the most distinct lines through one point; in a transitive plane
+        # point 0 has as many as any, and the cyclic model builds no index
+        if self.transitive:
+            return sum(0 in line for line in self.lines)
+        return max(map(len, self.incidence().pencils), default=0)
 
 
 class CoordPlane:
@@ -318,11 +318,32 @@ class PlaneReport:
     violations: list
 
 
+def line_faults(plane: GenericPlane):
+    """Scan a generic plane's lines once, in order, and yield as data what
+    keeps it from having one line per pair of points: ``(i, "twin", j)``
+    when line i repeats line j, ``(i, "stray", p)`` for each id p outside
+    0..n_points-1, ``(i, "repeat", p)`` for each point line i names twice,
+    and ``(i, "pair", (a, b))`` when line i joins points a < b that an
+    earlier line joins already.  A stray id makes no pair."""
+    n, seen = plane.n_points, {}
+    joined = [0] * n  # per point, the points that earlier lines join it to
+    for i, (line, mask) in enumerate(zip(plane.lines, plane.incidence().masks)):
+        if (j := seen.setdefault(line, i)) != i:
+            yield i, "twin", j
+        if mask.bit_count() != len(line):  # a stray or a repeat is left out of the mask
+            yield from ((i, "stray", p) for p in line if not 0 <= p < n)
+            yield from ((i, "repeat", p) for p in sorted({p for p in line if line.count(p) > 1}))
+        pts = {p for p in line if 0 <= p < n}
+        for p in pts:
+            if twice := joined[p] & mask:
+                yield from ((i, "pair", (p, b)) for b in pts if b > p and twice >> b & 1)
+            joined[p] |= mask ^ (1 << p)
+
+
 def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
     """Projective-plane sanity report; violations are listed, not raised."""
-    v = []
-    n = plane.n_points
-    lines = plane.lines
+    v, n, lines = [], plane.n_points, plane.lines
+    masks, pm, _ = plane.incidence()
 
     def note(msg):
         if len(v) < _MAX_VIOLATIONS:
@@ -333,41 +354,46 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
     if line_size is None:
         note("lines are not all the same size")
 
-    seen = {}
-    for i, l in enumerate(lines):
-        if l in seen:
-            note(f"line {i} duplicates line {seen[l]}")
+    found = []  # a point pair on c lines is found on the c - 1 after the first
+    for i, kind, x in line_faults(plane):
+        if kind == "twin":
+            note(f"line {i} duplicates line {x}")
+        elif kind == "stray":
+            note(f"line {i} references point {x} outside 0..{n - 1}")
+        elif kind == "repeat":
+            note(f"line {i} repeats point {x}")
         else:
-            seen[l] = i
-        for p in l:
-            if not 0 <= p < n:
-                note(f"line {i} references point {p} outside 0..{n - 1}")
-        for p in sorted({p for p in l if l.count(p) > 1}):
-            note(f"line {i} repeats point {p}")
+            found.append(x)
 
-    # each point pair on exactly one line; a repeated point makes no pair
-    pair_count = Counter(pair for l in lines for pair in combinations(sorted(set(l)), 2))
-    for (a, b), c in pair_count.items():
-        if c > 1:
-            note(f"points {a},{b} lie on {c} common lines")
+    # each point pair on exactly one line, listed by the first line holding it
+    def first_line(pair):
+        both = pm[pair[0]] & pm[pair[1]]
+        return (both & -both).bit_length(), pair
+
+    for a, b in heapq.nsmallest(_MAX_VIOLATIONS, set(found), key=first_line):
+        note(f"points {a},{b} lie on {(pm[a] & pm[b]).bit_count()} common lines")
     expected = n * (n - 1) // 2
-    if len(pair_count) < expected:
-        missing = expected - len(pair_count)
-        note(f"{missing} point pairs lie on no line")
+    covered = sum(m.bit_count() * (m.bit_count() - 1) // 2 for m in masks) - len(found)
+    if covered < expected:
+        note(f"{expected - covered} point pairs lie on no line")
 
-    # each line pair meets exactly once; a stray id is listed above but is
-    # no point, so it meets nothing
-    masks = plane.incidence().masks
-    for i, j in combinations(range(len(masks)), 2):
-        if (m := (masks[i] & masks[j]).bit_count()) != 1:
-            note(f"lines {i},{j} meet in {m} points")
+    # each line pair meets exactly once: line i meets once the lines its points
+    # reach once, so j > i are tested only if some j is not (a stray meets none)
+    for i, (line, mask) in enumerate(zip(lines, masks)):
+        once = more = 0
+        for p in {p for p in line if 0 <= p < n}:
+            more, once = more | once & pm[p], once | pm[p]
+        if ((once & ~more) >> i + 1).bit_count() < len(masks) - i - 1:
+            for j in range(i + 1, len(masks)):
+                if (m := (mask & masks[j]).bit_count()) != 1:
+                    note(f"lines {i},{j} meet in {m} points")
             if len(v) >= _MAX_VIOLATIONS:
                 break
 
     # in a linear space (each pair of points 0..n-1 on exactly one line) a
     # quadrangle exists exactly when two points lie off a longest line; the
     # others are single lines and near-pencils (de Bruijn and Erdős, 1948)
-    if sum(c == 1 and a >= 0 and b < n for (a, b), c in pair_count.items()) == expected:
+    if not found and covered == expected:
         if n - max((m.bit_count() for m in masks), default=0) < 2:
             note("no quadrangle: every 4-point subset has 3 collinear points")
 

@@ -571,7 +571,7 @@ def test_sweep_opens_its_out_file_first(argv, work, tmp_path, monkeypatch, capsy
     assert err.startswith("error: [Errno 2] ")
 
 
-def _run_capped(argv, cwd):
+def _run_capped(argv, cwd, timeout=10):
     # the child's address space is capped, so that a graph or vertex range
     # built anyway fails the calling test instead of exhausting memory
     import resource
@@ -582,7 +582,7 @@ def _run_capped(argv, cwd):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "planegraphs.cli", *argv], capture_output=True, text=True,
-        timeout=10, cwd=cwd, preexec_fn=cap, env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout, cwd=cwd, preexec_fn=cap, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -617,3 +617,14 @@ def test_plane_check_decides_a_large_near_pencil_at_once(tmp_path):
     proc = _run_capped(["plane", "check", "np.json"], tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "  no quadrangle: every 4-point subset has 3 collinear points\n" in proc.stdout
+
+
+def test_plane_check_passes_pg_64_in_seconds(tmp_path):
+    # 4,161 points and lines: the check scans each line's points and pencils
+    # once, where a pass over every point pair and line pair takes seconds more
+    from planegraphs.plane import pg_from_field, save_plane
+
+    save_plane(pg_from_field(64).to_generic(), tmp_path / "pg64.json")
+    proc = _run_capped(["plane", "check", "pg64.json"], tmp_path, timeout=6)
+    assert (proc.returncode, proc.stdout) == (
+        0, "pass: 4161 points, 4161 lines, line size 65, 0 violations\n"), proc.stderr

@@ -1,6 +1,7 @@
 """Coordinate planes, canonical triples, axiom checks, plane files."""
 
 import json
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -159,6 +160,147 @@ def test_axiom_check_stray_id_meets_nothing():
         assert f"lines {i},{j} meet in 0 points" in rep.violations
     for i in through:
         assert f"line {i} references point 6 outside 0..5" in rep.violations
+
+
+def test_axiom_check_stray_id_makes_no_pair():
+    # an id past "points" is listed, but covers no pair and is no point of one
+    lines = pg_from_field(2).to_generic().lines
+    assert lines[0] == (0, 1, 2)
+    rep = check_plane_axioms(GenericPlane(q=2, n_points=6, lines=lines[1:]))
+    assert rep.violations == [
+        "line 1 references point 6 outside 0..5",
+        "line 3 references point 6 outside 0..5",
+        "line 4 references point 6 outside 0..5",
+        "3 point pairs lie on no line",
+        "lines 1,3 meet in 0 points",
+        "lines 1,4 meet in 0 points",
+        "lines 3,4 meet in 0 points",
+    ]
+    lines = ((0, 1, 6), (0, 2, 6), (1, 2, 3), (3, 4, 5))
+    rep = check_plane_axioms(GenericPlane(q=2, n_points=6, lines=lines))
+    assert rep.violations == [
+        "line 0 references point 6 outside 0..5",
+        "line 1 references point 6 outside 0..5",
+        "7 point pairs lie on no line",
+        "lines 0,3 meet in 0 points",
+        "lines 1,3 meet in 0 points",
+    ]
+
+
+def _reference_check(plane):
+    # the axiom check as a Counter of every point pair and a loop over every
+    # line pair, quadratic in the plane's size; (ok, violations)
+    v = []
+    n = plane.n_points
+    lines = plane.lines
+
+    def note(msg):
+        if len(v) < 50:
+            v.append(msg)
+
+    sizes = {len(l) for l in lines}
+    line_size = sizes.pop() if len(sizes) == 1 else None
+    if line_size is None:
+        note("lines are not all the same size")
+
+    seen = {}
+    for i, l in enumerate(lines):
+        if l in seen:
+            note(f"line {i} duplicates line {seen[l]}")
+        else:
+            seen[l] = i
+        for p in l:
+            if not 0 <= p < n:
+                note(f"line {i} references point {p} outside 0..{n - 1}")
+        for p in sorted({p for p in l if l.count(p) > 1}):
+            note(f"line {i} repeats point {p}")
+
+    # each point pair on exactly one line; a repeated point makes no pair
+    pair_count = Counter(pair for l in lines for pair in combinations(sorted(set(l)), 2))
+    for (a, b), c in pair_count.items():
+        if c > 1:
+            note(f"points {a},{b} lie on {c} common lines")
+    expected = n * (n - 1) // 2
+    if len(pair_count) < expected:
+        missing = expected - len(pair_count)
+        note(f"{missing} point pairs lie on no line")
+
+    # each line pair meets exactly once; a stray id is listed above but is
+    # no point, so it meets nothing
+    masks = plane.incidence().masks
+    for i, j in combinations(range(len(masks)), 2):
+        if (m := (masks[i] & masks[j]).bit_count()) != 1:
+            note(f"lines {i},{j} meet in {m} points")
+            if len(v) >= 50:
+                break
+
+    # in a linear space (each pair of points 0..n-1 on exactly one line) a
+    # quadrangle exists exactly when two points lie off a longest line; the
+    # others are single lines and near-pencils (de Bruijn and Erdős, 1948)
+    if sum(c == 1 and a >= 0 and b < n for (a, b), c in pair_count.items()) == expected:
+        if n - max((m.bit_count() for m in masks), default=0) < 2:
+            note("no quadrangle: every 4-point subset has 3 collinear points")
+
+    return not v, v
+
+
+def _corrupt(rng, plane):
+    # one to four faults: toggle an id (one past either end strays), repeat
+    # a line, drop a line, repeat a point, or add a point on no line
+    n, lines = plane.n_points, [list(l) for l in plane.lines]
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 4:
+            n += 1
+        elif not lines:
+            continue
+        elif kind == 0:
+            l, p = rng.choice(lines), rng.randrange(-1, n + 1)
+            if p in l:
+                l.remove(p)
+            else:
+                l.append(p)
+        elif kind == 1:
+            lines.insert(rng.randrange(len(lines) + 1), list(rng.choice(lines)))
+        elif kind == 2:
+            lines.pop(rng.randrange(len(lines)))
+        elif l := rng.choice(lines):
+            l.append(rng.choice(l))
+    return GenericPlane(q=plane.q, n_points=n, lines=tuple(tuple(sorted(l)) for l in lines))
+
+
+def test_axiom_check_matches_the_pair_reference():
+    # the same report as the quadratic reference wherever no id strays, and
+    # the same verdict everywhere
+    small = [cyclic_plane(2), cyclic_plane(3), *_linear_spaces()]
+    whole = small + [pg_from_field(q).to_generic() for q in (5, 7, 8, 9)]
+    whole += [ag_from_field(q).to_generic() for q in (5, 7, 8, 9)]
+    whole += [cyclic_plane(q) for q in (4, 5, 7)]
+    for plane in whole:
+        rep = check_plane_axioms(plane)
+        assert (rep.ok, rep.violations) == _reference_check(plane), plane
+    rng, clean, stray = random.Random(1), 0, 0
+    for plane in small:
+        for _ in range(60):
+            bad = _corrupt(rng, plane)
+            rep, (ok, violations) = check_plane_axioms(bad), _reference_check(bad)
+            if any(not 0 <= p < bad.n_points for l in bad.lines for p in l):
+                assert rep.ok == ok, bad
+                stray += 1
+            else:
+                assert (rep.ok, rep.violations) == (ok, violations), bad
+                clean += 1
+    assert clean >= 2000 and stray >= 200, (clean, stray)
+
+
+def test_max_pencil_counts_distinct_lines():
+    # the most lines through one point 0..n-1, a line naming it twice once
+    rng = random.Random(2)
+    planes = [pg_from_field(3).to_generic(), ag_from_field(4).to_generic(), cyclic_plane(4)]
+    planes += [_corrupt(rng, plane) for plane in planes for _ in range(100)]
+    for plane in planes:
+        counts = Counter(p for l in plane.lines for p in set(l) if 0 <= p < plane.n_points)
+        assert plane.max_pencil == max(counts.values(), default=0), plane
 
 
 def _has_quadrangle_by_subsets(plane):
