@@ -217,14 +217,13 @@ def _load_indexed_plane(path):
     on two lines that ``line_faults`` meets (``plane check`` lists them).
     The projective axioms are not required: an affine plane file passes."""
     plane = load_plane(path)
-    for i, kind, x in line_faults(plane):
+    for i, kind, x in line_faults(plane):  # a stray, a repeat or a pair
         if kind == "stray":
             raise FormatError(f"plane file {path} line {i} references point {x} "
                               f"outside 0..{plane.n_points - 1}")
         if kind == "repeat":
             raise FormatError(f"plane file {path} line {i} repeats point {x}")
-        if kind == "pair":
-            raise FormatError(f"plane file {path} puts points {x[0]},{x[1]} on two lines")
+        raise FormatError(f"plane file {path} puts points {x[0]},{x[1]} on two lines")
     return plane
 
 

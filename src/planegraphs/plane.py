@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 from .gf import FieldSpec, field_for
@@ -179,11 +180,13 @@ class GenericPlane:
 
     @property
     def max_pencil(self) -> int:
-        # the most distinct lines through one point; in a transitive plane
-        # point 0 has as many as any, and the cyclic model builds no index
-        if self.transitive:
-            return sum(0 in line for line in self.lines)
-        return max(map(len, self.incidence().pencils), default=0)
+        mp = self._cache.get("max_pencil")
+        if mp is None:
+            # the most distinct lines through one point
+            n, counts = self.n_points, Counter(chain.from_iterable(map(set, self.lines)))
+            mp = max((c for p, c in counts.items() if 0 <= p < n), default=0)
+            self._cache["max_pencil"] = mp
+        return mp
 
 
 class CoordPlane:
@@ -320,23 +323,20 @@ class PlaneReport:
 
 def line_faults(plane: GenericPlane):
     """Scan a generic plane's lines once, in order, and yield as data what
-    keeps it from having one line per pair of points: ``(i, "twin", j)``
-    when line i repeats line j, ``(i, "stray", p)`` for each id p outside
-    0..n_points-1, ``(i, "repeat", p)`` for each point line i names twice,
-    and ``(i, "pair", (a, b))`` when line i joins points a < b that an
-    earlier line joins already.  A stray id makes no pair."""
-    n, seen = plane.n_points, {}
+    keeps it from having one line per pair of points: ``(i, "stray", p)``
+    for each id p outside 0..n_points-1, ``(i, "repeat", p)`` for each point
+    line i names twice, and ``(i, "pair", (a, b))`` when line i joins points
+    a < b that an earlier line joins already.  A stray id makes no pair."""
+    n = plane.n_points
     joined = [0] * n  # per point, the points that earlier lines join it to
     for i, (line, mask) in enumerate(zip(plane.lines, plane.incidence().masks)):
-        if (j := seen.setdefault(line, i)) != i:
-            yield i, "twin", j
         if mask.bit_count() != len(line):  # a stray or a repeat is left out of the mask
             yield from ((i, "stray", p) for p in line if not 0 <= p < n)
             yield from ((i, "repeat", p) for p in sorted({p for p in line if line.count(p) > 1}))
-        pts = {p for p in line if 0 <= p < n}
-        for p in pts:
+            line = {p for p in line if 0 <= p < n}  # its points
+        for p in line:
             if twice := joined[p] & mask:
-                yield from ((i, "pair", (p, b)) for b in pts if b > p and twice >> b & 1)
+                yield from ((i, "pair", (p, b)) for b in line if b > p and twice >> b & 1)
             joined[p] |= mask ^ (1 << p)
 
 
@@ -354,8 +354,11 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
     if line_size is None:
         note("lines are not all the same size")
 
-    found = []  # a point pair on c lines is found on the c - 1 after the first
-    for i, kind, x in line_faults(plane):
+    # per line, a repeat of an earlier line is listed first; a pair of points
+    # on c lines is refound on c - 1 of them
+    seen, doubled, refound = {}, set(), 0
+    twins = ((i, "twin", seen[l]) for i, l in enumerate(lines) if seen.setdefault(l, i) != i)
+    for i, kind, x in heapq.merge(twins, line_faults(plane), key=lambda f: f[0]):
         if kind == "twin":
             note(f"line {i} duplicates line {x}")
         elif kind == "stray":
@@ -363,29 +366,30 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
         elif kind == "repeat":
             note(f"line {i} repeats point {x}")
         else:
-            found.append(x)
+            doubled.add(x)
+            refound += 1
 
     # each point pair on exactly one line, listed by the first line holding it
     def first_line(pair):
         both = pm[pair[0]] & pm[pair[1]]
         return (both & -both).bit_length(), pair
 
-    for a, b in heapq.nsmallest(_MAX_VIOLATIONS, set(found), key=first_line):
+    for a, b in heapq.nsmallest(_MAX_VIOLATIONS, doubled, key=first_line):
         note(f"points {a},{b} lie on {(pm[a] & pm[b]).bit_count()} common lines")
     expected = n * (n - 1) // 2
-    covered = sum(m.bit_count() * (m.bit_count() - 1) // 2 for m in masks) - len(found)
+    covered = sum(m.bit_count() * (m.bit_count() - 1) // 2 for m in masks) - refound
     if covered < expected:
         note(f"{expected - covered} point pairs lie on no line")
 
     # each line pair meets exactly once: line i meets once the lines its points
-    # reach once, so j > i are tested only if some j is not (a stray meets none)
-    for i, (line, mask) in enumerate(zip(lines, masks)):
+    # reach once, so j > i are compared only if some j is not (a stray meets none)
+    for i, line in enumerate(lines):
         once = more = 0
         for p in {p for p in line if 0 <= p < n}:
             more, once = more | once & pm[p], once | pm[p]
         if ((once & ~more) >> i + 1).bit_count() < len(masks) - i - 1:
             for j in range(i + 1, len(masks)):
-                if (m := (mask & masks[j]).bit_count()) != 1:
+                if (m := (masks[i] & masks[j]).bit_count()) != 1:
                     note(f"lines {i},{j} meet in {m} points")
             if len(v) >= _MAX_VIOLATIONS:
                 break
@@ -393,7 +397,7 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
     # in a linear space (each pair of points 0..n-1 on exactly one line) a
     # quadrangle exists exactly when two points lie off a longest line; the
     # others are single lines and near-pencils (de Bruijn and Erdős, 1948)
-    if not found and covered == expected:
+    if not doubled and covered == expected:
         if n - max((m.bit_count() for m in masks), default=0) < 2:
             note("no quadrangle: every 4-point subset has 3 collinear points")
 

@@ -293,16 +293,6 @@ def test_axiom_check_matches_the_pair_reference():
     assert clean >= 2000 and stray >= 200, (clean, stray)
 
 
-def test_max_pencil_counts_distinct_lines():
-    # the most lines through one point 0..n-1, a line naming it twice once
-    rng = random.Random(2)
-    planes = [pg_from_field(3).to_generic(), ag_from_field(4).to_generic(), cyclic_plane(4)]
-    planes += [_corrupt(rng, plane) for plane in planes for _ in range(100)]
-    for plane in planes:
-        counts = Counter(p for l in plane.lines for p in set(l) if 0 <= p < plane.n_points)
-        assert plane.max_pencil == max(counts.values(), default=0), plane
-
-
 def _has_quadrangle_by_subsets(plane):
     # four points of which no three lie on one line, by trying every 4-subset
     collinear = {t for l in plane.lines for t in combinations(sorted(set(l)), 3)}
