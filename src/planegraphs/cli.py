@@ -223,7 +223,7 @@ def _load_indexed_plane(path):
                               f"outside 0..{plane.n_points - 1}")
         if kind == "repeat":
             raise FormatError(f"plane file {path} line {i} repeats point {x}")
-        raise FormatError(f"plane file {path} puts points {x[0]},{x[1]} on two lines")
+        raise FormatError(f"plane file {path} puts points {x[0][0]},{x[0][1]} on two lines")
     return plane
 
 

@@ -23,7 +23,7 @@ verified on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .gf import (
@@ -95,8 +95,12 @@ class SlopeLabeling:
         # the join of P with the direction point (i); P is affine
         return line_through(self.spec, self.direction_point(i), P)
 
+    @cached_property
+    def o_lines(self) -> tuple:  # every l_i, joined once per labeling
+        return tuple(self.class_line_through(i, ORIGIN) for i in range(len(self.slopes)))
+
     def through_o_line(self, i: int):
-        return self.class_line_through(i, ORIGIN)  # l_i
+        return self.o_lines[i]  # l_i
 
 
 def labeling_for(q: int, kind: Optional[str] = None) -> SlopeLabeling:

@@ -26,11 +26,14 @@ degree a whose non-leading coefficient vector has the smallest encoding,
 decided by Rabin's test on packed ints.  Every run of every machine
 therefore agrees on the arithmetic tables.
 
+Primality has one mechanism and no Miller-Rabin: a sieve of Eratosthenes
+of 0..MAX_ORDER (2^20), 1 MB built on a process's first question in about
+2 ms.  ``is_prime``, ``factorize`` and ``prime_powers_in`` read it, and
+refuse n above MAX_ORDER at once, as no larger field is ever built.
+
 A certificate sweep builds thousands of fields and uses each briefly, so
-``prime_powers_in`` sieves only its window, ``is_prime`` is Miller-Rabin
-(bases 2 and 3 below 1,373,653, so for every field order), ``make_field``
-factorises q - 1 once per field and keeps only the 1,024 fields it built
-or used last, and the primitive walk starts at p.
+``make_field`` factorises q - 1 once per field and keeps only the 1,024
+fields it built or used last, and the primitive walk starts at p.
 """
 
 from __future__ import annotations
@@ -54,96 +57,66 @@ class ConjectureViolation(RuntimeError):
     """A search that is expected to succeed on theoretical grounds came up empty."""
 
 
-_PRIMES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3_317_044_064_679_887_385_961_981
+_SIEVE = bytearray()  # _SIEVE[n] == 1 exactly when n <= MAX_ORDER is prime
+
+
+def _sieve_to(n: int) -> bytearray:
+    """The one sieve of Eratosthenes of 0..MAX_ORDER, once n is known to lie
+    in it.  The first call builds it in place (about 2 ms and 1 MB): evens
+    start at 0, and each odd prime strikes its odd multiples from its square."""
+    if n > MAX_ORDER:
+        raise ValueError(f"{n} exceeds supported bound {MAX_ORDER}")
+    s = _SIEVE
+    if not s:
+        s += b"\0\1"
+        s *= MAX_ORDER // 2 + 1
+        del s[MAX_ORDER + 1 :]
+        s[1:3] = b"\0\1"
+        for i in range(3, isqrt(MAX_ORDER) + 1, 2):
+            if s[i]:
+                s[i * i :: 2 * i] = bytes(len(range(i * i, MAX_ORDER + 1, 2 * i)))
+    return s
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin.  The bases 2 and 3 are exact for every n < 1,373,653,
-    which covers every field order (C. Pomerance, J. L. Selfridge and
-    S. S. Wagstaff, "The pseudoprimes to 25*10^9", Math. Comp. 35 (1980));
-    2, 3, 5 and 7 for every n < 3,215,031,751; and the first thirteen
-    primes (2..41) for every n < psi_13 = 3,317,044,064,679,887,385,961,981
-    (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
-    bases", Math. Comp. 86 (2017)).  Trial division only above psi_13."""
-    if n <= _PRIMES_13[-1]:
-        return n in _PRIMES_13
-    if n >= _PSI_13:
-        return all(n % f for f in range(2, isqrt(n) + 1))
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
-    d = (n - 1) >> s
-    bases = 2 if n < 1_373_653 else 4 if n < 3_215_031_751 else 13
-    for b in _PRIMES_13[:bases]:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Read off the sieve; ValueError above MAX_ORDER."""
+    return n > 1 and _sieve_to(n)[n] == 1
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization by trial division, {prime: exponent}.  A cofactor
-    above 2^20, where ``is_prime`` costs less than dividing up to its root,
-    is tested first, and a prime cofactor ends the division."""
-    if n > 1 << 20 and is_prime(n):
-        return {n: 1}
-    out = {}
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                out[f] = out.get(f, 0) + 1
-                n //= f
-            if n > 1 << 20 and is_prime(n):
-                break
+    """Prime factorization, {prime: exponent}: division by 2 and odd f
+    until the cofactor is 1 or a prime of the sieve.  ValueError above
+    MAX_ORDER."""
+    sieve, out, f = _sieve_to(n), {}, 2
+    while n > 1 and not sieve[n]:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
         f += 1 if f == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
 def prime_power(n: int):
     """Return (p, a) when n = p^a for a prime p, else None.  ValueError
-    when n exceeds MAX_ORDER, tested first so that no huge n is factorised."""
+    when n exceeds MAX_ORDER."""
     if n > MAX_ORDER:
         raise ValueError(f"field order {n} exceeds supported bound {MAX_ORDER}")
-    if n < 2:
-        return None
-    if is_prime(n):
-        return n, 1
     fac = factorize(n)
-    if len(fac) != 1:
-        return None
-    [(p, a)] = fac.items()
-    return p, a
+    return next(iter(fac.items())) if len(fac) == 1 else None
 
 
 def prime_powers_in(lo: int, hi: int) -> list:
-    """All prime powers q with lo <= q <= hi, ascending.  A segmented sieve:
-    the primes up to isqrt(hi) strike their multiples from the window alone
-    and add their powers in it, so the cost follows hi - lo, not hi."""
-    lo, root = max(lo, 2), isqrt(max(hi, 0))
-    if hi < lo:
-        return []
-    small = bytearray([0, 0]) + bytearray([1]) * (root - 1)
-    for i in range(2, isqrt(root) + 1):
-        small[i * i :: i] = bytes(len(small[i * i :: i]))
-    window = bytearray([1]) * (hi - lo + 1)
-    out = []
-    for p in compress(range(root + 1), small):
-        first = max(p * p, -(-lo // p) * p) - lo
-        window[first::p] = bytes(len(window[first::p]))
-        v = p * p
-        while v <= hi:
-            if v >= lo:
-                out.append(v)
-            v *= p
-    return sorted(out + list(compress(range(lo, hi + 1), window)))
+    """All prime powers q with lo <= q <= hi, ascending: the primes of the
+    window read off the sieve, and p^k (k >= 2) for each prime p up to
+    isqrt(hi).  ValueError when hi exceeds MAX_ORDER."""
+    sieve, lo = _sieve_to(hi), max(lo, 2)
+    out = list(compress(range(lo, hi + 1), memoryview(sieve)[lo : hi + 1]))
+    for p in compress(range(isqrt(max(hi, 0)) + 1), sieve):
+        # p^k <= hi needs k < hi.bit_length(), as p >= 2
+        out += (p**k for k in range(2, hi.bit_length()) if lo <= p**k <= hi)
+    return sorted(out)
 
 
 def _is_irreducible(spec: FieldSpec) -> bool:

@@ -325,8 +325,9 @@ def line_faults(plane: GenericPlane):
     """Scan a generic plane's lines once, in order, and yield as data what
     keeps it from having one line per pair of points: ``(i, "stray", p)``
     for each id p outside 0..n_points-1, ``(i, "repeat", p)`` for each point
-    line i names twice, and ``(i, "pair", (a, b))`` when line i joins points
-    a < b that an earlier line joins already.  A stray id makes no pair."""
+    line i names twice, and ``(i, "pair", pairs)`` when line i joins points
+    a < b that an earlier line joins already, pairs listing each such (a, b).
+    A stray id makes no pair."""
     n = plane.n_points
     joined = [0] * n  # per point, the points that earlier lines join it to
     for i, (line, mask) in enumerate(zip(plane.lines, plane.incidence().masks)):
@@ -334,10 +335,13 @@ def line_faults(plane: GenericPlane):
             yield from ((i, "stray", p) for p in line if not 0 <= p < n)
             yield from ((i, "repeat", p) for p in sorted({p for p in line if line.count(p) > 1}))
             line = {p for p in line if 0 <= p < n}  # its points
+        pairs = []
         for p in line:
             if twice := joined[p] & mask:
-                yield from ((i, "pair", (p, b)) for b in line if b > p and twice >> b & 1)
+                pairs += ((p, b) for b in line if b > p and twice >> b & 1)
             joined[p] |= mask ^ (1 << p)
+        if pairs:
+            yield i, "pair", pairs
 
 
 def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
@@ -366,8 +370,8 @@ def check_plane_axioms(plane: GenericPlane) -> PlaneReport:
         elif kind == "repeat":
             note(f"line {i} repeats point {x}")
         else:
-            doubled.add(x)
-            refound += 1
+            doubled.update(x)
+            refound += len(x)
 
     # each point pair on exactly one line, listed by the first line holding it
     def first_line(pair):

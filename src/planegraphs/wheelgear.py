@@ -185,13 +185,9 @@ def _wheel_explicit(pgp: CoordPlane) -> Iterator[tuple]:
     ells = [line_through(spec, ORIGIN, t) for t in P]
     for c in range(1, q):
         m = canon(spec, (1, 0, spec.eneg(c)))  # x = c, through P[0]
-        Qs = {i: intersect(spec, ells[i], m) for i in range(1, q + 1, 2)}
-        zig = []
-        for i in range(0, q, 2):
-            zig.append(P[i])  # P_1, P_3, ... in 1-based speech
-            if i + 1 <= q - 1:
-                zig.append(Qs[i + 1])
-        # zig = [P_1, Q_2, P_3, ..., Q_{q-1}, P_q]; close through T on ell_{q+1}
+        # zig = [P_1, Q_2, P_3, ..., Q_{q-1}, P_q] in 1-based speech, Q_i on
+        # ell_i and m; close through T on ell_{q+1}
+        zig = [x for i in range(0, q, 2) for x in (P[i], intersect(spec, ells[i + 1], m))][:-1]
         t_line = ells[q]
         for T in pgp.points():
             if T == ORIGIN or T == P[q] or T in zig or not incident(spec, T, t_line):

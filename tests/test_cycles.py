@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from oracle_reference import reference_joins
+from planegraphs import cycles
 from planegraphs.cycles import (
     NoCertificate,
     SlopeLabeling,
@@ -37,6 +38,7 @@ from planegraphs.graphs import (
     verify_embedding,
 )
 from planegraphs.plane import (
+    ORIGIN,
     affine_triple,
     ag_from_field,
     check_plane_axioms,
@@ -73,6 +75,20 @@ def test_base_path_geometry():
             assert t != (0, 0, 1)
         # the return line closes back to the vertical axis at (0, m)
         assert incident(spec, affine_triple(spec, 0, m), lab.class_line_through(1, points[q]))
+
+
+@pytest.mark.parametrize("q", [7, 8, 13])
+def test_base_path_joins_only_its_links(q, monkeypatch):
+    # a labeling keeps the lines l_i it joined once, so a later base path
+    # joins only its q links and its return line
+    lab = labeling_for(q)
+    first = base_path(q, lab, 2)
+    joins = []
+    real = cycles.line_through
+    monkeypatch.setattr(cycles, "line_through", lambda *a: joins.append(a) or real(*a))
+    assert base_path(q, lab, 2) == first
+    assert len(joins) == q + 1
+    assert lab.o_lines == tuple(lab.class_line_through(i, ORIGIN) for i in range(q + 1))
 
 
 def test_multiplier_matches_field_maps():

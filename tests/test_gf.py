@@ -286,26 +286,28 @@ def test_make_field_refuses_huge_order_at_once():
     ]
 
 
-@pytest.mark.parametrize("n", [10**18 + 9, 2 * (10**18 + 9)])
-def test_is_prime_and_factorize_answer_a_huge_n_at_once(n):
-    # 10^18 + 9 is prime: Miller-Rabin decides it, and it ends the division
+@pytest.mark.parametrize("n", [10**18 + 9, gf.MAX_ORDER + 1])
+def test_primality_refuses_a_huge_n_at_once(n):
+    # 10^18 + 9 is prime, and 2^20 + 1 = 17 * 61,681: neither is divided or
+    # sieved, since the package builds no field above MAX_ORDER
     proc = _python(
-        "from planegraphs.gf import factorize, is_prime\n"
-        f"print(is_prime({n}), sorted(factorize({n}).items()))\n"
+        "from planegraphs.gf import factorize, is_prime, prime_powers_in\n"
+        "for f in (is_prime, factorize, lambda n: prime_powers_in(2, n)):\n"
+        "    try:\n"
+        f"        f({n})\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
     )
     assert proc.returncode == 0, proc.stderr
-    want = "[(1000000000000000009, 1)]" if n % 2 else "[(2, 1), (1000000000000000009, 1)]"
-    assert proc.stdout == f"{n % 2 == 1} {want}\n"
+    assert proc.stdout == f"{n} exceeds supported bound 1048576\n" * 3
 
 
 def test_is_prime_refuses_strong_pseudoprimes():
-    # the least strong pseudoprime to the bases 2, 3, 5 and 7, and psi_12,
-    # which passes all twelve prime bases 2..37 and fails base 41
-    psi_12 = 318_665_857_834_031_151_167_461
-    assert psi_12 == 399_165_290_221 * 798_330_580_441
-    assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
-    assert not is_prime(3_215_031_751)
-    assert not is_prime(psi_12)
+    # strong pseudoprimes to base 2 and Carmichael numbers below the bound;
+    # the least strong pseudoprime to bases 2 and 3, 1,373,653, lies above it
+    for n in (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 2821, 1_024_651):
+        assert not is_prime(n), n
+    assert 1_024_651 == 19 * 199 * 271
 
 
 def _primes_by_trial_division(lo, hi):
@@ -313,23 +315,14 @@ def _primes_by_trial_division(lo, hi):
     return [n for n in range(lo, hi) if all(n % p for p in small)]
 
 
-def test_is_prime_agrees_with_trial_division_near_the_base_switch():
-    # four bases below 3,215,031,751, thirteen from there on
-    lo, hi = 3_215_031_751 - 3000, 3_215_031_751 + 3000
-    assert [n for n in range(lo, hi) if is_prime(n)] == _primes_by_trial_division(lo, hi)
-
-
-def test_is_prime_two_base_seam():
-    # 1,373,653 is the least strong pseudoprime to the bases 2 and 3, so the
-    # two-base tier ends below it and four bases decide it
-    assert 1_373_653 == 829 * 1657
-    assert not is_prime(1_373_653)
-    lo, hi = 1_373_653 - 3000, 1_373_653 + 3000
+def test_is_prime_agrees_with_trial_division_at_the_bound():
+    lo, hi = gf.MAX_ORDER - 3000, gf.MAX_ORDER + 1
     assert [n for n in range(lo, hi) if is_prime(n)] == _primes_by_trial_division(lo, hi)
 
 
 def test_is_prime_agrees_with_a_sieve():
-    n = 1 << 17
+    # every n the package can ask about, against a sieve of its own
+    n = gf.MAX_ORDER + 1
     sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
@@ -338,10 +331,10 @@ def test_is_prime_agrees_with_a_sieve():
 
 
 def test_is_prime_with_many_factors_of_two():
-    # n - 1 = d * 2^s with s = 16 and s = 18: the squarings run to the end
+    # n - 1 = d * 2^s with s = 16 and s = 18
     assert 65_537 == 2**16 + 1 and 786_433 == 3 * 2**18 + 1
     assert is_prime(65_537) and is_prime(786_433)
-    assert not is_prime(65_537 * 17) and not is_prime(786_433 * 3)
+    assert not is_prime(65_537 * 15) and not is_prime(786_433 + 2)
 
 
 def test_is_prime_small():

@@ -24,6 +24,7 @@ from planegraphs.plane import (
     incident,
     intersect,
     is_affine,
+    line_faults,
     line_through,
     load_plane,
     pg_from_field,
@@ -160,6 +161,13 @@ def test_axiom_check_stray_id_meets_nothing():
         assert f"lines {i},{j} meet in 0 points" in rep.violations
     for i in through:
         assert f"line {i} references point 6 outside 0..5" in rep.violations
+
+
+def test_line_faults_batch_a_lines_pairs():
+    # one pair fault per line, its refound pairs in the order the scan meets them
+    lines = ((0, 1, 2), (0, 1, 2, 3), (3, 4), (2, 3, 4))
+    faults = list(line_faults(GenericPlane(q=2, n_points=5, lines=lines)))
+    assert faults == [(1, "pair", [(0, 1), (0, 2), (1, 2)]), (3, "pair", [(2, 3), (3, 4)])]
 
 
 def test_axiom_check_stray_id_makes_no_pair():
