@@ -12,6 +12,7 @@ other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -331,6 +332,7 @@ def _cmd_hypj(args) -> int:
 # parser
 
 
+@functools.cache  # built on the first call, not at import; parse_args returns a new Namespace
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="planegraphs")
     sub = top.add_subparsers(dest="command", required=True)

@@ -554,6 +554,59 @@ def test_missing_subcommand_exits_two(capsys):
     assert e.value.code == 2
 
 
+def test_one_process_builds_one_parser(monkeypatch, capsys):
+    import argparse
+
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or real(self, *a, **kw))
+    counts = []
+    for _ in range(2):
+        del built[:]
+        assert run(capsys, "field", "info", "--q", "9")[0] == 0
+        counts.append(len(built))
+    assert counts[1] == 0
+
+
+# one cell of each command, and each way main ends: by its return code, by
+# argparse's usage error (SystemExit 2) and by --help (SystemExit 0)
+MIXED_CELLS = [
+    ["cycle", "--q", "3", "--k", "5", "--out", "c.json"],
+    ["wheel", "--q", "4", "--n", "5", "--out", "w.json"],
+    ["gear", "--q", "5", "--n", "4", "--out", "g.json"],
+    ["oracle", "--graph", "cycle:5", "--plane", "pg:2", "--out", "o.json"],
+    ["hypj", "sweep", "--max", "30", "--out", "h.jsonl"],
+    ["verify", "c.json"],
+    ["wheel", "--q", "3"],
+    ["--help"],
+    ["cycle", "--q", "6", "--k", "3"],
+    ["wheel", "--q", "3", "--n", "4"],
+]
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # the same cells twice in one process, each round in its own directory
+    rounds = []
+    for r in range(2):
+        (tmp_path / str(r)).mkdir()
+        monkeypatch.chdir(tmp_path / str(r))
+        seen = []
+        for argv in MIXED_CELLS:
+            try:
+                rc = main(argv)
+            except SystemExit as e:
+                rc = f"exit {e.code}"
+            out = capsys.readouterr()
+            seen.append((rc, out.out, out.err))
+        files = {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+        rounds.append((seen, files))
+    assert rounds[0] == rounds[1]
+    seen, files = rounds[0]
+    assert [rc for rc, _, _ in seen] == [0, 0, 0, 0, 0, 0, "exit 2", "exit 0", 2, 1]
+    assert sorted(files) == ["c.json", "g.json", "h.jsonl", "o.json", "w.json"]
+
+
 @pytest.mark.parametrize("argv,work", [
     (["gear", "sweep", "--q-max", "3", "--out", "nod/x.txt"], "gear_plan"),
     (["hypj", "sweep", "--max", "100", "--out", "nod/x.txt"], "hypothesis_j_search"),

@@ -333,16 +333,56 @@ wheel_plan write_embedding
 
 def test_public_names_pinned():
     # what the package exports, its submodules aside; adding or removing a
-    # name is an API change and edits this list on purpose
+    # name is an API change and edits this list on purpose.  ``dir`` lists
+    # the names whether or not a submodule has been loaded yet
     import types
 
     import planegraphs
 
     names = sorted(
-        name for name, value in vars(planegraphs).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(planegraphs)
+        if not name.startswith("_") and not isinstance(getattr(planegraphs, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_package_loads_each_submodule_on_first_use(tmp_path):
+    # a fresh interpreter, so that no earlier test has loaded a submodule
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import planegraphs
+
+    script = tmp_path / "probe.py"
+    script.write_text(f"""
+import importlib, json, sys
+sys.path.insert(0, {str(Path(planegraphs.__file__).parents[1])!r})
+import planegraphs
+loaded = sorted(m for m in sys.modules if m.startswith("planegraphs."))
+same = {{}}
+for name in {PUBLIC_NAMES!r}:
+    value = getattr(planegraphs, name)
+    home = importlib.import_module(getattr(value, "__module__", None) or "planegraphs.oracle")
+    same[name] = getattr(home, name) is value
+gf_ok = planegraphs.gf is sys.modules["planegraphs.gf"]
+try:
+    planegraphs.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+star = {{}}
+exec("from planegraphs import *", star)
+print(json.dumps([loaded, same, gf_ok, unknown, sorted(set(star) - {{"__builtins__"}})]))
+""")
+    res = subprocess.run([sys.executable, "-I", str(script)], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded, same, gf_ok, unknown, star = json.loads(res.stdout)
+    assert loaded == []
+    assert same == {name: True for name in PUBLIC_NAMES}  # DEFAULT_BUDGET, an int, is oracle's
+    assert (gf_ok, unknown) == (True, "AttributeError")
+    assert star == PUBLIC_NAMES
 
 
 def test_package_imports_no_unused_name():
