@@ -10,20 +10,29 @@ a, and its encoding is sum(c_i * p^i), so encodings sort the same way the
 coefficient vectors do when read as base-p numerals.  The encoding of -1
 is p - 1 for every a.
 
-A composite spec computes on packed polynomials (inverses by Fermat,
-x^(q-2)) until it has done q operations that way: coefficient i sits in
-bits k*i.. of one int, so a product is one int multiply, and x^a..x^(2a-2)
-mod the modulus fold it back.  At the q-th operation it builds, once,
-exp and log tables of its ``first_primitive`` in ``array('i')``, and
-every later operation is a table lookup.  A field used only briefly, as
+A composite spec computes on packed polynomials until it has done q
+operations that way: coefficient i sits in bits k*i.. of one int, so a
+product is one int multiply, and x^a..x^(2a-2) mod the modulus fold it
+back.  At the q-th operation it builds, once, exp and log tables of its
+``first_primitive`` in ``array('i')``, and every later operation is a
+table lookup.  A field used only briefly, as
 in a certificate sweep, never pays for tables.  In characteristic 2 the
 encoding is the coefficient bit vector, so addition and subtraction are
 XOR throughout and do not count; in odd characteristic they go through a
 Zech logarithm table, log(1 + g^k), once the tables exist.
 
+The norm N(x) = x^m, m = (q-1)/(p-1), maps GF(q)* onto GF(p)* and lies
+in GF(p), and the multiplicative work reads it.  A prime l | q-1 that
+divides p-1 has x^((q-1)/l) = N(x)^((p-1)/l), a pow mod p; any other l
+divides m, and x^((q-1)/l) is 1 exactly when x^(m/l) lies in GF(p), so
+``is_primitive`` needs packed powers only (a-1)log p bits long, and none
+for l | p-1 when x = c1 t + c0 (every element when a = 2), whose norm is
+read off the modulus.  A cold inverse is x^(m-1) N(x)^-1.
+
 The modulus is chosen deterministically: the first monic irreducible of
 degree a whose non-leading coefficient vector has the smallest encoding,
-decided by Rabin's test on packed ints.  Every run of every machine
+decided for a = 2 over an odd p by a non-square discriminant and
+otherwise by Rabin's test on packed ints.  Every run of every machine
 therefore agrees on the arithmetic tables.
 
 Primality has one mechanism and no Miller-Rabin: a sieve of Eratosthenes
@@ -41,7 +50,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import compress
 from math import isqrt
 from typing import Iterator, Optional
@@ -120,14 +129,20 @@ def prime_powers_in(lo: int, hi: int) -> list:
 
 
 def _is_irreducible(spec: FieldSpec) -> bool:
-    """Rabin's test of spec.modulus f, of degree a >= 2, on packed ints.
+    """Whether spec.modulus f, of degree a >= 2, is irreducible.
 
-    Once x^(p^a) == x mod f, f is a product of distinct irreducibles whose
-    degrees divide a, so GF(p)[x]/(f) is a product of fields GF(p^d) with
-    d | a.  Then h = x^(p^(a/r)) - x is prime to f exactly when it is a unit
-    there, h^(p^a - 1) == 1, and f is irreducible when that holds for every
-    prime r dividing a.  The polynomial x is encoded p."""
+    A quadratic over an odd p is irreducible exactly when it has no root,
+    that is when its discriminant is a non-square mod p.  Otherwise Rabin's
+    test on packed ints decides: once x^(p^a) == x mod f, f is a product of
+    distinct irreducibles whose degrees divide a, so GF(p)[x]/(f) is a
+    product of fields GF(p^d) with d | a.  Then h = x^(p^(a/r)) - x is
+    prime to f exactly when it is a unit there, h^(p^a - 1) == 1, and f is
+    irreducible when that holds for every prime r dividing a.  The
+    polynomial x is encoded p."""
     p, deg = spec.p, spec.a
+    if deg == 2 and p != 2:
+        f0, f1 = spec.modulus[:2]
+        return pow(f1 * f1 - 4 * f0, (p - 1) // 2, p) == p - 1
     k, m = spec._packed[:2]
     x = spec._pack(p)
     if spec._pow_packed(x, spec.q) != x:
@@ -227,6 +242,21 @@ class FieldSpec:
                 b = self._mul_packed(b, b)
         return r
 
+    def _norm(self, x: int) -> int:
+        """N(x) = x^m, the product of x's conjugates, in GF(p).  For
+        x = c1 t + c0 it is (-c1)^a f(-c0/c1) for the modulus f, that is
+        sum f_i c0^i (-c1)^(a-i), and costs no field operation."""
+        p = self.p
+        if self.a == 1:
+            return x
+        if x >= p * p:
+            return self.epow(x, (self.q - 1) // (p - 1))
+        c1, c0 = divmod(x, p)
+        n, d = 0, 1
+        for f in reversed(self.modulus):
+            n, d = (n * c0 + f * d) % p, d * -c1 % p
+        return n
+
     def _warm(self):
         """Count one operation without tables; build them at the q-th.
 
@@ -313,7 +343,10 @@ class FieldSpec:
             return pow(x, self.p - 2, self.p)
         t = self._tables or self._warm()
         if t is None:
-            return self.epow(x, self.q - 2)
+            # x^-1 = x^(m-1) / N(x), and N(x) = x^(m-1) x is a constant
+            p, s = self.p, self._pack(x)
+            y = self._pow_packed(s, (self.q - 1) // (p - 1) - 1)
+            return self._unpack(self._mul_packed(y, pow(self._mul_packed(y, s), p - 2, p)))
         if not 0 < x < self.q:
             self.decode(x)  # raises ValueError
         return t[0][self.q - 1 - t[1][x]]
@@ -390,16 +423,25 @@ def element_order(spec: FieldSpec, x: int) -> int:
     return t
 
 
+def _full_order(spec: FieldSpec, x: int, ells) -> bool:
+    """Whether x^((q-1)/l) != 1 for every prime l in ells, read through the
+    norm: N(x)^((p-1)/l) for l | p-1, else whether x^(m/l) lies outside GF(p)."""
+    p, nx = spec.p, None
+    for ell in ells:
+        if (p - 1) % ell == 0:
+            if nx is None:
+                nx = spec._norm(x)
+            if pow(nx, (p - 1) // ell, p) == 1:
+                return False
+        elif spec.epow(x, (spec.q - 1) // (p - 1) // ell) < p:
+            return False
+    return True
+
+
 def is_primitive(spec: FieldSpec, x: int) -> bool:
     if not 0 <= x < spec.q:
         spec.decode(x)  # raises ValueError
-    if x == 0:
-        return False
-    n = spec.q - 1
-    for ell in spec.factors:
-        if spec.epow(x, n // ell) == 1:
-            return False
-    return True
+    return x != 0 and _full_order(spec, x, spec.factors)
 
 
 def primitive_iter(spec: FieldSpec) -> Iterator[int]:
@@ -453,8 +495,10 @@ def consecutive_primitive_pair(spec: FieldSpec) -> int:
     """
     if spec.p != 2 or spec.a < 2:
         raise ValueError("consecutive pair search needs GF(2^a) with a > 1")
+    # alpha and alpha + 1 = alpha ^ 1 meet twice in the walk: test each once
+    primitive = cache(lambda x: is_primitive(spec, x))
     for alpha in range(2, spec.q):
-        if is_primitive(spec, alpha) and is_primitive(spec, spec.eadd(alpha, 1)):
+        if primitive(alpha) and primitive(alpha ^ 1):
             return alpha
     raise ConjectureViolation(f"no consecutive primitive pair in GF({spec.q})")
 
@@ -466,7 +510,8 @@ ROUTE_ODD_GAMMA = "ODD_GAMMA"
 ROUTE_EVEN_GOLOMB = "EVEN_GOLOMB"
 ROUTE_NOT_FOUND = "NOT_FOUND"
 
-_JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per row
+# one encoder for every row; a flat row has no container cycle to check for
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 @dataclass(frozen=True)
@@ -496,6 +541,13 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     primitive.  Even q (a > 1): take the first consecutive primitive pair
     alpha, alpha+1; gamma' = (alpha+1)^-2 is then primitive as well.
     Returns None when no alpha qualifies (q = 3 is the known case).
+
+    The odd walk reads square classes first.  A primitive alpha is a
+    non-square, and gamma = alpha / ((alpha - 1)(alpha + 1)^2) is in the
+    class of alpha (alpha - 1), so it is a non-square exactly when alpha - 1
+    is a square; only then are the odd primes of q - 1 tested, on alpha and
+    on gamma.  Classes are memoised by encoding, as alpha - 1 is nearly
+    always the previous candidate.
     """
     spec = field_for(q)
     if q < 3:
@@ -506,12 +558,24 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
         if not is_primitive(spec, gamma):
             raise ConjectureViolation(f"gamma' not primitive at q={q}")
         return HypothesisJCertificate(q, ROUTE_EVEN_GOLOMB, alpha, gamma)
-    for alpha in primitive_iter(spec):
-        if alpha == spec.p - 1:
+    # factors[0] is 2, whose test on alpha and gamma is their square class
+    p, odd, half, classes = spec.p, spec.factors[1:], (spec.p - 1) // 2, {}
+
+    def square(x):
+        if x not in classes:
+            classes[x] = pow(spec._norm(x), half, p) == 1
+        return classes[x]
+
+    for alpha in range(p if spec.a > 1 else 1, q):
+        if alpha == p - 1 or square(alpha):
             continue
-        gamma = gamma_map(spec, alpha)
-        if is_primitive(spec, gamma):
-            return HypothesisJCertificate(q, ROUTE_ODD_GAMMA, alpha, gamma)
+        # alpha - 1 changes only the constant digit, which wraps from 0 to p - 1
+        if not square(alpha - 1 if alpha % p else alpha + p - 1):
+            continue
+        if _full_order(spec, alpha, odd):
+            gamma = gamma_map(spec, alpha)
+            if _full_order(spec, gamma, odd):
+                return HypothesisJCertificate(q, ROUTE_ODD_GAMMA, alpha, gamma)
     return None
 
 

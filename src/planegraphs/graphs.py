@@ -232,6 +232,11 @@ def emit(graph: Graph, vertex_images, plane) -> Embedding:
 # embedding files
 
 
+# one encoder for every document; a document is a tree, with no container
+# cycle to check for
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def embedding_to_json(emb: Embedding) -> str:
     doc = {
         "plane": {"model": emb.model, "q": emb.q},
@@ -240,7 +245,7 @@ def embedding_to_json(emb: Embedding) -> str:
         "vertices": list(enumerate(emb.vertex_images)),
         "edges": list(zip(emb.graph.edges, emb.edge_images)),
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _JSON.encode(doc) + "\n"
 
 
 def _img_load(raw, model: str):

@@ -11,7 +11,7 @@ import os
 import random
 import subprocess
 import sys
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -185,6 +185,12 @@ def test_composite_certificate_rows_frozen_to_2_18():
     qs = [q for q in prime_powers_in(3, 1 << 18) if prime_power(q)[1] > 1]
     assert len(qs) == 150
     assert _rows_digest(qs) == "1e7003fd96e40c0c"
+
+
+def test_certificate_rows_frozen_from_2_16_to_2_18():
+    qs = prime_powers_in(65537, 1 << 18)
+    assert len(qs) == 16515
+    assert _rows_digest(qs) == "2f12f38d5387529d"
 
 
 def test_cubic_extensions_frozen():
@@ -603,6 +609,15 @@ def test_rabin_test_agrees_with_factoring():
     assert (candidates, past_first_condition) == (1290, 237)
 
 
+def test_quadratic_moduli_irreducible_exactly_without_a_root():
+    for p in filter(is_prime, range(2, 32)):
+        for f0 in range(p):
+            for f1 in range(p):
+                rootless = all((r * r + f1 * r + f0) % p for r in range(p))
+                spec = FieldSpec(p, 2, p * p, (f0, f1, 1), ())
+                assert _is_irreducible(spec) == rootless, (p, f0, f1)
+
+
 def _check_binary(q, xs, ys):
     ref = _Reference(q)
     cases = (
@@ -711,6 +726,40 @@ def test_cold_packed_arithmetic_at_the_extremes(q):
     assert spec._tables is None
 
 
+def _exp_walk(q):
+    """[g^0, g^1, ..., g^(q-2)] for the first encoding g whose powers run
+    through all of GF(q)*, found by walking them on packed ints."""
+    spec = _fresh(q)
+    for g in range(2, q):
+        exp, s = [1], spec._pack(g)
+        x = s
+        while x != 1:
+            exp.append(spec._unpack(x))
+            x = spec._mul_packed(x, s)
+        if len(exp) == q - 1:
+            return exp
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 243, 343,
+                               625, 729, 1024, 2187, 3125])
+def test_norm_rule_agrees_with_plain_powers(q):
+    # every x on a spec of its own, which stays cold, and on one with tables;
+    # x = g^i is primitive exactly when i is prime to q - 1, and N(x) = g^(i m)
+    exp = _exp_walk(q)
+    warm = _fresh(q)
+    while warm._tables is None:
+        warm.emul(1, 1)
+    p = warm.p
+    m = (q - 1) // (p - 1)
+    for i, x in enumerate(exp):
+        cold = _fresh(q)
+        for spec in (cold, warm):
+            assert spec._norm(x) == exp[i * m % (q - 1)] < p, (q, x)
+            assert is_primitive(spec, x) == (gcd(i, q - 1) == 1), (q, x)
+            assert spec.emul(spec.einv(x), x) == 1, (q, x)
+        assert cold._tables is None
+
+
 def test_sweep_keeps_a_bounded_field_cache():
     proc = _python(
         "from planegraphs.gf import hypothesis_j_search, make_field, prime_powers_in\n"
@@ -725,7 +774,7 @@ def test_sweep_keeps_a_bounded_field_cache():
 
 
 def test_cold_search_builds_no_tables():
-    # GF(7^6) finds its certificate after 804 operations, far below the
+    # GF(7^6) finds its certificate after 307 operations, far below the
     # q = 117,649 at which its tables would pay
     proc = _python(
         "from planegraphs.gf import certificate_line, field_for, hypothesis_j_search\n"
@@ -736,5 +785,5 @@ def test_cold_search_builds_no_tables():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         '{"q":117649,"route":"ODD_GAMMA","alpha":164,"gamma":93120,"ord":117648}',
-        "True 804",
+        "True 307",
     ]

@@ -386,8 +386,7 @@ print(json.dumps([loaded, same, gf_ok, unknown, sorted(set(star) - {{"__builtins
 
 
 def test_package_imports_no_unused_name():
-    # a name a module imports and never reads is a stale import;
-    # ``__init__`` imports to re-export and is left out
+    # a name a module imports and never reads is a stale import
     import ast
     from pathlib import Path
 
@@ -395,8 +394,6 @@ def test_package_imports_no_unused_name():
 
     found = []
     for path in sorted(Path(planegraphs.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
