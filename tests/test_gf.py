@@ -193,6 +193,13 @@ def test_certificate_rows_frozen_from_2_16_to_2_18():
     assert _rows_digest(qs) == "2f12f38d5387529d"
 
 
+def test_certificate_rows_frozen_below_2_20():
+    # the top of the supported range, where every p is 18 to 20 bits long
+    qs = prime_powers_in((1 << 20) - (1 << 16), 1 << 20)
+    assert len(qs) == 4753
+    assert _rows_digest(qs) == "eac44019ba29dc0e"
+
+
 def test_cubic_extensions_frozen():
     # GF(q^3) for q <= 101: the modulus and first primitive a Singer set starts from
     rows = []
