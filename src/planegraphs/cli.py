@@ -315,8 +315,7 @@ def _cmd_hypj(args) -> int:
                     lines = list(pool.map(_hypj_line, qs, chunksize=64))
             else:
                 lines = [_hypj_line(q) for q in qs]
-            for line in lines:
-                print(line, file=fh)
+            fh.write("".join(line + "\n" for line in lines))
         certified = sum(1 for l in lines if '"NOT_FOUND"' not in l)
         missing = [q for q, l in zip(qs, lines) if '"NOT_FOUND"' in l]
         print(f"{len(qs)} prime powers, {certified} certificates, "

@@ -23,16 +23,20 @@ Zech logarithm table, log(1 + g^k), once the tables exist.
 
 The norm N(x) = x^m, m = (q-1)/(p-1), maps GF(q)* onto GF(p)* and lies
 in GF(p), and the multiplicative work reads it.  A prime l | q-1 that
-divides p-1 has x^((q-1)/l) = N(x)^((p-1)/l), a pow mod p; any other l
-divides m, and x^((q-1)/l) is 1 exactly when x^(m/l) lies in GF(p), so
-``is_primitive`` needs packed powers only (a-1)log p bits long, and none
-for l | p-1 when x = c1 t + c0 (every element when a = 2), whose norm is
-read off the modulus.  A cold inverse is x^(m-1) N(x)^-1.
+divides p-1 has x^((q-1)/l) = N(x)^((p-1)/l), a pow mod p, or for l = 2
+the square class of N(x), its Jacobi symbol by quadratic reciprocity and
+no power at all; any other l divides m, and x^((q-1)/l) is 1 exactly
+when x^(m/l) lies in GF(p), so ``is_primitive`` needs packed powers only
+(a-1)log p bits long, and none for l | p-1 when x = c1 t + c0 (every
+element when a = 2), whose norm is read off the modulus.  A cold inverse
+is x^(m-1) N(x)^-1.
 
 The modulus is chosen deterministically: the first monic irreducible of
-degree a whose non-leading coefficient vector has the smallest encoding,
-decided for a = 2 over an odd p by a non-square discriminant and
-otherwise by Rabin's test on packed ints.  Every run of every machine
+degree a whose non-leading coefficient vector has the smallest encoding.
+A candidate with a root in GF(p) is refused, found for a = 2 over an odd
+p as a zero or square discriminant and otherwise by Horner's rule at each
+c in GF(p); a root-free one is irreducible when a <= 3, and decided by
+Rabin's test on packed ints when a >= 4.  Every run of every machine
 therefore agrees on the arithmetic tables.
 
 Primality has one mechanism and no Miller-Rabin: a sieve of Eratosthenes
@@ -47,7 +51,6 @@ fields it built or used last, and the primitive walk starts at p.
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
@@ -123,26 +126,56 @@ def prime_powers_in(lo: int, hi: int) -> list:
     sieve, lo = _sieve_to(hi), max(lo, 2)
     out = list(compress(range(lo, hi + 1), memoryview(sieve)[lo : hi + 1]))
     for p in compress(range(isqrt(max(hi, 0)) + 1), sieve):
-        # p^k <= hi needs k < hi.bit_length(), as p >= 2
-        out += (p**k for k in range(2, hi.bit_length()) if lo <= p**k <= hi)
+        pk = p * p
+        while pk <= hi:
+            if pk >= lo:
+                out.append(pk)
+            pk *= p
     return sorted(out)
+
+
+def _is_square(n: int, p: int) -> bool:
+    """Whether n is a nonzero square mod the odd prime p, that is whether
+    n^((p-1)/2) == 1: the Jacobi symbol (n/p) by quadratic reciprocity
+    (H. Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    1.4.10), a few small-int steps and no power.  (0/p) is 0, not a square."""
+    n, m, t = n % p, p, 1
+    while n:
+        while not n & 1:
+            n >>= 1
+            if (m + 2) & 4:  # m = 3 or 5 mod 8, where (2/m) = -1
+                t = -t
+        if n & m & 2:  # both 3 mod 4: reciprocity flips the sign
+            t = -t
+        n, m = m % n, n
+    return m == 1 and t == 1
 
 
 def _is_irreducible(spec: FieldSpec) -> bool:
     """Whether spec.modulus f, of degree a >= 2, is irreducible.
 
-    A quadratic over an odd p is irreducible exactly when it has no root,
-    that is when its discriminant is a non-square mod p.  Otherwise Rabin's
-    test on packed ints decides: once x^(p^a) == x mod f, f is a product of
-    distinct irreducibles whose degrees divide a, so GF(p)[x]/(f) is a
+    f is reducible when it has a root in GF(p), and irreducible when it has
+    none and a <= 3.  A quadratic over an odd p has none exactly when its
+    discriminant is a non-square, which is nonzero; any other f is tried at
+    every c in GF(p) by Horner's rule.  A root-free f of degree a >= 4 goes
+    to Rabin's test on packed ints: once x^(p^a) == x mod f, f is a product
+    of distinct irreducibles whose degrees divide a, so GF(p)[x]/(f) is a
     product of fields GF(p^d) with d | a.  Then h = x^(p^(a/r)) - x is
     prime to f exactly when it is a unit there, h^(p^a - 1) == 1, and f is
     irreducible when that holds for every prime r dividing a.  The
     polynomial x is encoded p."""
-    p, deg = spec.p, spec.a
+    p, deg, f = spec.p, spec.a, spec.modulus
     if deg == 2 and p != 2:
-        f0, f1 = spec.modulus[:2]
-        return pow(f1 * f1 - 4 * f0, (p - 1) // 2, p) == p - 1
+        d = f[1] * f[1] - 4 * f[0]
+        return d % p != 0 and not _is_square(d, p)
+    for c in range(p):
+        v = 0
+        for u in reversed(f):  # Horner's rule, reduced mod p once at the end
+            v = v * c + u
+        if v % p == 0:
+            return False
+    if deg <= 3:
+        return True
     k, m = spec._packed[:2]
     x = spec._pack(p)
     if spec._pow_packed(x, spec.q) != x:
@@ -340,13 +373,13 @@ class FieldSpec:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.a == 1:
-            return pow(x, self.p - 2, self.p)
+            return pow(x, -1, self.p)
         t = self._tables or self._warm()
         if t is None:
             # x^-1 = x^(m-1) / N(x), and N(x) = x^(m-1) x is a constant
             p, s = self.p, self._pack(x)
             y = self._pow_packed(s, (self.q - 1) // (p - 1) - 1)
-            return self._unpack(self._mul_packed(y, pow(self._mul_packed(y, s), p - 2, p)))
+            return self._unpack(self._mul_packed(y, pow(self._mul_packed(y, s), -1, p)))
         if not 0 < x < self.q:
             self.decode(x)  # raises ValueError
         return t[0][self.q - 1 - t[1][x]]
@@ -425,13 +458,14 @@ def element_order(spec: FieldSpec, x: int) -> int:
 
 def _full_order(spec: FieldSpec, x: int, ells) -> bool:
     """Whether x^((q-1)/l) != 1 for every prime l in ells, read through the
-    norm: N(x)^((p-1)/l) for l | p-1, else whether x^(m/l) lies outside GF(p)."""
+    norm: N(x)^((p-1)/l) for l | p-1, the square class of N(x) for l = 2,
+    else whether x^(m/l) lies outside GF(p)."""
     p, nx = spec.p, None
     for ell in ells:
         if (p - 1) % ell == 0:
             if nx is None:
                 nx = spec._norm(x)
-            if pow(nx, (p - 1) // ell, p) == 1:
+            if _is_square(nx, p) if ell == 2 else pow(nx, (p - 1) // ell, p) == 1:
                 return False
         elif spec.epow(x, (spec.q - 1) // (p - 1) // ell) < p:
             return False
@@ -510,10 +544,6 @@ ROUTE_ODD_GAMMA = "ODD_GAMMA"
 ROUTE_EVEN_GOLOMB = "EVEN_GOLOMB"
 ROUTE_NOT_FOUND = "NOT_FOUND"
 
-# one encoder for every row; a flat row has no container cycle to check for
-_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
-
-
 @dataclass(frozen=True)
 class HypothesisJCertificate:
     """Witness that alpha is primitive and its closure value gamma is too,
@@ -559,11 +589,11 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
             raise ConjectureViolation(f"gamma' not primitive at q={q}")
         return HypothesisJCertificate(q, ROUTE_EVEN_GOLOMB, alpha, gamma)
     # factors[0] is 2, whose test on alpha and gamma is their square class
-    p, odd, half, classes = spec.p, spec.factors[1:], (spec.p - 1) // 2, {}
+    p, odd, classes = spec.p, spec.factors[1:], {}
 
     def square(x):
         if x not in classes:
-            classes[x] = pow(spec._norm(x), half, p) == 1
+            classes[x] = _is_square(spec._norm(x), p)
         return classes[x]
 
     for alpha in range(p if spec.a > 1 else 1, q):
@@ -580,9 +610,9 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
 
 
 def certificate_line(q: int, cert: Optional[HypothesisJCertificate]) -> str:
-    """One JSONL record; a missing certificate becomes a NOT_FOUND row."""
+    """One JSONL record, the keys of ``to_json_dict`` in order; a missing
+    certificate becomes a NOT_FOUND row."""
     if cert is None:
-        row = {"q": q, "route": ROUTE_NOT_FOUND}
-    else:
-        row = cert.to_json_dict()
-    return _JSON.encode(row)
+        return f'{{"q":{q},"route":"{ROUTE_NOT_FOUND}"}}'
+    return (f'{{"q":{cert.q},"route":"{cert.route}","alpha":{cert.alpha},'
+            f'"gamma":{cert.gamma},"ord":{cert.q - 1}}}')

@@ -24,6 +24,7 @@ from planegraphs.gf import (
     DegenerateAlpha,
     FieldSpec,
     _is_irreducible,
+    _is_square,
     certificate_line,
     consecutive_primitive_pair,
     element_order,
@@ -467,6 +468,11 @@ def test_certificate_lines_exact():
     assert line5 == '{"q":5,"route":"ODD_GAMMA","alpha":2,"gamma":3,"ord":4}'
     assert list(json.loads(line5)) == ["q", "route", "alpha", "gamma", "ord"]
     assert certificate_line(3, None) == '{"q":3,"route":"NOT_FOUND"}'
+    # the row is the certificate's dict, key for key and in the same order
+    for q in prime_powers_in(3, 2000):
+        cert = hypothesis_j_search(q)
+        want = cert.to_json_dict() if cert else {"q": q, "route": "NOT_FOUND"}
+        assert list(json.loads(certificate_line(q, cert)).items()) == list(want.items()), q
 
 
 def test_certificates_exist_through_512():
@@ -604,7 +610,7 @@ def test_rabin_test_agrees_with_factoring():
     cases = [(2, a) for a in range(2, 7)] + [
         (3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 3), (7, 2), (11, 2)
     ]
-    candidates = past_first_condition = 0
+    candidates = past_first_condition = rootless = 0
     for p, a in cases:
         divisors = [g for d in range(1, a // 2 + 1) for g in _monic(p, d)]
         for f in _monic(p, a):
@@ -612,8 +618,26 @@ def test_rabin_test_agrees_with_factoring():
             assert _is_irreducible(FieldSpec(p, a, p**a, f, ())) == irreducible, (p, f)
             candidates += 1
             # reducible, yet x^(p^a) == x mod f: only the second condition refuses f
-            past_first_condition += not irreducible and _xpow_mod(p, p**a, f) == (0, 1)
-    assert (candidates, past_first_condition) == (1290, 237)
+            if not irreducible and _xpow_mod(p, p**a, f) == (0, 1):
+                past_first_condition += 1
+                # and f has no root, so the root scan does not refuse it first,
+                # as for the product of two distinct irreducible quadratics
+                rootless += all(_pmod(p, f, (-c % p, 1)) for c in range(p))
+    assert (candidates, past_first_condition, rootless) == (1290, 237, 33)
+
+
+def test_square_classes_match_euler_for_small_primes():
+    for p in filter(is_prime, range(3, 300)):
+        for n in range(p):
+            assert _is_square(n, p) == (pow(n, (p - 1) // 2, p) == 1), (p, n)
+
+
+def test_square_classes_match_euler_below_2_20():
+    rng = random.Random(20)
+    primes = [p for p in range((1 << 20) - 1, 0, -2) if is_prime(p)][:3]
+    for p in primes:
+        for n in (rng.randrange(p) for _ in range(10_000)):
+            assert _is_square(n, p) == (pow(n, (p - 1) // 2, p) == 1), (p, n)
 
 
 def test_quadratic_moduli_irreducible_exactly_without_a_root():
