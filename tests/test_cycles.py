@@ -1,6 +1,7 @@
 """Base paths, closed form, long cycles, pancyclic sweeps, Singer planes."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -288,6 +289,15 @@ FROZEN_SINGER = {
 @pytest.mark.parametrize("q,D", sorted(FROZEN_SINGER.items()))
 def test_singer_difference_set_frozen(q, D):
     assert singer_difference_set(q) == D
+
+
+def test_singer_difference_sets_up_to_64_frozen():
+    # GF(q^3) for q = 9, 25, 27 and 49 adds in odd composite fields; the
+    # digest is sha256 over the lines json.dumps([q, D]), q ascending
+    h = hashlib.sha256()
+    for q in prime_powers_in(2, 64):
+        h.update((json.dumps([q, list(singer_difference_set(q))]) + "\n").encode())
+    assert h.hexdigest()[:16] == "6ef8aa61e2f5b22a"
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

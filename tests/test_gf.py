@@ -754,6 +754,11 @@ def test_cold_packed_arithmetic_at_the_extremes(q):
             continue
         assert ref.mul(x, inv) == 1
         assert spec.einv(x) == inv and spec.epow(x, -1) == inv, (q, x)
+    for x in xs:
+        assert spec.eneg(x) == ref.add(0, x, -1), (q, x)
+        for y in xs:
+            assert spec.eadd(x, y) == ref.add(x, y), (q, x, y)
+            assert spec.esub(x, y) == ref.add(x, y, -1), (q, x, y)
     assert spec._tables is None
 
 
