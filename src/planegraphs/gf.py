@@ -10,16 +10,16 @@ a, and its encoding is sum(c_i * p^i), so encodings sort the same way the
 coefficient vectors do when read as base-p numerals.  The encoding of -1
 is p - 1 for every a.
 
-A composite spec computes on packed polynomials until it has done q
-operations that way: coefficient i sits in bits k*i.. of one int, so a
-product is one int multiply, and x^a..x^(2a-2) mod the modulus fold it
-back.  At the q-th operation it builds, once, exp and log tables of its
-``first_primitive`` in ``array('i')``, and every later operation is a
-table lookup.  A field used only briefly, as
-in a certificate sweep, never pays for tables.  In characteristic 2 the
-encoding is the coefficient bit vector, so addition and subtraction are
-XOR throughout and do not count; in odd characteristic they go through a
-Zech logarithm table, log(1 + g^k), once the tables exist.
+Addition and subtraction never touch tables and never count toward
+them: in characteristic 2 the encoding is the coefficient bit vector and
+they are XOR, and in odd characteristic they go one base-p digit of the
+encodings at a time, mod p.  A composite spec computes every other
+operation on packed polynomials until it has done q of them: coefficient
+i sits in bits k*i.. of one int, so a product is one int multiply, and
+x^a..x^(2a-2) mod the modulus fold it back.  At the q-th it builds, once,
+exp and log tables of its ``first_primitive`` in ``array('i')``, and
+every later multiplicative operation is a table lookup.  A field used
+only briefly, as in a certificate sweep, never pays for tables.
 
 The norm N(x) = x^m, m = (q-1)/(p-1), maps GF(q)* onto GF(p)* and lies
 in GF(p), and the multiplicative work reads it.  A prime l | q-1 that
@@ -219,8 +219,8 @@ class FieldSpec:
         return e
 
     # arithmetic on encodings: the one implementation of the field.  A
-    # composite spec does its first q - 1 operations on packed polynomials
-    # and then switches to the tables ``_warm`` builds.  ``_tables`` and
+    # composite spec does its first q - 1 multiplicative operations on
+    # packed polynomials and then switches to the tables ``_warm`` builds.  ``_tables`` and
     # ``_cold_ops`` are caches, not fields: a composite spec writes them to
     # its own __dict__, and prime specs never read the class defaults.
 
@@ -291,7 +291,8 @@ class FieldSpec:
         return n
 
     def _warm(self):
-        """Count one operation without tables; build them at the q-th.
+        """Count one multiplicative operation without tables; build the exp
+        and log tables at the q-th.  Additions never come here.
 
         The build costs about q polynomial steps, so a field used less
         never pays for it and one used more pays at most double (the
@@ -300,47 +301,34 @@ class FieldSpec:
         """
         ops = self.__dict__["_cold_ops"] = self._cold_ops + 1
         if ops == self.q:
-            p, n = self.p, self.q - 1
+            n = self.q - 1
             g = self._pack(first_primitive(self))
             # exp has two periods, so sums of two logs need no reduction
             exp = array("i", bytes(8 * n))
             log = array("i", bytes(4 * self.q))
-            zech = None
             x = 1
             for i in range(n):
                 exp[i] = exp[i + n] = e = self._unpack(x)
                 log[e] = i
                 x = self._mul_packed(x, g)
-            if p != 2:
-                # Zech logarithm: g^zech[k] = 1 + g^k, or -1 where that is 0;
-                # adding 1 changes only the constant digit of the encoding
-                zech = array("i", bytes(8 * n))
-                for k in range(n):
-                    e = exp[k] + 1 if exp[k] % p != p - 1 else exp[k] + 1 - p
-                    zech[k] = zech[k + n] = log[e] if e else -1
-            self.__dict__["_tables"] = (exp, log, zech, n // 2)  # -1 = g^(n/2)
+            self.__dict__["_tables"] = (exp, log)
         return self._tables
 
     def _add(self, x: int, y: int, neg: bool) -> int:
-        # x + y, or x - y when neg; XOR in characteristic 2
-        q = self.q
+        # x + y, or x - y when neg: XOR in characteristic 2, else one base-p
+        # digit at a time, mod p
+        q, p = self.q, self.p
         if not (0 <= x < q and 0 <= y < q):
             self.decode(x), self.decode(y)  # raises ValueError
-        if self.p == 2:
+        if p == 2:
             return x ^ y
-        t = self._tables or self._warm()
-        if t is None:
-            s, u, p = self.decode(x), self.decode(y), self.p
-            sign = -1 if neg else 1
-            return self.encode(tuple((s[i] + sign * u[i]) % p for i in range(self.a)))
-        exp, log, zech, half = t
-        if not y:
-            return x
-        ly = log[y] + half if neg else log[y]
-        if not x:
-            return exp[ly]
-        z = zech[ly - log[x]]  # a negative index wraps to the same residue
-        return exp[log[x] + z] if z >= 0 else 0
+        out, w = 0, 1
+        while x or y:
+            x, dx = divmod(x, p)
+            y, dy = divmod(y, p)
+            out += (dx - dy if neg else dx + dy) % p * w
+            w *= p
+        return out
 
     def eadd(self, x: int, y: int) -> int:
         if self.a == 1:
@@ -365,7 +353,7 @@ class FieldSpec:
         if not (0 <= x < q and 0 <= y < q):
             self.decode(x), self.decode(y)  # raises ValueError
         if x and y:
-            exp, log = t[0], t[1]
+            exp, log = t
             return exp[log[x] + log[y]]
         return 0
 

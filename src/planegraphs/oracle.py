@@ -17,6 +17,9 @@ from .graphs import ConstructionFailed, Embedding, Graph, cycle_graph, emit
 from .plane import CoordPlane, GenericPlane
 
 DEFAULT_BUDGET = 10**8
+# the id view and incidence index grow as the square of the points: PG(2,89)
+# (8,011 points) takes about a second to set up, PG(2,128) ten and 300 MB
+MAX_COORD_POINTS = 1 << 13
 
 STATUS_FOUND = "found"
 STATUS_NOTFOUND = "notfound"
@@ -210,6 +213,9 @@ def _search_in(graph: Graph, plane, budget: int) -> tuple:
     # the search in point ids; a coordinate plane's images become its points
     if not isinstance(plane, CoordPlane):
         return _search(graph, plane, budget)
+    if plane.n_points > MAX_COORD_POINTS:
+        raise ValueError(f"exhaustive search refuses {plane.model}(2,{plane.q}): "
+                         f"{plane.n_points} points exceed {MAX_COORD_POINTS}")
     status, img, count = _search(graph, plane.to_generic(), budget)
     pts = plane.points()
     return status, None if img is None else [pts[i] for i in img], count

@@ -681,3 +681,11 @@ def test_plane_check_passes_pg_64_in_seconds(tmp_path):
     proc = _run_capped(["plane", "check", "pg64.json"], tmp_path, timeout=6)
     assert (proc.returncode, proc.stdout) == (
         0, "pass: 4161 points, 4161 lines, line size 65, 0 violations\n"), proc.stderr
+
+
+@pytest.mark.parametrize("plane", ["pg:256", "ag:1024"])
+def test_search_refuses_a_large_coordinate_plane_before_building_it(plane, tmp_path):
+    # the id view and incidence index of PG(2,256) took minutes to build
+    proc = _run_capped(["oracle", "--graph", "cycle:3", "--plane", plane], tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: exhaustive search refuses "), proc.stderr

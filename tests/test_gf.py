@@ -657,8 +657,8 @@ def _check_binary(q, xs, ys):
         ("emul", ref.mul),
     )
     for op, want in cases:
-        # a fresh spec per operation: its first q - 1 calls run before any
-        # table exists, the later ones after
+        # a fresh spec per operation: emul's first q - 1 calls run before any
+        # table exists, the later ones after; additions never build tables
         fn = getattr(_fresh(q), op)
         for x in xs:
             for y in ys:
@@ -809,9 +809,19 @@ def test_sweep_keeps_a_bounded_field_cache():
     assert built == n > cap >= kept
 
 
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_additions_build_no_tables(q):
+    # q^2 additions and q^2 subtractions: digit-wise, none counts toward tables
+    spec = _fresh(q)
+    for x in range(q):
+        for y in range(q):
+            spec.eadd(x, y), spec.esub(x, y)
+    assert (spec._tables, spec._cold_ops) == (None, 0)
+
+
 def test_cold_search_builds_no_tables():
-    # GF(7^6) finds its certificate after 307 operations, far below the
-    # q = 117,649 at which its tables would pay
+    # GF(7^6) finds its certificate after 259 multiplicative operations, far
+    # below the q = 117,649 at which its tables would pay
     proc = _python(
         "from planegraphs.gf import certificate_line, field_for, hypothesis_j_search\n"
         "print(certificate_line(7**6, hypothesis_j_search(7**6)))\n"
@@ -821,5 +831,5 @@ def test_cold_search_builds_no_tables():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         '{"q":117649,"route":"ODD_GAMMA","alpha":164,"gamma":93120,"ord":117648}',
-        "True 307",
+        "True 259",
     ]

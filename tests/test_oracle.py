@@ -348,9 +348,10 @@ print(json.dumps([res.status, res.expansions, digest]))
 def test_search_under_python_O():
     # the prunes hold nothing that -O strips: same verdict, count and images
     src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", _UNDER_O],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
