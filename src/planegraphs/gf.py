@@ -220,9 +220,9 @@ class FieldSpec:
 
     # arithmetic on encodings: the one implementation of the field.  A
     # composite spec does its first q - 1 multiplicative operations on
-    # packed polynomials and then switches to the tables ``_warm`` builds.  ``_tables`` and
-    # ``_cold_ops`` are caches, not fields: a composite spec writes them to
-    # its own __dict__, and prime specs never read the class defaults.
+    # packed polynomials and then switches to the tables ``_warm`` builds.
+    # ``_tables`` and ``_cold_ops`` are caches, not fields: a composite spec
+    # writes them to its own __dict__; prime specs never read the defaults.
 
     _tables = None
     _cold_ops = 0

@@ -17,8 +17,8 @@ from .graphs import ConstructionFailed, Embedding, Graph, cycle_graph, emit
 from .plane import CoordPlane, GenericPlane
 
 DEFAULT_BUDGET = 10**8
-# the id view and incidence index grow as the square of the points: PG(2,89)
-# (8,011 points) takes about a second to set up, PG(2,128) ten and 300 MB
+# the id view and index grow as the points squared: on 2 vCPUs PG(2,89)
+# (8,011 points) sets up in about 1 s, PG(2,128) in 10 s and 300 MB
 MAX_COORD_POINTS = 1 << 13
 
 STATUS_FOUND = "found"

@@ -115,7 +115,8 @@ print("exit code", main(["wheel", "--q", "5", "--n", "4", "--out", os.devnull]))
 
 def test_verifier_failure_raises_under_python_O():
     here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", _UNDER_O],
         env=dict(os.environ, PYTHONPATH=path),
