@@ -332,7 +332,8 @@ def _cmd_hypj(args) -> int:
 
 
 @functools.cache  # built on the first call, not at import; parse_args returns a new Namespace
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top parser, and each command's parser by its name."""
     top = argparse.ArgumentParser(prog="planegraphs")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -394,11 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hypj)
 
-    return top
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = build_parser()
+    if argv and argv[0] in commands:  # the command's own parser alone
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # --help, a missing command or an unknown one
+        args = top.parse_args(argv)
     try:
         return args.func(args)
     except (NoCertificate, ConstructionFailed) as e:

@@ -44,9 +44,10 @@ of 0..MAX_ORDER (2^20), 1 MB built on a process's first question in about
 2 ms.  ``is_prime``, ``factorize`` and ``prime_powers_in`` read it, and
 refuse n above MAX_ORDER at once, as no larger field is ever built.
 
-A certificate sweep builds thousands of fields and uses each briefly, so
-``make_field`` factorises q - 1 once per field and keeps only the 1,024
-fields it built or used last, and the primitive walk starts at p.
+A certificate sweep searches each prime order on residues and builds no
+field for it.  For its few composite orders ``make_field`` factorises
+q - 1 once per field and keeps only the 1,024 fields it built or used
+last, and the primitive walk starts at p.
 """
 
 from __future__ import annotations
@@ -564,9 +565,22 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     non-square, and gamma = alpha / ((alpha - 1)(alpha + 1)^2) is in the
     class of alpha (alpha - 1), so it is a non-square exactly when alpha - 1
     is a square; only then are the odd primes of q - 1 tested, on alpha and
-    on gamma.  Classes are memoised by encoding, as alpha - 1 is nearly
+    on gamma.  A prime q builds no field: alpha walks 2..q-2 on residues,
+    carrying the class of alpha - 1 from the step before (1 is a square),
+    and the odd primes come from one ``factorize(q - 1)``.  For a > 1 the
+    classes are those of norms, memoised by encoding, as alpha - 1 is nearly
     always the previous candidate.
     """
+    if 3 <= q <= MAX_ORDER and is_prime(q):
+        odd, square = tuple(factorize(q - 1))[1:], True  # the class of 1
+        for alpha in range(2, q - 1):
+            below, square = square, _is_square(alpha, q)  # the classes of alpha - 1, alpha
+            if square or not below or any(pow(alpha, (q - 1) // l, q) == 1 for l in odd):
+                continue
+            gamma = -alpha * pow((1 - alpha) * (1 + alpha) ** 2, -1, q) % q
+            if all(pow(gamma, (q - 1) // l, q) != 1 for l in odd):
+                return HypothesisJCertificate(q, ROUTE_ODD_GAMMA, alpha, gamma)
+        return None
     spec = field_for(q)
     if q < 3:
         raise ValueError(f"q={q} is not a prime power greater than 2")
@@ -584,8 +598,8 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
             classes[x] = _is_square(spec._norm(x), p)
         return classes[x]
 
-    for alpha in range(p if spec.a > 1 else 1, q):
-        if alpha == p - 1 or square(alpha):
+    for alpha in range(p, q):
+        if square(alpha):
             continue
         # alpha - 1 changes only the constant digit, which wraps from 0 to p - 1
         if not square(alpha - 1 if alpha % p else alpha + p - 1):

@@ -554,6 +554,16 @@ def test_missing_subcommand_exits_two(capsys):
     assert e.value.code == 2
 
 
+def test_unrecognized_argument_is_the_commands_usage_error(capsys):
+    # a command's argv goes to its own parser, so the error is in its words
+    with pytest.raises(SystemExit) as e:
+        main(["cycle", "--q", "4", "--k", "5", "--bogus"])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert err.startswith("usage: planegraphs cycle ")
+    assert err.endswith("planegraphs cycle: error: unrecognized arguments: --bogus\n")
+
+
 def test_one_process_builds_one_parser(monkeypatch, capsys):
     import argparse
 

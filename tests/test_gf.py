@@ -228,8 +228,9 @@ def test_first_primitive_skips_the_prime_field(monkeypatch):
 
 
 def test_search_factorises_q_minus_one_once(monkeypatch):
-    # q - 1 is factorised once per field, when make_field builds it; the
-    # table build and the search read spec.factors
+    # q - 1 is factorised once per field, when make_field builds it; for a
+    # composite order the table build and the search read spec.factors, and
+    # a prime order's search factorises q - 1 once and builds no field
     seen = []
     real = gf.factorize
     monkeypatch.setattr(gf, "factorize", lambda n: seen.append(n) or real(n))
@@ -239,6 +240,8 @@ def test_search_factorises_q_minus_one_once(monkeypatch):
         spec = make_field.__wrapped__(p, a)  # a fresh spec; the cache is left alone
         assert seen.count(q - 1) == 1, (q, seen)
         assert spec.factors == tuple(real(q - 1))
+        if a == 1:
+            continue
         field_for(q)  # the cached spec the search reads, built before counting
         seen.clear()
         # a composite field builds its tables once, at its q-th operation,
@@ -247,6 +250,12 @@ def test_search_factorises_q_minus_one_once(monkeypatch):
             spec.emul(1, 1)
         hypothesis_j_search(q)
         assert q - 1 not in seen, (q, seen)
+    built, real_make = [], gf.make_field
+    monkeypatch.setattr(gf, "make_field", lambda *a: built.append(a) or real_make(*a))
+    for q in (3, 5, 7, 11, 65537, 1048573):
+        seen.clear()
+        hypothesis_j_search(q)
+        assert (seen, built) == ([q - 1], []), q
 
 
 def _python(code):
@@ -478,6 +487,34 @@ def test_certificate_lines_exact():
 def test_certificates_exist_through_512():
     missing = [q for q in prime_powers_in(4, 512) if hypothesis_j_search(q) is None]
     assert missing == []
+
+
+def test_prime_search_matches_the_definition():
+    # the search on residues, with its square-class skips and the class of
+    # alpha - 1 carried from step to step, against the definition on the
+    # field: the first alpha by encoding that is primitive with gamma
+    for p in filter(is_prime, range(3, 20000)):
+        spec = field_for(p)
+        want = next((a for a in range(2, p - 1) if is_primitive(spec, a)
+                     and is_primitive(spec, gamma_map(spec, a))), None)
+        cert = hypothesis_j_search(p)
+        if want is None:
+            assert cert is None and p == 3
+        else:
+            assert (cert.route, cert.alpha, cert.gamma) == ("ODD_GAMMA", want, gamma_map(spec, want)), p
+
+
+def test_prime_search_builds_no_field():
+    proc = _python(
+        "from planegraphs.gf import hypothesis_j_search, is_prime, make_field\n"
+        "qs = [q for q in range(100000, 101001) if is_prime(q)]\n"
+        "m0 = make_field.cache_info().misses\n"
+        "certs = [hypothesis_j_search(q) for q in qs]\n"
+        "print(len(qs), sum(c is not None for c in certs), make_field.cache_info().misses - m0)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    n, found, built = map(int, proc.stdout.split())
+    assert (found, built) == (n, 0) and n > 50
 
 
 @pytest.mark.parametrize("q", [8, 9, 25, 512, 729])
@@ -797,16 +834,20 @@ def test_norm_rule_agrees_with_plain_powers(q):
 
 
 def test_sweep_keeps_a_bounded_field_cache():
+    # a sweep builds fields for its composite orders only; fields for every
+    # order still leave no more than the cache's bound kept
     proc = _python(
-        "from planegraphs.gf import hypothesis_j_search, make_field, prime_powers_in\n"
+        "from planegraphs.gf import field_for, hypothesis_j_search, is_prime, make_field, prime_powers_in\n"
         "qs = prime_powers_in(3, 2**15)\n"
         "for q in qs: hypothesis_j_search(q)\n"
+        "built = make_field.cache_info().misses\n"
+        "for q in qs: field_for(q)\n"
         "info = make_field.cache_info()\n"
-        "print(len(qs), info.misses, info.currsize, info.maxsize)\n"
+        "print(len(qs), sum(not is_prime(q) for q in qs), built, info.currsize, info.maxsize)\n"
     )
     assert proc.returncode == 0, proc.stderr
-    n, built, kept, cap = map(int, proc.stdout.split())
-    assert built == n > cap >= kept
+    n, composite, built, kept, cap = map(int, proc.stdout.split())
+    assert (n, composite, built) == (3589, 78, 78) and n > cap >= kept
 
 
 @pytest.mark.parametrize("q", [9, 25, 27])
