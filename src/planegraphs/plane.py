@@ -11,7 +11,8 @@ id tuples.  It is what the search oracle and the file format speak, and
 its one incidence index, built once per plane, serves the search,
 ``line_between`` (the cyclic model joins points by its difference set) and
 ``line_faults``, the one scan of a plane file's lines that ``plane check``
-and the CLI's plane loader both read.
+and the CLI's plane loader both read.  ``plane_from_ring`` builds the plane
+of a planar ternary ring; ``CoordPlane.to_generic`` is that of x*m + b.
 
 Both kinds of plane give what the verifier and the embedding builder ask
 of a plane: ``model``, ``q``, ``n_points``, ``contains``, ``line_between``
@@ -248,36 +249,33 @@ class CoordPlane:
 
     def to_generic(self) -> GenericPlane:
         """The plane in point ids, built once per plane: point i is
-        ``points()[i]``."""
+        ``points()[i]``.  It is ``plane_from_ring`` of the field's ring
+        T(x, m, b) = x*m + b, relabelled; AG(2,q) leaves out the points at
+        infinity and the line they fill."""
         if self._generic is None:
-            # each line's points are solved for directly: q field steps per line
-            spec, model, pts = self.spec, self.model, self.points()
-            q, neg, add, mul = spec.q, spec.eneg, spec.eadd, spec.emul
+            spec, q, pts = self.spec, self.q, self.points()
             index = {P: i for i, P in enumerate(pts)}
-            aff = [index[affine_triple(spec, x, y)] for x in range(q) for y in range(q)]
-            lines = []
-            for b in range(q):
-                for c in range(q):
-                    # x + by + c = 0, and (-b : 1 : 0) at infinity
-                    ids = [aff[neg(add(mul(b, y), c)) * q + y] for y in range(q)]
-                    if model == "PG":
-                        ids.append(index[canon(spec, (neg(b), 1, 0))])
-                    lines.append(ids)
-            for c in range(q):
-                # y + c = 0, and (1 : 0 : 0) at infinity
-                ids = [aff[x * q + neg(c)] for x in range(q)]
-                if model == "PG":
-                    ids.append(index[(1, 0, 0)])
-                lines.append(ids)
-            if model == "PG":
-                lines.append([index[DIR_VERTICAL]] + [index[(1, s, 0)] for s in range(q)])
-            self._generic = GenericPlane(
-                q=q,
-                n_points=len(pts),
-                lines=tuple(sorted(tuple(sorted(ids)) for ids in lines)),
-                transitive=True,
-            )
+            ids = [index[affine_triple(spec, x, y)] for x in range(q) for y in range(q)]
+            if self.model == "PG":
+                ids += [index[(1, m, 0)] for m in range(q)] + [index[DIR_VERTICAL]]
+            add, mul, n = spec.eadd, spec.emul, len(pts)
+            field_plane = plane_from_ring(q, lambda x, m, b: add(mul(x, m), b))
+            lines = (tuple(sorted(ids[p] for p in l if p < n)) for l in field_plane.lines)
+            self._generic = GenericPlane(q, n, tuple(sorted(filter(None, lines))), transitive=True)
         return self._generic
+
+
+def plane_from_ring(q: int, ring) -> GenericPlane:
+    """The projective plane of a ternary ring T on 0..q-1 (M. Hall, 1943).
+    Point (x, y) is id x*q + y, the slope point (m) is q^2 + m and (inf) is
+    q^2 + q; the lines are y = T(x, m, b) with (m), x = c with (inf), and the
+    line at infinity.  The ring is not checked: ``check_plane_axioms`` says
+    whether the result is a plane."""
+    qq, xs = q * q, range(q)
+    lines = [[x * q + ring(x, m, b) for x in xs] + [qq + m] for m in xs for b in xs]
+    lines += [[c * q + y for y in xs] + [qq + q] for c in xs]
+    lines.append(range(qq, qq + q + 1))
+    return GenericPlane(q, qq + q + 1, tuple(sorted(tuple(sorted(l)) for l in lines)))
 
 
 @lru_cache(maxsize=None)
