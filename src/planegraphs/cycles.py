@@ -12,12 +12,14 @@ paths sweep the whole affine plane.  Everything longer or shorter is
 surgery on that chain.
 
 Every chain is a walk of points in traversal order; its lines are never
-kept by hand.  Each public constructor hands its walk to ``graphs.emit``
-once and returns the verified ``Embedding`` of C_k that comes back: its
-vertex images are the walk, vertex i adjacent to i+1 mod k, its edge
-images the lines the verifier derived, and its model and order name the
-plane (``plane_for``).  Intermediate walks that are never returned are not
-verified on their own.
+kept by hand.  ``ag_cycle`` and ``pg_cycle`` share one rung dispatcher,
+``_cycle``: the oracle for q <= 3, the parabola, the ellipse, surgery on
+the long chain, the chain through O, the ladder, or PG's Singer cycle.
+Each public constructor hands its walk to ``graphs.emit`` once and
+returns the verified ``Embedding`` of C_k that comes back: its vertex
+images are the walk, vertex i adjacent to i+1 mod k, its edge images the
+lines the verifier derived, and its model and order name the plane
+(``plane_for``).  Unreturned walks are not verified on their own.
 """
 
 from __future__ import annotations
@@ -188,24 +190,13 @@ def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# chains
-
-
-def _emit_chain(model: str, q: int, points, k: int) -> Embedding:
-    # the plane first, so that a refused order builds no graph; then the
-    # requested k, so that a walk of the wrong length fails
-    plane = plane_for(model, q)
-    return emit(cycle_graph(k), points, plane)
-
-
-# ---------------------------------------------------------------------------
 # long cycles from glued paths
 
 
 def long_cycle(q: int, labeling=None) -> Embedding:
     """Glue the beta-orbit of base paths along their class-1 return lines."""
     points = _long_chain(q, _resolve_labeling(q, labeling))
-    return _emit_chain("AG", q, points, len(points))
+    return emit(cycle_graph(len(points)), points, ag_from_field(q))
 
 
 def _long_chain(q: int, lab: SlopeLabeling) -> tuple:
@@ -225,7 +216,7 @@ def _long_chain(q: int, lab: SlopeLabeling) -> tuple:
 def cycle_q2(q: int, labeling=None) -> Embedding:
     """Reroute one chain edge through the origin, covering all of AG(2,q)."""
     lab = _resolve_labeling(q, labeling)
-    return _emit_chain("AG", q, _through_origin(q, _long_chain(q, lab)), q * q)
+    return emit(cycle_graph(q * q), _through_origin(q, _long_chain(q, lab)), ag_from_field(q))
 
 
 def _through_origin(q: int, chain: tuple) -> tuple:
@@ -270,52 +261,47 @@ def _ellipse_points(q: int, spec: FieldSpec) -> list:
 
 def ag_cycle(q: int, k: int) -> Embedding:
     """A k-cycle in AG(2,q) for any feasible k (3 <= k <= q^2)."""
-    return _emit_chain("AG", q, _ag_chain(q, k), k)
-
-
-def _ag_chain(q: int, k: int):
-    spec = field_for(q)
-    if not 3 <= k <= q * q:
-        raise ValueError(f"k={k} outside 3..{q * q}")
-    if q in (2, 3):
-        return oracle(cycle_graph(k), ag_from_field(q))
-    if k <= q:
-        return parabola_points(spec, k)
-    if k == q + 1:
-        return _ellipse_points(q, spec)
-    _, chain = _default_chain(q)
-    if k == q * q - 1:
-        return chain
-    if k == q * q:
-        return _through_origin(q, chain)
-    return _surgery_chain(q, k, chain)
-
-
-def _surgery_chain(q: int, k: int, chain: tuple) -> tuple:
-    # open the long chain after k-1 points and close through O along the
-    # through-O line of class (k-1) mod (q+1); when that class collides with
-    # the opening line l_1, skip one period ahead along a through-O line instead
-    N, n = q * q - 1, q + 1
-    if (k - 1) % n >= 2:
-        return (ORIGIN,) + chain[1:k]
-    return (ORIGIN,) + chain[1 : k - 2] + (chain[(k - 3 + n) % N], chain[(k - 2 + n) % N])
+    return _cycle(ag_from_field(q), k)
 
 
 def pg_cycle(q: int, k: int) -> Embedding:
     """A k-cycle in PG(2,q) for any feasible k (3 <= k <= q^2+q+1)."""
-    field_for(q)  # the order is refused before k
-    top = q * q + q + 1
+    return _cycle(pg_from_field(q), k)
+
+
+def _cycle(plane, k: int) -> Embedding:
+    # the plane is built first, so that a refused order is refused before k
+    q, top = plane.q, plane.n_points
     if not 3 <= k <= top:
         raise ValueError(f"k={k} outside 3..{top}")
-    if k == top:
-        return singer_cycle(q)
-    if q in (2, 3):
-        points = oracle(cycle_graph(k), pg_from_field(q))
-    elif k <= q * q:
-        points = _ag_chain(q, k)
+    if k == q * q + q + 1:
+        return singer_cycle(q)  # the top of PG(2,q)
+    if q <= 3:
+        points = oracle(cycle_graph(k), plane)
+    elif k <= q:
+        points = parabola_points(plane.spec, k)
+    elif k == q + 1:
+        points = _ellipse_points(q, plane.spec)
+    elif k < q * q:
+        points = _surgery_chain(q, k)
+    elif k == q * q:
+        points = _through_origin(q, _default_chain(q)[1])
     else:
         points = _ladder_chain(q, k)
-    return _emit_chain("PG", q, points, k)
+    return emit(cycle_graph(k), points, plane)
+
+
+def _surgery_chain(q: int, k: int) -> tuple:
+    # the long chain at k = q^2-1; else open it after k-1 points and close
+    # through O along l_((k-1) mod (q+1)), or, when that class collides with
+    # the opening line l_1, skip one period ahead along a through-O line
+    _, chain = _default_chain(q)
+    N, n = q * q - 1, q + 1
+    if k == N:
+        return chain
+    if (k - 1) % n >= 2:
+        return (ORIGIN,) + chain[1:k]
+    return (ORIGIN,) + chain[1 : k - 2] + (chain[(k - 3 + n) % N], chain[(k - 2 + n) % N])
 
 
 def _ladder_chain(q: int, k: int) -> tuple:
@@ -404,5 +390,5 @@ def plane_for(model: str, q: int):
 
 def singer_cycle(q: int) -> Embedding:
     """The Hamiltonian cycle 0,1,...,n-1 of the cyclic plane model."""
-    n = q * q + q + 1
-    return _emit_chain("CYCLIC", q, range(n), n)
+    plane = cyclic_plane(q)
+    return emit(cycle_graph(plane.n_points), range(plane.n_points), plane)

@@ -543,15 +543,6 @@ class HypothesisJCertificate:
     alpha: int
     gamma: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "route": self.route,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "ord": self.q - 1,
-        }
-
 
 def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     """Search GF(q) for a primitive alpha whose closure multiplier is primitive.
@@ -612,8 +603,8 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
 
 
 def certificate_line(q: int, cert: Optional[HypothesisJCertificate]) -> str:
-    """One JSONL record, the keys of ``to_json_dict`` in order; a missing
-    certificate becomes a NOT_FOUND row."""
+    """One JSONL record with the keys q, route, alpha, gamma and ord = q-1,
+    in that order; a missing certificate becomes a NOT_FOUND row."""
     if cert is None:
         return f'{{"q":{q},"route":"{ROUTE_NOT_FOUND}"}}'
     return (f'{{"q":{cert.q},"route":"{cert.route}","alpha":{cert.alpha},'

@@ -6,11 +6,13 @@ W_{q+1}, which uses the spoke-pencil construction with a searched closing
 vertex.  Gears split by size: small ones are wheels with alternate spokes
 removed, mid-range ones braid two disjoint base paths through infinite
 points, and the maximum gear alternates directions with affine points
-chosen greedily.  In a loaded generic plane the routes are a greedy arc
-and the gear from it, with the exhaustive oracle last.
+chosen greedily.  In a loaded generic plane the arc is a greedy one, the
+path and maximum gears wait for a labeling, and the oracle comes last.
 
-Every route is a generator of (vertex images, route) candidates, in either
-kind of plane.  One loop, ``_first_plan``, hands each candidate's images
+Wheels and gears each have one list of routes for both kinds of plane,
+a generator of (vertex images, route) candidates; ``_arc`` gives the arc
+of either plane, and the ``paper`` predicate gates the path and maximum
+gears.  One loop, ``_first_plan``, hands each candidate's images
 to ``graphs.emit``, which verifies them once and derives the edge lines,
 and returns the first that passes as a ``Plan``: the route's tag and the
 ``Embedding`` that ``emit`` returned.  No route returns an unchecked
@@ -126,11 +128,14 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
     """Embed the wheel W_n (center 0, rim 1..n) in PG(2,q), or in a loaded
     generic plane when one is passed.
 
-    In PG(2,q) the route is ARC, the first n+1 points of ``arc_points(q)``,
-    for n <= q and for every n when q is even; it has no fallback.  For odd
-    q and n = q+1 it is EXPLICIT, the pencil-and-transversal construction,
-    then ORACLE.  In a generic plane it is ARC on a greedy arc, then ORACLE.
-    The returned embedding has passed the verifier.
+    One list of routes serves both kinds of plane.  ARC takes the first n+1
+    points of the plane's arc, ``arc_points(q)`` in PG(2,q) and a greedy
+    arc in a generic plane, when it has that many (in PG(2,q): n <= q, and
+    every n when q is even).  Otherwise PG(2,q) tries EXPLICIT, the
+    pencil-and-transversal construction (odd q, n = q+1).  ORACLE comes
+    last: in PG(2,q) ARC has no fallback and EXPLICIT falls back to ORACLE;
+    in a generic plane ORACLE follows ARC.  The returned embedding has
+    passed the verifier.
 
     Raises ValueError when ``gf.field_for`` refuses q, when n < 3 or when
     a plane is passed that is not a GenericPlane, and ImpossibleDegree
@@ -147,26 +152,22 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
     return _first_plan(graph, _wheel_routes(plane, graph, n), plane)
 
 
-def _arc_serves(q: int, n: int) -> bool:
-    # the arc has q+1 points (q+2 for even q) and serves n <= q (n <= q+1 for even q)
-    return q % 2 == 0 or n <= q
-
-
 def _wheel_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
-    if isinstance(plane, GenericPlane):
-        arc = _greedy_arc(plane, n + 1)
-        if len(arc) == n + 1:
-            yield arc, ROUTE_ARC
-        yield oracle(graph, plane), ROUTE_ORACLE
-    elif _arc_serves(plane.q, n):
-        yield arc_points(plane.q)[: n + 1], ROUTE_ARC
-    else:
+    coord, arc = isinstance(plane, CoordPlane), _arc(plane, n + 1)
+    if len(arc) == n + 1:
+        yield arc, ROUTE_ARC
+        if coord:
+            return  # PG(2,q)'s arc has no fallback
+    elif coord:
         yield from _wheel_explicit(plane)
-        yield oracle(graph, plane), ROUTE_ORACLE
+    yield oracle(graph, plane), ROUTE_ORACLE
 
 
-def _greedy_arc(plane: GenericPlane, size: int) -> list:
-    # up to ``size`` points, each the first id on no line through two earlier ones
+def _arc(plane, size: int) -> list:
+    # up to ``size`` arc points: a prefix of ``arc_points`` in PG(2,q), else
+    # each the first id on no line through two earlier ones
+    if isinstance(plane, CoordPlane):
+        return arc_points(plane.q)[:size]
     arc = []
     for p in range(plane.n_points):
         if len(arc) == size:
@@ -207,15 +208,18 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
     """Embed the gear G_n (center 0, rim 1..2n, spokes to the odd rim
     vertices) in PG(2,q), or in a loaded generic plane when one is passed.
 
-    In PG(2,q) the route is ORACLE alone for q <= 4 and (q, n) = (5, 4).
-    Otherwise it is FROM_WHEEL for n <= (q+1)/2: W_{2n}'s vertices, from the
-    arc or ``wheel_plan``, less the even-rim spokes.  For (q+1)/2 < n <= q
-    it is PATHS_EVEN or PATHS_ODD (by n's parity), two braided base paths,
-    then ORACLE below q = 8.  For n = q+1 it is MAX_EVEN or MAX_ODD (by q's
-    parity), direction points alternating with greedy affine points.  In a
-    generic plane it is FROM_WHEEL for 2n <= q+1, skipped when the generic
-    W_{2n} fails, then ORACLE.  The returned embedding has passed the
-    verifier.
+    One list of routes serves both kinds of plane.  FROM_WHEEL, for
+    n <= (q+1)/2, takes the images of W_{2n}'s routes (ARC, EXPLICIT, ORACLE,
+    as in ``wheel_plan``), verified once as G_n, which forgets the even-rim
+    spokes.  The paper's routes need PG(2,q) with q > 4 and (q, n) != (5, 4):
+    PATHS_EVEN or PATHS_ODD (by n's parity), two braided base paths, for
+    (q+1)/2 < n <= q, and MAX_EVEN or MAX_ODD (by q's parity), direction
+    points alternating with greedy affine points, for n = q+1.  ORACLE comes
+    last: in PG(2,q) FROM_WHEEL and MAX have no fallback, PATHS falls back
+    to ORACLE below q = 8, and ORACLE alone serves the cells outside the
+    paper's routes; in a generic plane ORACLE follows FROM_WHEEL, also when
+    W_{2n} has no embedding, and serves every larger n alone.  The returned
+    embedding has passed the verifier.
 
     Raises ValueError when ``gf.field_for`` refuses q, when n < 3 or when
     a plane is passed that is not a GenericPlane, and ImpossibleDegree
@@ -231,32 +235,28 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
 
 def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
     q = plane.q
-    if isinstance(plane, GenericPlane):
-        if 2 * n <= q + 1:
-            try:
-                big = wheel_plan(q, 2 * n, plane)
-            except (ConstructionFailed, ValueError):
-                pass  # no W_2n; the oracle may still find G_n
-            else:
-                yield big.embedding.vertex_images, ROUTE_FROM_WHEEL
-        yield oracle(graph, plane), ROUTE_ORACLE
-    elif q <= 4 or (q, n) == (5, 4):
-        yield oracle(graph, plane), ROUTE_ORACLE
-    elif n <= (q + 1) // 2:
-        # same vertex numbering; the gear simply forgets the even-rim spokes.
-        # The arc needs no check as a wheel, the explicit wheel's candidates do.
-        if _arc_serves(q, 2 * n):
-            yield arc_points(q)[: 2 * n + 1], ROUTE_FROM_WHEEL
-        else:
-            yield wheel_plan(q, 2 * n).embedding.vertex_images, ROUTE_FROM_WHEEL
-    elif n <= q:
+    paper = isinstance(plane, CoordPlane) and q > 4 and (q, n) != (5, 4)
+    if 2 * n <= q + 1:
+        # W_2n's candidates less the even-rim spokes, each verified once as
+        # G_n: every candidate puts its rim on distinct lines through the
+        # center and no rim line through it, so G_n and W_2n agree on it
+        try:
+            for images, _ in _wheel_routes(plane, wheel_graph(2 * n), 2 * n):
+                yield images, ROUTE_FROM_WHEEL
+        except ConstructionFailed:
+            if paper:
+                raise
+        if paper:
+            return
+    elif paper and n <= q:
         paths = _gear_paths_even if n % 2 == 0 else _gear_paths_odd
         yield from paths(n, labeling_for(q))
         if q >= 8:
             raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
-        yield oracle(graph, plane), ROUTE_ORACLE
-    else:
+    elif paper:
         yield _gear_max(labeling_for(q), plane), ROUTE_MAX_EVEN if q % 2 == 0 else ROUTE_MAX_ODD
+        return
+    yield oracle(graph, plane), ROUTE_ORACLE
 
 
 def _gear_paths_even(n, lab) -> Iterator[tuple]:

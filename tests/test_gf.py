@@ -455,7 +455,8 @@ def test_consecutive_primitive_pair_even():
 
 def test_search_certificates():
     c5 = hypothesis_j_search(5)
-    assert (c5.route, c5.alpha, c5.gamma, c5.to_json_dict()["ord"]) == ("ODD_GAMMA", 2, 3, 4)
+    ord5 = json.loads(certificate_line(5, c5))["ord"]
+    assert (c5.route, c5.alpha, c5.gamma, ord5) == ("ODD_GAMMA", 2, 3, 4)
     c7 = hypothesis_j_search(7)
     assert (c7.route, c7.alpha, c7.gamma) == ("ODD_GAMMA", 5, 3)
     c4 = hypothesis_j_search(4)
@@ -477,10 +478,11 @@ def test_certificate_lines_exact():
     assert line5 == '{"q":5,"route":"ODD_GAMMA","alpha":2,"gamma":3,"ord":4}'
     assert list(json.loads(line5)) == ["q", "route", "alpha", "gamma", "ord"]
     assert certificate_line(3, None) == '{"q":3,"route":"NOT_FOUND"}'
-    # the row is the certificate's dict, key for key and in the same order
+    # the row is the certificate's fields, key for key and in the same order
     for q in prime_powers_in(3, 2000):
         cert = hypothesis_j_search(q)
-        want = cert.to_json_dict() if cert else {"q": q, "route": "NOT_FOUND"}
+        want = ({"q": q, "route": cert.route, "alpha": cert.alpha, "gamma": cert.gamma,
+                 "ord": q - 1} if cert else {"q": q, "route": "NOT_FOUND"})
         assert list(json.loads(certificate_line(q, cert)).items()) == list(want.items()), q
 
 

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from planegraphs.gf import field_for
+from planegraphs.graphs import verify_embedding
 from planegraphs.plane import GenericPlane, check_plane_axioms, plane_from_ring
 from planegraphs.wheelgear import gear_plan, wheel_plan
 
@@ -87,3 +88,20 @@ def test_wheel_and_gear_cells_are_frozen(name):
     gears = ["FROM_WHEEL"] * 3 + ["ORACLE"] * 5  # G_3..G_5, then G_6..G_10
     assert routes == [r for pair in zip(wheels, gears) for r in pair]
     assert h.hexdigest()[:16] == FROZEN_CELLS[name]
+
+
+@pytest.mark.parametrize("name", PLANES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_from_wheel_gear_is_verified_once(name, n, monkeypatch):
+    # W_2n's images, from the greedy arc or the oracle, go straight to the
+    # gear's check; they are not first checked as a wheel
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].kind)
+        return verify_embedding(*args)
+
+    monkeypatch.setattr("planegraphs.graphs.verify_embedding", counting)
+    plan = gear_plan(9, n, PLANES[name])
+    assert plan.route == "FROM_WHEEL"
+    assert calls == ["GEAR"]

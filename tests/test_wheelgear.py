@@ -16,9 +16,11 @@ from planegraphs.graphs import (
     verify_embedding,
     wheel_graph,
 )
+from planegraphs.oracle import oracle
 from planegraphs.plane import ag_from_field, incident, line_through, pg_from_field
 from planegraphs.wheelgear import (
     ConstructionFailed,
+    _gear_max,
     arc_points,
     gear,
     gear_plan,
@@ -339,3 +341,48 @@ def test_wheel_derives_each_edge_line_once(monkeypatch):
     plan = wheel_plan(7, 5)
     assert plan.route == "ARC"
     assert len(calls) == len(plan.embedding.graph.edges) == 10
+
+
+def _no_oracle(graph, plane):
+    pytest.fail(f"the oracle was asked for {graph.kind} in {plane}")
+
+
+def _coincident_arc(q):
+    # rim images 2 and 3 of a gear built on this arc coincide; the arc keeps
+    # its length, so it still serves
+    pts = arc_points(q)
+    pts[3] = pts[2]
+    return pts
+
+
+def _bad_max(lab, pgp):
+    # the maximum gear's rim with images 1 and 2 coinciding
+    rim = _gear_max(lab, pgp)
+    rim[2] = rim[1]
+    return rim
+
+
+@pytest.mark.parametrize(
+    "q,n,name,patch",
+    [(7, 3, "arc_points", _coincident_arc), (7, 8, "_gear_max", _bad_max),
+     (8, 9, "_gear_max", _bad_max)],
+)
+def test_pg_gear_routes_without_fallback_keep_none(q, n, name, patch, monkeypatch):
+    # in PG(2,q) FROM_WHEEL on the arc and MAX have no fallback: a failed
+    # candidate is refused, not handed to the oracle
+    monkeypatch.setattr("planegraphs.wheelgear.oracle", _no_oracle)
+    monkeypatch.setattr(f"planegraphs.wheelgear.{name}", patch)
+    with pytest.raises(ConstructionFailed, match="vertex images collide"):
+        gear_plan(q, n)
+
+
+def test_pg_path_gear_falls_back_to_the_oracle_below_order_eight(monkeypatch):
+    calls = []
+
+    def counting(graph, plane):
+        calls.append(graph.kind)
+        return oracle(graph, plane)
+
+    monkeypatch.setattr("planegraphs.wheelgear.oracle", counting)
+    assert gear_plan(5, 5).route == "ORACLE"
+    assert calls == ["GEAR"]
