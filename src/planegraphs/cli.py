@@ -104,31 +104,22 @@ def _cmd_plane(args) -> int:
 # cycle
 
 
-def _build_cycle(q: int, k: int, model: str):
-    return (ag_cycle if model == "ag" else pg_cycle)(q, k)
-
-
 def _cmd_cycle(args) -> int:
     field_for(args.q)  # refuses a bad order before the sweep makes its directory
-    q = args.q
+    q, build = args.q, ag_cycle if args.plane == "ag" else pg_cycle
     if args.mode == "sweep":
-        top = plane_for(args.plane.upper(), q).n_points
+        ks = range(3, plane_for(args.plane.upper(), q).n_points + 1)
         out_dir = args.out_dir or f"cycle_sweep_{args.plane}_q{q}"
         os.makedirs(out_dir, exist_ok=True)
-        rows = []
-        for k in range(3, top + 1):
-            emb = _build_cycle(q, k, args.plane)
-            write_embedding(emb, os.path.join(out_dir, f"c{k}.json"))
-            rows.append((k, len(emb.vertex_images)))
-        for k, length in rows:
-            print(f"{k:5d} {length:5d} verified")
-        print(f"{len(rows)} cycles -> {out_dir}")
+        for k in ks:  # ``emit`` has checked that C_k has k vertex images
+            write_embedding(build(q, k), os.path.join(out_dir, f"c{k}.json"))
+        print("".join(f"{k:5d} {k:5d} verified\n" for k in ks), end="")
+        print(f"{len(ks)} cycles -> {out_dir}")
         return 0
     if args.k is None:
         return _usage_error("cycle needs --k (or the sweep mode)")
-    emb = _build_cycle(q, args.k, args.plane)
     out = args.out or f"cycle_{args.plane}_q{q}_k{args.k}.json"
-    write_embedding(emb, out)
+    write_embedding(build(q, args.k), out)  # built before the file is opened
     print(f"C_{args.k} in {args.plane}:{q} verified -> {out}")
     return 0
 
@@ -137,23 +128,15 @@ def _cmd_cycle(args) -> int:
 # wheel / gear
 
 
-def _cmd_wheel(args) -> int:
-    return _write_plan(args, wheel_plan, "W", "wheel")
-
-
-def _cmd_gear(args) -> int:
+def _cmd_plan(args) -> int:  # ``wheel`` and ``gear``; the wheel parser has no mode
     if args.mode == "sweep":
         return _gear_sweep(args)
-    if args.q is None or args.n is None:
+    if args.q is None or args.n is None:  # only gear's --q and --n are optional
         return _usage_error("gear needs --q and --n (or the sweep mode)")
-    return _write_plan(args, gear_plan, "G", "gear")
-
-
-def _write_plan(args, build, letter: str, stem: str) -> int:
-    plan = build(args.q, args.n)
-    out = args.out or f"{stem}_q{args.q}_n{args.n}.json"
+    plan = (wheel_plan if args.command == "wheel" else gear_plan)(args.q, args.n)
+    out = args.out or f"{args.command}_q{args.q}_n{args.n}.json"
     write_embedding(plan.embedding, out)
-    print(f"{letter}_{args.n} in pg:{args.q} via {plan.route} -> {out}")
+    print(f"{args.command[0].upper()}_{args.n} in pg:{args.q} via {plan.route} -> {out}")
     return 0
 
 
@@ -363,7 +346,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_wheel)
+    p.set_defaults(func=_cmd_plan, mode=None)
 
     p = sub.add_parser("gear", help="build gear embeddings")
     p.add_argument("mode", nargs="?", choices=["sweep"])
@@ -371,7 +354,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--q-max", type=int, default=16)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_gear)
+    p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("oracle", help="exhaustive embedding search")
     p.add_argument("--graph", required=True, help="cycle:K | wheel:N | gear:N | file.json")

@@ -12,9 +12,9 @@ path and maximum gears wait for a labeling, and the oracle comes last.
 Wheels and gears each have one list of routes for both kinds of plane,
 a generator of (vertex images, route) candidates; ``_arc`` gives the arc
 of either plane, and the ``paper`` predicate gates the path and maximum
-gears.  One loop, ``_first_plan``, hands each candidate's images
-to ``graphs.emit``, which verifies them once and derives the edge lines,
-and returns the first that passes as a ``Plan``: the route's tag and the
+gears.  One loop, ``_plan``, hands each candidate's images to
+``graphs.emit``, which verifies them once and derives the edge lines, and
+returns the first that passes as a ``Plan``: the route's tag and the
 ``Embedding`` that ``emit`` returned.  No route returns an unchecked
 embedding.
 """
@@ -70,15 +70,23 @@ class Plan:
     embedding: Embedding
 
 
-def _first_plan(graph: Graph, candidates, plane) -> Plan:
-    """The plan of the first (vertex images, route) candidate that passes
-    ``emit``; the one place a route's images are embedded and verified,
-    once each.  A candidate ``emit`` refuses is skipped, and when all fail
+def _plan(kind: str, q: int, n: int, plane, routes) -> Plan:
+    """The first (vertex images, route) candidate of ``routes(plane, graph,
+    n)`` that passes ``emit``, as a Plan, for the graph W_n or G_n by
+    ``kind`` in ``plane`` (a GenericPlane) or, with no plane, PG(2,q).  Each
+    candidate is verified once; a refused one is skipped, and when all fail
     the last refusal is raised.  A route that raises while yielding ends
-    the loop.
+    the loop.  The degree bound comes first, so an absurd n builds no graph.
     """
-    failure = ConstructionFailed(f"no {graph.kind.lower()} candidate in {plane}")
-    for images, route in candidates:
+    if plane is None:
+        plane = pg_from_field(q)
+    elif not isinstance(plane, GenericPlane):
+        raise ValueError(f"{kind} plane must be a GenericPlane, not {plane!r}")
+    if n > plane.q + 1:
+        raise ImpossibleDegree(f"{kind} center degree {n} exceeds the pencil size {plane.q + 1}")
+    graph = wheel_graph(n) if kind == "wheel" else gear_graph(n)  # ValueError for n < 3
+    failure = ConstructionFailed(f"no {kind} candidate in {plane}")
+    for images, route in routes(plane, graph, n):
         try:
             emb = emit(graph, images, plane)
         except ConstructionFailed as e:
@@ -86,20 +94,6 @@ def _first_plan(graph: Graph, candidates, plane) -> Plan:
             continue
         return Plan(route, emb)
     raise failure
-
-
-def _setup(kind: str, q: int, n: int, plane) -> tuple:
-    # the cell's graph, and its plane: ``plane`` if given, which must be
-    # generic, else PG(2,q)
-    if plane is None:
-        plane = pg_from_field(q)
-    elif not isinstance(plane, GenericPlane):
-        raise ValueError(f"{kind} plane must be a GenericPlane, not {plane!r}")
-    # the degree bound comes first, so an absurd n builds no graph
-    if n > plane.q + 1:
-        raise ImpossibleDegree(f"{kind} center degree {n} exceeds the pencil size {plane.q + 1}")
-    graph = wheel_graph(n) if kind == "wheel" else gear_graph(n)  # ValueError for n < 3
-    return graph, plane
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +131,19 @@ def wheel_plan(q: int, n: int, plane=None) -> Plan:
     in a generic plane ORACLE follows ARC.  The returned embedding has
     passed the verifier.
 
-    Raises ValueError when ``gf.field_for`` refuses q, when n < 3 or when
-    a plane is passed that is not a GenericPlane, and ImpossibleDegree
-    when n > q+1 (the center needs n lines of one pencil).  Raises
-    ConstructionFailed when every route fails, the oracle included where
-    it is the fallback: no embedding exists (or the oracle's budget runs
-    out first).  For 2 <= q <= 32 that happens only at (q, n) = (3, 4):
-    the five vertices of W_4 must form a 5-arc, since any three of them span
-    two edges at one vertex, which would share a line if the three were
-    collinear; and PG(2,3) has no 5-arc (an arc of PG(2,q), q odd, has at
-    most q+1 points).
+    Raises ValueError when no plane is passed and ``gf.field_for`` refuses
+    q (with a plane, q is not read and q below is the plane's order), when
+    n < 3 or when a plane is passed that is not a GenericPlane, and
+    ImpossibleDegree when n > q+1 (the center needs n lines of one
+    pencil).  Raises ConstructionFailed when every route fails, the oracle
+    included where it is the fallback: no embedding exists (or the
+    oracle's budget runs out first).  For 2 <= q <= 32 that happens only
+    at (q, n) = (3, 4): the five vertices of W_4 must form a 5-arc, since
+    any three of them span two edges at one vertex, which would share a
+    line if the three were collinear; and PG(2,3) has no 5-arc (an arc of
+    PG(2,q), q odd, has at most q+1 points).
     """
-    graph, plane = _setup("wheel", q, n, plane)
-    return _first_plan(graph, _wheel_routes(plane, graph, n), plane)
+    return _plan("wheel", q, n, plane, _wheel_routes)
 
 
 def _wheel_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
@@ -221,16 +215,16 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
     W_{2n} has no embedding, and serves every larger n alone.  The returned
     embedding has passed the verifier.
 
-    Raises ValueError when ``gf.field_for`` refuses q, when n < 3 or when
-    a plane is passed that is not a GenericPlane, and ImpossibleDegree
-    when n > q+1.  Raises ConstructionFailed when every route fails, the
-    oracle included where it is the fallback; from q = 8 on, running out
-    of path candidates raises "path route exhausted".  For 2 <= q <= 32
-    the only refused cell is G_3 in PG(2,2), which the oracle proves
-    empty.
+    Raises ValueError when no plane is passed and ``gf.field_for`` refuses
+    q (with a plane, q is not read and q below is the plane's order), when
+    n < 3 or when a plane is passed that is not a GenericPlane, and
+    ImpossibleDegree when n > q+1.  Raises ConstructionFailed when every
+    route fails, the oracle included where it is the fallback; from q = 8
+    on, running out of path candidates raises "path route exhausted".  For
+    2 <= q <= 32 the only refused cell is G_3 in PG(2,2), which the oracle
+    proves empty.
     """
-    graph, plane = _setup("gear", q, n, plane)
-    return _first_plan(graph, _gear_routes(plane, graph, n), plane)
+    return _plan("gear", q, n, plane, _gear_routes)
 
 
 def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:

@@ -6,6 +6,7 @@ the outcome.
 """
 
 import filecmp
+import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -291,6 +292,9 @@ def _produce_artifacts(root: str) -> None:
     assert rc == 0
 
 
+FROZEN_ARTIFACTS_DIGEST = "9413c6079c7f177fbce4fdc28b29ca27d8f3ed1e8e02b4069a37d9faebfe08ef"
+
+
 def test_criterion_10_determinism(report, tmp_path, capsys):
     a = str(tmp_path / "run_a")
     b = str(tmp_path / "run_b")
@@ -305,9 +309,17 @@ def test_criterion_10_determinism(report, tmp_path, capsys):
             pb = os.path.join(b, rel, f)
             if not os.path.exists(pb) or not filecmp.cmp(pa, pb, shallow=False):
                 diffs.append(os.path.join(rel, f))
-    n_files = sum(len(fs) for _, _, fs in os.walk(a))
-    ok = not diffs and n_files >= 30
-    report(10, ok, f"{n_files} artifact files byte-identical across repeated runs")
+    # run a's files, each as its path, a NUL and its bytes, in path order: a
+    # change to any artifact fails here, not only a difference between runs
+    rels = sorted(os.path.relpath(os.path.join(d, f), a) for d, _, fs in os.walk(a) for f in fs)
+    digest = hashlib.sha256()
+    for rel in rels:
+        with open(os.path.join(a, rel), "rb") as fh:
+            digest.update(rel.encode() + b"\0" + fh.read())
+    n_files, pinned = len(rels), digest.hexdigest() == FROZEN_ARTIFACTS_DIGEST
+    ok = not diffs and n_files >= 30 and pinned
+    report(10, ok, f"{n_files} artifact files byte-identical across repeated runs"
+           + ("" if pinned else f", digest {digest.hexdigest()}"))
     assert ok, diffs
 
 

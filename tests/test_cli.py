@@ -151,6 +151,31 @@ def test_gear_exit_codes(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,name,last", [
+    ("cycle --q 4 --k 5", "cycle_ag_q4_k5.json", "C_5 in ag:4 verified -> cycle_ag_q4_k5.json"),
+    ("cycle --q 4 --k 5 --plane pg", "cycle_pg_q4_k5.json",
+     "C_5 in pg:4 verified -> cycle_pg_q4_k5.json"),
+    ("wheel --q 5 --n 4", "wheel_q5_n4.json", "W_4 in pg:5 via ARC -> wheel_q5_n4.json"),
+    ("gear --q 5 --n 3", "gear_q5_n3.json", "G_3 in pg:5 via FROM_WHEEL -> gear_q5_n3.json"),
+    ("cycle sweep --q 2", "cycle_sweep_ag_q2", "2 cycles -> cycle_sweep_ag_q2"),
+    ("oracle --graph cycle:3 --plane pg:2", "oracle_embedding.json",
+     '{"status":"found","expansions":3,"out":"oracle_embedding.json"}'),
+])
+def test_default_output_names(argv, name, last, tmp_path, monkeypatch, capsys):
+    # with no --out or --out-dir, each command names its artifact itself
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0 and out.splitlines()[-1] == last
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_wheel_has_no_sweep_mode(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["wheel", "sweep", "--q", "5", "--n", "3"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: sweep\n")
+
+
 def test_oracle_statuses(tmp_path, capsys):
     f = tmp_path / "g4.json"
     rc, out, _ = run(capsys, "oracle", "--graph", "gear:4", "--plane", "pg:3",
