@@ -109,10 +109,12 @@ def _cmd_cycle(args) -> int:
     q, build = args.q, ag_cycle if args.plane == "ag" else pg_cycle
     if args.mode == "sweep":
         ks = range(3, plane_for(args.plane.upper(), q).n_points + 1)
+        top = build(q, ks[-1])  # first: PG's top rung needs GF(q^3), refused for q >= 103
         out_dir = args.out_dir or f"cycle_sweep_{args.plane}_q{q}"
         os.makedirs(out_dir, exist_ok=True)
         for k in ks:  # ``emit`` has checked that C_k has k vertex images
-            write_embedding(build(q, k), os.path.join(out_dir, f"c{k}.json"))
+            emb = top if k == ks[-1] else build(q, k)
+            write_embedding(emb, os.path.join(out_dir, f"c{k}.json"))
         print("".join(f"{k:5d} {k:5d} verified\n" for k in ks), end="")
         print(f"{len(ks)} cycles -> {out_dir}")
         return 0

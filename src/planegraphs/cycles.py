@@ -7,9 +7,11 @@ from powers of a primitive element, and class i has the direction point
 point: the class-i line through P joins P to (i), and l_i, the class-i
 line through O, joins O to (i).  Walking parallels of consecutive classes
 produces a base path of q+1 points whose return to the vertical axis is
-multiplication by a constant; when that constant generates GF(q)*, glued
-paths sweep the whole affine plane.  Everything longer or shorter is
-surgery on that chain.
+multiplication by a constant m; when m generates GF(q)*, glued paths sweep
+the whole affine plane.  Everything longer or shorter is surgery on that
+chain.  A labeling walks its path from (0, 1) once and keeps the chain;
+the path from (0, beta) is that walk scaled by beta, and ``labeling_for``
+keeps one labeling per order and kind.
 
 Every chain is a walk of points in traversal order; its lines are never
 kept by hand.  ``ag_cycle`` and ``pg_cycle`` share one rung dispatcher,
@@ -104,15 +106,45 @@ class SlopeLabeling:
     def through_o_line(self, i: int):
         return self.o_lines[i]  # l_i
 
+    @cached_property
+    def walk(self) -> tuple:
+        """The base path from (0, 1), walked once: P_0..P_q, P_{j+1} where
+        the class-(j+2) line through P_j meets l_{j+1}, and the multiplier m,
+        where the class-1 line through P_q meets l_0 at (0, m)."""
+        spec, n, lines = self.spec, len(self.slopes), self.o_lines
+        pts = [affine_triple(spec, 0, 1)]
+        for j in range(self.q):
+            link = self.class_line_through((j + 2) % n, pts[-1])
+            pts.append(intersect(spec, link, lines[j + 1]))
+            if pts[-1] == ORIGIN:
+                raise ValueError("path degenerated into the origin")
+        q0 = intersect(spec, self.class_line_through(1, pts[-1]), lines[0])
+        # the long chain and the gear routes rely on P_i lying on l_i
+        if len(set(pts)) != n or not all(incident(spec, P, lines[i]) for i, P in enumerate(pts)):
+            raise ConstructionFailed("base path from beta=1 leaves its pencil")
+        return tuple(pts), affine_coords(spec, q0)[1]
+
+    @cached_property
+    def chain(self) -> tuple:
+        """The unverified long chain: the base paths from (0, beta) for
+        beta = 1, m, m^2, ..., each returning to the next along class 1."""
+        spec, m = self.spec, self.walk[1]
+        betas = [spec.epow(m, e) for e in range(element_order(spec, m))]
+        return tuple(P for b in betas for P in base_path(self.q, self, b)[0])
+
 
 def labeling_for(q: int, kind: Optional[str] = None) -> SlopeLabeling:
-    """Default labeling: certificate alpha, kind A for odd q and B for even."""
+    """Default labeling: certificate alpha, kind A for odd q and B for even.
+    The process keeps one labeling per order and kind."""
+    return _certified_labeling(q, ("A" if q % 2 else "B") if kind is None else kind)
+
+
+@lru_cache(maxsize=None)
+def _certified_labeling(q: int, kind: str) -> SlopeLabeling:
     spec = field_for(q)
     cert = hypothesis_j_search(q)
     if cert is None:
         raise NoCertificate(f"no primitive-pair certificate for q={q}")
-    if kind is None:
-        kind = "A" if q % 2 else "B"
     return SlopeLabeling.make(spec, kind, cert.alpha)
 
 
@@ -131,37 +163,19 @@ def _resolve_labeling(q: int, labeling) -> SlopeLabeling:
 
 
 def base_path(q: int, labeling=None, beta: int = 1) -> tuple:
-    """Walk the parallel-class recurrence from (0, beta); purely geometric.
-
-    Returns ``(points, multiplier)``: the canonical triples P_0..P_q, P_i on
-    l_i, and the encoding m with Q_0 = (0, m*beta), where the class-1 line
-    through P_q meets l_0.
-    """
+    """The labeling's walk from (0, 1) under the homothety by beta, which
+    maps (X : Y : Z) to (X : Y : Z/beta), keeps class lines parallel and,
+    as no path meets O, triples canonical.  Returns ``(points, multiplier)``:
+    P_0..P_q, P_i on l_i, and the encoding m with Q_0 = (0, m*beta), where
+    the class-1 line through P_q meets l_0."""
     lab = _resolve_labeling(q, labeling)
     spec = lab.spec
     spec.decode(beta)  # ValueError unless 0 <= beta < q
     if beta == 0:
         raise ValueError("base path must start off the origin")
-    n = q + 1
-    cur = affine_triple(spec, 0, beta)
-    pts = [cur]
-    for j in range(q):
-        # the link leaving P_j has class j+2; P_{j+1} sits on l_{j+1}
-        link = lab.class_line_through((j + 2) % n, cur)
-        cur = intersect(spec, link, lab.through_o_line(j + 1))
-        if cur == ORIGIN:
-            raise ValueError("path degenerated into the origin")
-        pts.append(cur)
-    ret = lab.class_line_through(1, cur)
-    q0 = intersect(spec, ret, lab.through_o_line(0))
-
-    # the long chain and the gear routes rely on P_i lying on l_i
-    if len(set(pts)) != n or not all(
-        incident(spec, P, lab.through_o_line(i)) for i, P in enumerate(pts)
-    ):
-        raise ConstructionFailed(f"base path from beta={beta} leaves its pencil")
-    _, y0 = affine_coords(spec, q0)
-    return tuple(pts), spec.emul(y0, spec.einv(beta))
+    points, m = lab.walk
+    s = spec.einv(beta)
+    return tuple((X, Y, spec.emul(Z, s)) for X, Y, Z in points), m
 
 
 def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
@@ -195,28 +209,14 @@ def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
 
 def long_cycle(q: int, labeling=None) -> Embedding:
     """Glue the beta-orbit of base paths along their class-1 return lines."""
-    points = _long_chain(q, _resolve_labeling(q, labeling))
+    points = _resolve_labeling(q, labeling).chain
     return emit(cycle_graph(len(points)), points, ag_from_field(q))
-
-
-def _long_chain(q: int, lab: SlopeLabeling) -> tuple:
-    # each path's last point returns to the next path's first along class 1.
-    # The path from beta is the one from 1 scaled by beta, which maps
-    # (X : Y : Z) to (X : Y : Z/beta): still canonical, as no path meets O
-    spec = lab.spec
-    base, m = base_path(q, lab, 1)
-    step = spec.einv(m)
-    points, s = [], 1  # s = 1/beta
-    for _ in range(element_order(spec, m)):
-        points.extend((X, Y, spec.emul(Z, s)) for X, Y, Z in base)
-        s = spec.emul(s, step)
-    return tuple(points)
 
 
 def cycle_q2(q: int, labeling=None) -> Embedding:
     """Reroute one chain edge through the origin, covering all of AG(2,q)."""
-    lab = _resolve_labeling(q, labeling)
-    return emit(cycle_graph(q * q), _through_origin(q, _long_chain(q, lab)), ag_from_field(q))
+    chain = _resolve_labeling(q, labeling).chain
+    return emit(cycle_graph(q * q), _through_origin(q, chain), ag_from_field(q))
 
 
 def _through_origin(q: int, chain: tuple) -> tuple:
@@ -224,13 +224,6 @@ def _through_origin(q: int, chain: tuple) -> tuple:
         raise ValueError("rerouting needs the full-orbit long cycle")
     # drop the edge P_0(beta=1) -- P_1 and run both ends into O instead
     return (ORIGIN,) + chain[1:] + (chain[0],)
-
-
-@lru_cache(maxsize=None)
-def _default_chain(q: int):
-    # the unverified long chain every surgery starts from, built once per q
-    lab = labeling_for(q)
-    return lab, _long_chain(q, lab)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +278,7 @@ def _cycle(plane, k: int) -> Embedding:
     elif k < q * q:
         points = _surgery_chain(q, k)
     elif k == q * q:
-        points = _through_origin(q, _default_chain(q)[1])
+        points = _through_origin(q, labeling_for(q).chain)
     else:
         points = _ladder_chain(q, k)
     return emit(cycle_graph(k), points, plane)
@@ -295,7 +288,7 @@ def _surgery_chain(q: int, k: int) -> tuple:
     # the long chain at k = q^2-1; else open it after k-1 points and close
     # through O along l_((k-1) mod (q+1)), or, when that class collides with
     # the opening line l_1, skip one period ahead along a through-O line
-    _, chain = _default_chain(q)
+    chain = labeling_for(q).chain
     N, n = q * q - 1, q + 1
     if k == N:
         return chain
@@ -306,8 +299,8 @@ def _surgery_chain(q: int, k: int) -> tuple:
 
 def _ladder_chain(q: int, k: int) -> tuple:
     """The q^2+1 .. q^2+q rungs: splice infinite points into the long chain."""
-    lab, ch = _default_chain(q)
-    d = [lab.direction_point(i) for i in range(q + 1)]
+    lab = labeling_for(q)
+    ch, d = lab.chain, [lab.direction_point(i) for i in range(q + 1)]
     m = q * q - q - 2  # first index of the final glued path
 
     def Q(c):

@@ -284,11 +284,9 @@ def _gear_paths_odd(n, lab) -> Iterator[tuple]:
             X = intersect(spec, back, lab.through_o_line(n - 3))
             if X == P[n - 3]:
                 continue  # the rejoin point must land on the other path
-            Q = [None] * (n - 2)
-            Q[n - 3] = X
-            for i in range(n - 3, 0, -1):
-                link = lab.class_line_through(i + 1, Q[i])
-                Q[i - 1] = intersect(spec, link, lab.through_o_line(i - 1))
+            # X is affine on l_{n-3}: beta scales the walk's P_{n-3} to X
+            beta = spec.emul(lab.walk[0][n - 3][2], spec.einv(X[2]))
+            Q = base_path(q, lab, beta)[0][: n - 2]  # Q_0..Q_{n-3} = X
             for T in t_cands:
                 if T not in P and T not in Q:
                     yield [ORIGIN, *P[:n], d0, T, *Q], ROUTE_PATHS_ODD

@@ -724,3 +724,12 @@ def test_search_refuses_a_large_coordinate_plane_before_building_it(plane, tmp_p
     proc = _run_capped(["oracle", "--graph", "cycle:3", "--plane", plane], tmp_path)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("error: exhaustive search refuses "), proc.stderr
+
+
+def test_pg_sweep_refuses_its_top_rung_before_making_its_directory(tmp_path):
+    # C_N of PG(2,103) needs GF(103^3), past the field bound: the sweep must
+    # refuse before it writes any of C_3..C_{N-1}, about 2 GB of files
+    proc = _run_capped(["cycle", "sweep", "--q", "103", "--plane", "pg"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: field order {103 ** 3} exceeds supported bound {MAX_ORDER}\n"
+    assert list(tmp_path.iterdir()) == []

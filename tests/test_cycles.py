@@ -24,6 +24,7 @@ from planegraphs.cycles import (
 )
 from planegraphs.gf import (
     element_order,
+    field_for,
     gamma_map,
     gamma_prime_map,
     hypothesis_j_search,
@@ -45,6 +46,7 @@ from planegraphs.plane import (
     check_plane_axioms,
     incident,
     intersect,
+    line_through,
     pg_from_field,
 )
 
@@ -79,16 +81,20 @@ def test_base_path_geometry():
 
 
 @pytest.mark.parametrize("q", [7, 8, 13])
-def test_base_path_joins_only_its_links(q, monkeypatch):
-    # a labeling keeps the lines l_i it joined once, so a later base path
-    # joins only its q links and its return line
-    lab = labeling_for(q)
-    first = base_path(q, lab, 2)
+def test_a_labeling_walks_once(q, monkeypatch):
+    # a labeling joins its q+1 lines l_i, its walk's q links and the return
+    # line once; every base path, its chain and its long cycle scale the walk
+    assert labeling_for(q) is labeling_for(q) is labeling_for(q, kind=labeling_for(q).kind)
+    lab = SlopeLabeling.make(field_for(q), labeling_for(q).kind, labeling_for(q).alpha)
     joins = []
     real = cycles.line_through
     monkeypatch.setattr(cycles, "line_through", lambda *a: joins.append(a) or real(*a))
+    first = base_path(q, lab, 2)
+    assert len(joins) == 2 * q + 2
     assert base_path(q, lab, 2) == first
-    assert len(joins) == q + 1
+    assert len({base_path(q, lab, b) for b in range(1, q)}) == q - 1
+    assert len(lab.chain) == len(long_cycle(q, lab).vertex_images) == q * q - 1
+    assert len(joins) == 2 * q + 2  # nothing after the first base path joined a line
     assert lab.o_lines == tuple(lab.class_line_through(i, ORIGIN) for i in range(q + 1))
 
 
@@ -155,39 +161,32 @@ def test_long_cycle_length_law(q):
         assert not incident(spec, (0, 0, 1), l)
 
 
-def test_long_chain_walks_one_base_path(monkeypatch):
-    import planegraphs.cycles as cycles
-
-    calls = []
-    real = cycles.base_path
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cycles, "base_path", spy)
-    assert len(cycles._long_chain(9, labeling_for(9))) == 80
-    assert len(calls) == 1
-
-
-def _per_beta_chain(q, lab):
-    # the reference: one walk of the recurrence for every beta of the orbit
-    spec = lab.spec
-    m = base_path(q, lab, 1)[1]
-    points, b = [], 1
-    for _ in range(element_order(spec, m)):
-        points.extend(base_path(q, lab, b)[0])
-        b = spec.emul(m, b)
+def _walk(lab, beta):
+    # the reference: the recurrence walked from (0, beta), P_{j+1} the meet
+    # of the class-(j+2) line through P_j with l_{j+1}
+    spec, n = lab.spec, lab.q + 1
+    points = [affine_triple(spec, 0, beta)]
+    for j in range(lab.q):
+        link = line_through(spec, lab.direction_point((j + 2) % n), points[-1])
+        l_next = line_through(spec, lab.direction_point(j + 1), ORIGIN)
+        points.append(intersect(spec, link, l_next))
     return tuple(points)
 
 
 @pytest.mark.parametrize("kind", "AB")
 @pytest.mark.parametrize("q", [q for q in prime_powers_in(4, 32) if hypothesis_j_search(q)])
 def test_long_chain_is_the_per_beta_walk(q, kind):
-    from planegraphs.cycles import _long_chain
-
+    # base paths and the long chain scale one walk; each must equal the
+    # recurrence walked afresh from its own (0, beta)
     lab = labeling_for(q, kind=kind)
-    assert _long_chain(q, lab) == _per_beta_chain(q, lab)
+    walks = {b: _walk(lab, b) for b in range(1, q)}
+    assert {b: base_path(q, lab, b)[0] for b in range(1, q)} == walks
+    m = base_path(q, lab)[1]
+    chain, b = [], 1
+    for _ in range(element_order(lab.spec, m)):
+        chain.extend(walks[b])
+        b = lab.spec.emul(m, b)
+    assert lab.chain == tuple(chain)
 
 
 def test_plane_for_hands_out_one_plane_per_order():

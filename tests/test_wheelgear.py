@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from planegraphs.cycles import labeling_for
 from planegraphs.gf import prime_powers_in
 from planegraphs.graphs import (
     ImpossibleDegree,
@@ -21,6 +22,8 @@ from planegraphs.plane import ag_from_field, incident, line_through, pg_from_fie
 from planegraphs.wheelgear import (
     ConstructionFailed,
     _gear_max,
+    _gear_paths_even,
+    _gear_paths_odd,
     arc_points,
     gear,
     gear_plan,
@@ -324,6 +327,20 @@ FROZEN_PLANS = {
 @pytest.mark.parametrize("kind,q", sorted(FROZEN_PLANS))
 def test_plans_frozen(kind, q):
     assert _plans_digest(_frozen_cells(kind, q)) == FROZEN_PLANS[kind, q]
+
+
+def test_gear_path_candidates_frozen():
+    # every candidate of the path routes, not only the first that passes,
+    # for every (q+1)/2 < n <= q and prime power 5 <= q <= 17
+    h, count = hashlib.sha256(), 0
+    for q in prime_powers_in(5, 17):
+        for n in range((q + 1) // 2 + 1, q + 1):
+            paths = _gear_paths_even if n % 2 == 0 else _gear_paths_odd
+            for images, route in paths(n, labeling_for(q)):
+                h.update(f"{q} {n} {route} {list(images)}\n".encode())
+                count += 1
+    assert (count, h.hexdigest()) == (
+        6967, "6240746d0ed2a0b90024baa9381fa438eef1675b98e96e3cbccbf4cdb3cee97a")
 
 
 def test_wheel_derives_each_edge_line_once(monkeypatch):
