@@ -10,13 +10,15 @@ produces a base path of q+1 points whose return to the vertical axis is
 multiplication by a constant m; when m generates GF(q)*, glued paths sweep
 the whole affine plane.  Everything longer or shorter is surgery on that
 chain.  A labeling walks its path from (0, 1) once and keeps the chain;
-the path from (0, beta) is that walk scaled by beta, and ``labeling_for``
-keeps one labeling per order and kind.
+``path(beta)`` scales that walk by beta on each call and keeps nothing, so
+a base path costs O(q) at any order; ``labeling_for`` keeps one labeling
+per order and kind.
 
 Every chain is a walk of points in traversal order; its lines are never
 kept by hand.  ``ag_cycle`` and ``pg_cycle`` share one rung dispatcher,
-``_cycle``: the oracle for q <= 3, the parabola, the ellipse, surgery on
-the long chain, the chain through O, the ladder, or PG's Singer cycle.
+``_cycle``: the oracle for q <= 3, the parabola, the ellipse, PG's Singer
+cycle, or ``_chain_rung``, which cuts every other rung from the full-orbit
+chain of the labeling it is handed: surgery, the chain through O, the ladder.
 Each public constructor hands its walk to ``graphs.emit`` once and
 returns the verified ``Embedding`` of C_k that comes back: its vertex
 images are the walk, vertex i adjacent to i+1 mod k, its edge images the
@@ -103,9 +105,6 @@ class SlopeLabeling:
     def o_lines(self) -> tuple:  # every l_i, joined once per labeling
         return tuple(self.class_line_through(i, ORIGIN) for i in range(len(self.slopes)))
 
-    def through_o_line(self, i: int):
-        return self.o_lines[i]  # l_i
-
     @cached_property
     def walk(self) -> tuple:
         """The base path from (0, 1), walked once: P_0..P_q, P_{j+1} where
@@ -124,13 +123,20 @@ class SlopeLabeling:
             raise ConstructionFailed("base path from beta=1 leaves its pencil")
         return tuple(pts), affine_coords(spec, q0)[1]
 
+    def path(self, beta: int) -> tuple:
+        """The base path from (0, beta), scaled anew on each call: the walk
+        under the homothety (X : Y : Z) -> (X : Y : Z/beta), which keeps class
+        lines parallel and, as no path meets O, triples canonical."""
+        spec, s = self.spec, self.spec.einv(beta)
+        return tuple((X, Y, spec.emul(Z, s)) for X, Y, Z in self.walk[0])
+
     @cached_property
     def chain(self) -> tuple:
         """The unverified long chain: the base paths from (0, beta) for
         beta = 1, m, m^2, ..., each returning to the next along class 1."""
         spec, m = self.spec, self.walk[1]
         betas = [spec.epow(m, e) for e in range(element_order(spec, m))]
-        return tuple(P for b in betas for P in base_path(self.q, self, b)[0])
+        return tuple(P for b in betas for P in self.path(b))
 
 
 def labeling_for(q: int, kind: Optional[str] = None) -> SlopeLabeling:
@@ -163,19 +169,14 @@ def _resolve_labeling(q: int, labeling) -> SlopeLabeling:
 
 
 def base_path(q: int, labeling=None, beta: int = 1) -> tuple:
-    """The labeling's walk from (0, 1) under the homothety by beta, which
-    maps (X : Y : Z) to (X : Y : Z/beta), keeps class lines parallel and,
-    as no path meets O, triples canonical.  Returns ``(points, multiplier)``:
-    P_0..P_q, P_i on l_i, and the encoding m with Q_0 = (0, m*beta), where
-    the class-1 line through P_q meets l_0."""
+    """The labeling's walk scaled by beta: ``(points, multiplier)``, the
+    base path P_0..P_q from (0, beta), P_i on l_i, and the encoding m with
+    Q_0 = (0, m*beta), where the class-1 line through P_q meets l_0."""
     lab = _resolve_labeling(q, labeling)
-    spec = lab.spec
-    spec.decode(beta)  # ValueError unless 0 <= beta < q
+    lab.spec.decode(beta)  # ValueError unless 0 <= beta < q
     if beta == 0:
         raise ValueError("base path must start off the origin")
-    points, m = lab.walk
-    s = spec.einv(beta)
-    return tuple((X, Y, spec.emul(Z, s)) for X, Y, Z in points), m
+    return lab.path(beta), lab.walk[1]
 
 
 def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
@@ -215,15 +216,8 @@ def long_cycle(q: int, labeling=None) -> Embedding:
 
 def cycle_q2(q: int, labeling=None) -> Embedding:
     """Reroute one chain edge through the origin, covering all of AG(2,q)."""
-    chain = _resolve_labeling(q, labeling).chain
-    return emit(cycle_graph(q * q), _through_origin(q, chain), ag_from_field(q))
-
-
-def _through_origin(q: int, chain: tuple) -> tuple:
-    if len(chain) != q * q - 1:
-        raise ValueError("rerouting needs the full-orbit long cycle")
-    # drop the edge P_0(beta=1) -- P_1 and run both ends into O instead
-    return (ORIGIN,) + chain[1:] + (chain[0],)
+    points = _chain_rung(_resolve_labeling(q, labeling), q * q)
+    return emit(cycle_graph(q * q), points, ag_from_field(q))
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +269,25 @@ def _cycle(plane, k: int) -> Embedding:
         points = parabola_points(plane.spec, k)
     elif k == q + 1:
         points = _ellipse_points(q, plane.spec)
-    elif k < q * q:
-        points = _surgery_chain(q, k)
-    elif k == q * q:
-        points = _through_origin(q, labeling_for(q).chain)
     else:
-        points = _ladder_chain(q, k)
+        points = _chain_rung(labeling_for(q), k)
     return emit(cycle_graph(k), points, plane)
 
 
-def _surgery_chain(q: int, k: int) -> tuple:
-    # the long chain at k = q^2-1; else open it after k-1 points and close
-    # through O along l_((k-1) mod (q+1)), or, when that class collides with
-    # the opening line l_1, skip one period ahead along a through-O line
-    chain = labeling_for(q).chain
+def _chain_rung(lab: SlopeLabeling, k: int) -> tuple:
+    """The walk of C_k, q+2 <= k <= q^2+q, cut from the labeling's chain,
+    which must be the full orbit: the chain opened after k-1 points and
+    closed through O along l_((k-1) mod (q+1)), or one period ahead when
+    that is the opening line l_1; the chain itself; at k = q^2 the chain
+    with its edge P_0(beta=1) -- P_1 run through O instead; or the ladder."""
+    q, chain = lab.q, lab.chain
     N, n = q * q - 1, q + 1
+    if len(chain) != N:
+        raise ValueError("rerouting needs the full-orbit long cycle")
+    if k > q * q:
+        return _ladder_chain(lab, k)
+    if k == q * q:
+        return (ORIGIN,) + chain[1:] + (chain[0],)
     if k == N:
         return chain
     if (k - 1) % n >= 2:
@@ -297,10 +295,9 @@ def _surgery_chain(q: int, k: int) -> tuple:
     return (ORIGIN,) + chain[1 : k - 2] + (chain[(k - 3 + n) % N], chain[(k - 2 + n) % N])
 
 
-def _ladder_chain(q: int, k: int) -> tuple:
+def _ladder_chain(lab: SlopeLabeling, k: int) -> tuple:
     """The q^2+1 .. q^2+q rungs: splice infinite points into the long chain."""
-    lab = labeling_for(q)
-    ch, d = lab.chain, [lab.direction_point(i) for i in range(q + 1)]
+    q, ch, d = lab.q, lab.chain, [lab.direction_point(i) for i in range(lab.q + 1)]
     m = q * q - q - 2  # first index of the final glued path
 
     def Q(c):

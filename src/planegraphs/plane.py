@@ -30,7 +30,7 @@ import json
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -125,7 +125,6 @@ class GenericPlane:
     lines: tuple = field(repr=False)
     model: str = "GENERIC"  # or CYCLIC: the translates of a difference set
     transitive: bool = False
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def incidence(self) -> Incidence:
         """The plane's incidence as int bitmasks, built once: ``masks[li]``
@@ -133,22 +132,23 @@ class GenericPlane:
         the ids of the lines through point p, and ``pencils[p]`` those lines
         as (line bit, point mask) pairs.  Ids outside 0..n_points-1 are left
         out."""
-        index = self._cache.get("incidence")
-        if index is None:
-            n, masks = self.n_points, []
-            through = [[] for _ in range(n)]
-            for li, line in enumerate(self.lines):
-                pts = {p for p in line if 0 <= p < n}  # a damaged file may stray
-                masks.append(sum(1 << p for p in pts))
-                for p in pts:
-                    through[p].append(li)
-            bits = [1 << li for li in range(len(masks))]  # shared by the pencils
-            index = self._cache["incidence"] = Incidence(
-                masks,
-                [sum(bits[li] for li in t) for t in through],
-                [[(bits[li], masks[li]) for li in t] for t in through],
-            )
-        return index
+        return self._incidence
+
+    @cached_property
+    def _incidence(self) -> Incidence:
+        n, masks = self.n_points, []
+        through = [[] for _ in range(n)]
+        for li, line in enumerate(self.lines):
+            pts = {p for p in line if 0 <= p < n}  # a damaged file may stray
+            masks.append(sum(1 << p for p in pts))
+            for p in pts:
+                through[p].append(li)
+        bits = [1 << li for li in range(len(masks))]  # shared by the pencils
+        return Incidence(
+            masks,
+            [sum(bits[li] for li in t) for t in through],
+            [[(bits[li], masks[li]) for li in t] for t in through],
+        )
 
     def contains(self, p) -> bool:
         return type(p) is int and 0 <= p < self.n_points  # True is no point id
@@ -162,32 +162,28 @@ class GenericPlane:
             pm = self.incidence().pencil_masks
             both = pm[u] & pm[v]
             return (both & -both).bit_length() - 1 if both else None
+        first, line_of = self._differences
+        return line_of[(u - first[(u - v) % n]) % n]
+
+    @cached_property
+    def _differences(self) -> tuple:
         # the lines are the translates of a planar difference set D (any
         # one of them will do), so the line through u and v is D + (u - d)
         # for the one d in D with d - d' = u - v, d' in D: two tables of n
         # entries, not n^2
-        tabs = self._cache.get("differences")
-        if tabs is None:
-            D = self.lines[0]
-            first = [0] * n
-            for d in D:
-                for e in D:
-                    first[(d - e) % n] = d
-            index = {line: li for li, line in enumerate(self.lines)}
-            line_of = [index[tuple(sorted((d + t) % n for d in D))] for t in range(n)]
-            tabs = self._cache["differences"] = (first, line_of)
-        first, line_of = tabs
-        return line_of[(u - first[(u - v) % n]) % n]
+        D, n = self.lines[0], self.n_points
+        first = [0] * n
+        for d in D:
+            for e in D:
+                first[(d - e) % n] = d
+        index = {line: li for li, line in enumerate(self.lines)}
+        return first, [index[tuple(sorted((d + t) % n for d in D))] for t in range(n)]
 
-    @property
+    @cached_property
     def max_pencil(self) -> int:
-        mp = self._cache.get("max_pencil")
-        if mp is None:
-            # the most distinct lines through one point
-            n, counts = self.n_points, Counter(chain.from_iterable(map(set, self.lines)))
-            mp = max((c for p, c in counts.items() if 0 <= p < n), default=0)
-            self._cache["max_pencil"] = mp
-        return mp
+        # the most distinct lines through one point
+        n, counts = self.n_points, Counter(chain.from_iterable(map(set, self.lines)))
+        return max((c for p, c in counts.items() if 0 <= p < n), default=0)
 
 
 class CoordPlane:

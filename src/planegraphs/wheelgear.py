@@ -4,26 +4,28 @@ Wheels ride on arcs (parabola plus the conic's infinite point, plus the
 nucleus in even characteristic) except for the tight odd-order case
 W_{q+1}, which uses the spoke-pencil construction with a searched closing
 vertex.  Gears split by size: small ones are wheels with alternate spokes
-removed, mid-range ones braid two disjoint base paths through infinite
-points, and the maximum gear alternates directions with affine points
-chosen greedily.  In a loaded generic plane the arc is a greedy one, the
-path and maximum gears wait for a labeling, and the oracle comes last.
+removed, mid-range ones braid two disjoint base paths, scaled from the
+labeling's walk, through infinite points, and the maximum gear alternates
+directions with affine points chosen greedily.  In a loaded generic plane
+the arc is a greedy one, the path and maximum gears wait for a labeling,
+and the oracle comes last.
 
 Wheels and gears each have one list of routes for both kinds of plane,
 a generator of (vertex images, route) candidates; ``_arc`` gives the arc
 of either plane, and the ``paper`` predicate gates the path and maximum
-gears.  One loop, ``_plan``, hands each candidate's images to
-``graphs.emit``, which verifies them once and derives the edge lines, and
-returns the first that passes as a ``Plan``: the route's tag and the
-``Embedding`` that ``emit`` returned.  No route returns an unchecked
-embedding.
+gears, which fall back on nothing in PG(2,q).  One loop, ``_plan``, hands
+each candidate's images to ``graphs.emit``, which verifies them once and
+derives the edge lines, and returns the first that passes as a ``Plan``:
+the route's tag and the ``Embedding`` that ``emit`` returned.  No route
+returns an unchecked embedding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
-from .cycles import base_path, labeling_for
+from .cycles import labeling_for
 from .gf import field_for
 from .graphs import (
     ConstructionFailed,
@@ -205,22 +207,22 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
     One list of routes serves both kinds of plane.  FROM_WHEEL, for
     n <= (q+1)/2, takes the images of W_{2n}'s routes (ARC, EXPLICIT, ORACLE,
     as in ``wheel_plan``), verified once as G_n, which forgets the even-rim
-    spokes.  The paper's routes need PG(2,q) with q > 4 and (q, n) != (5, 4):
-    PATHS_EVEN or PATHS_ODD (by n's parity), two braided base paths, for
-    (q+1)/2 < n <= q, and MAX_EVEN or MAX_ODD (by q's parity), direction
-    points alternating with greedy affine points, for n = q+1.  ORACLE comes
-    last: in PG(2,q) FROM_WHEEL and MAX have no fallback, PATHS falls back
-    to ORACLE below q = 8, and ORACLE alone serves the cells outside the
-    paper's routes; in a generic plane ORACLE follows FROM_WHEEL, also when
-    W_{2n} has no embedding, and serves every larger n alone.  The returned
-    embedding has passed the verifier.
+    spokes.  The paper's routes need PG(2,q) with q > 4 and (q, n) neither
+    (5, 4) nor (5, 5): PATHS_EVEN or PATHS_ODD (by n's parity), two braided
+    base paths, for (q+1)/2 < n <= q, which leaves them q >= 7, and MAX_EVEN
+    or MAX_ODD (by q's parity), direction points alternating with greedy
+    affine points, for n = q+1.  ORACLE comes last: in PG(2,q) FROM_WHEEL,
+    PATHS and MAX have no fallback, and ORACLE alone serves the cells
+    outside the paper's routes; in a generic plane ORACLE follows
+    FROM_WHEEL, also when W_{2n} has no embedding, and serves every larger n
+    alone.  The returned embedding has passed the verifier.
 
     Raises ValueError when no plane is passed and ``gf.field_for`` refuses
     q (with a plane, q is not read and q below is the plane's order), when
     n < 3 or when a plane is passed that is not a GenericPlane, and
     ImpossibleDegree when n > q+1.  Raises ConstructionFailed when every
-    route fails, the oracle included where it is the fallback; from q = 8
-    on, running out of path candidates raises "path route exhausted".  For
+    route fails, the oracle included where it is the fallback; running out
+    of path candidates raises "path route exhausted".  For
     2 <= q <= 32 the only refused cell is G_3 in PG(2,2), which the oracle
     proves empty.
     """
@@ -229,7 +231,7 @@ def gear_plan(q: int, n: int, plane=None) -> Plan:
 
 def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
     q = plane.q
-    paper = isinstance(plane, CoordPlane) and q > 4 and (q, n) != (5, 4)
+    paper = isinstance(plane, CoordPlane) and q > 4 and (q, n) not in ((5, 4), (5, 5))
     if 2 * n <= q + 1:
         # W_2n's candidates less the even-rim spokes, each verified once as
         # G_n: every candidate puts its rim on distinct lines through the
@@ -245,8 +247,7 @@ def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
     elif paper and n <= q:
         paths = _gear_paths_even if n % 2 == 0 else _gear_paths_odd
         yield from paths(n, labeling_for(q))
-        if q >= 8:
-            raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
+        raise ConstructionFailed(f"path route exhausted for G_{n} at q={q}")
     elif paper:
         yield _gear_max(labeling_for(q), plane), ROUTE_MAX_EVEN if q % 2 == 0 else ROUTE_MAX_ODD
         return
@@ -254,16 +255,14 @@ def _gear_routes(plane, graph: Graph, n: int) -> Iterator[tuple]:
 
 
 def _gear_paths_even(n, lab) -> Iterator[tuple]:
-    spec, q = lab.spec, lab.q
+    spec, path = lab.spec, cache(lab.path)  # each beta scaled once per call, when first asked
     d0, d1 = lab.direction_point(0), lab.direction_point(1)
-    for bp in range(1, q):
-        P, _ = base_path(q, lab, bp)
+    for P in map(path, range(1, lab.q)):
         open_line = lab.class_line_through(1, P[0])  # joins (1) to P_0
         close_vert = lab.class_line_through(0, P[n - 2])  # joins P_{n-2} to (0)
-        for bq in range(1, q):
-            if bq == bp:
+        for Q in map(path, range(1, lab.q)):
+            if Q is P:
                 continue
-            Q, _ = base_path(q, lab, bq)
             if incident(spec, Q[n - 1], open_line):
                 continue  # closing class-1 line would repeat the opening one
             if incident(spec, Q[1], close_vert):
@@ -273,20 +272,18 @@ def _gear_paths_even(n, lab) -> Iterator[tuple]:
 
 def _gear_paths_odd(n, lab) -> Iterator[tuple]:
     spec, q = lab.spec, lab.q
-    d0 = lab.direction_point(0)
-    s = lab.slopes[n]
+    d0, s = lab.direction_point(0), lab.slopes[n]
     t_cands = [lab.direction_point(n)]
     t_cands += sorted(affine_triple(spec, x, spec.emul(s, x)) for x in range(1, q))
-    for bp in range(1, q):
-        P, _ = base_path(q, lab, bp)
+    for P in map(lab.path, range(1, q)):
         for k in (1, n):
             back = lab.class_line_through(k, P[0])
-            X = intersect(spec, back, lab.through_o_line(n - 3))
+            X = intersect(spec, back, lab.o_lines[n - 3])
             if X == P[n - 3]:
                 continue  # the rejoin point must land on the other path
             # X is affine on l_{n-3}: beta scales the walk's P_{n-3} to X
             beta = spec.emul(lab.walk[0][n - 3][2], spec.einv(X[2]))
-            Q = base_path(q, lab, beta)[0][: n - 2]  # Q_0..Q_{n-3} = X
+            Q = lab.path(beta)[: n - 2]  # Q_0..Q_{n-3} = X
             for T in t_cands:
                 if T not in P and T not in Q:
                     yield [ORIGIN, *P[:n], d0, T, *Q], ROUTE_PATHS_ODD
@@ -303,7 +300,7 @@ def _gear_max(lab, pgp: CoordPlane) -> list:
     A, used = {}, set()
     for i in range(q + 1) if q % 2 == 0 else [*range(1, q + 1), 0]:
         prev, nxt = (i - 1) % (q + 1), (i + 1) % (q + 1)
-        avoid = [lab.through_o_line(i), lab.through_o_line(nxt)]
+        avoid = [lab.o_lines[i], lab.o_lines[nxt]]
         if prev in A:
             avoid.append(lab.class_line_through(i, A[prev]))
         if nxt in A:

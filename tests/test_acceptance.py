@@ -146,7 +146,7 @@ def test_criterion_05_closed_form_adjudication(report):
                 if path_closed_form(q, alpha, b, i) != points[i + 1]:
                     bad.append((q, b, i))
             # Q_0 from the geometry: the class-1 line through P_q meets l_0
-            q0 = intersect(spec, lab.class_line_through(1, points[q]), lab.through_o_line(0))
+            q0 = intersect(spec, lab.class_line_through(1, points[q]), lab.o_lines[0])
             if path_closed_form(q, alpha, b, q) != q0:
                 bad.append((q, b, "return"))
             if q0 != affine_triple(spec, 0, spec.emul(m, b)):

@@ -74,7 +74,7 @@ def test_base_path_geometry():
         assert len(points) == q + 1
         assert len(set(points)) == q + 1
         for i, t in enumerate(points):
-            assert incident(spec, t, lab.through_o_line(i))
+            assert incident(spec, t, lab.o_lines[i])
             assert t != (0, 0, 1)
         # the return line closes back to the vertical axis at (0, m)
         assert incident(spec, affine_triple(spec, 0, m), lab.class_line_through(1, points[q]))
@@ -96,6 +96,10 @@ def test_a_labeling_walks_once(q, monkeypatch):
     assert len(lab.chain) == len(long_cycle(q, lab).vertex_images) == q * q - 1
     assert len(joins) == 2 * q + 2  # nothing after the first base path joined a line
     assert lab.o_lines == tuple(lab.class_line_through(i, ORIGIN) for i in range(q + 1))
+    # each base path is the labeling's walk scaled on demand; the labeling
+    # keeps its lines, its walk and its chain, and no scaled path
+    assert all(base_path(q, lab, b)[0] == lab.path(b) for b in range(1, q))
+    assert set(vars(lab)) == {"spec", "kind", "alpha", "slopes", "o_lines", "walk", "chain"}
 
 
 def test_multiplier_matches_field_maps():
@@ -134,7 +138,7 @@ def test_closed_form_matches_geometry(q):
 
 def _return_point(lab, points):
     # Q_0 from the geometry: the class-1 line through P_q meets l_0
-    return intersect(lab.spec, lab.class_line_through(1, points[-1]), lab.through_o_line(0))
+    return intersect(lab.spec, lab.class_line_through(1, points[-1]), lab.o_lines[0])
 
 
 def test_return_point_is_gamma_beta():
@@ -204,6 +208,29 @@ def test_cycle_q2_covers_affine_plane(q):
     assert len(pts) == q * q
     assert pts == set(ag_from_field(q).points())
     assert verify_embedding(emb.graph, emb, plane_for(emb.model, emb.q)).ok
+
+
+def test_chain_rungs_take_any_full_orbit_labeling():
+    # every chain rung reads the labeling it is handed, here the kind the
+    # default does not take: byte for byte where its chain is the full
+    # orbit, and refused at every rung where it is not
+    h, count, short = hashlib.sha256(), 0, []
+    for q in prime_powers_in(4, 16):
+        lab = labeling_for(q, "B" if q % 2 else "A")
+        if len(lab.chain) != q * q - 1:
+            short.append((q, len(lab.chain)))
+            for k in range(q + 2, q * q + q + 1):
+                with pytest.raises(ValueError, match="^rerouting needs the full-orbit long cycle$"):
+                    cycles._chain_rung(lab, k)
+            continue
+        for plane, top in ((ag_from_field(q), q * q), (pg_from_field(q), q * q + q)):
+            for k in range(q + 2, top + 1):
+                emb = emit(cycle_graph(k), cycles._chain_rung(lab, k), plane)
+                h.update(embedding_to_json(emb).encode())
+                count += 1
+    assert short == [(13, 14)]
+    assert (count, h.hexdigest()) == (
+        1150, "da27c6d69f98cd9c91b00aefccbebb2e33100678b90d54ebf4625871fe14ee79")
 
 
 def _assert_chain(emb, plane):
@@ -331,7 +358,7 @@ def test_singer_cycle_49_verifies_without_pair_table():
     emb = singer_cycle(49)
     plane = cyclic_plane(49)
     assert verify_embedding(emb.graph, emb, plane).ok
-    assert "incidence" not in plane._cache
+    assert "_incidence" not in vars(plane)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])

@@ -105,7 +105,7 @@ def test_parallels_partition():
         spec = lab.spec
         for i, s in enumerate(lab.slopes):
             l = (1, 0, 0) if s is None else canon(spec, (s, spec.eneg(1), 0))
-            assert lab.through_o_line(i) == l
+            assert lab.o_lines[i] == l
             d = intersect(spec, l, LINE_INF)
             parts = {}
             for x in range(q):
@@ -417,7 +417,8 @@ def test_line_between_is_the_smallest_joining_line(plane):
 
 
 def test_only_plane_touches_the_cache():
-    # the incidence index is the one path to a generic plane's incidence
+    # the incidence index is the one path to a generic plane's incidence,
+    # and only line_between reads the cyclic model's difference tables
     import ast
     from pathlib import Path
 
@@ -428,7 +429,7 @@ def test_only_plane_touches_the_cache():
         if path.name == "plane.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "_cache":
+            if isinstance(node, ast.Attribute) and node.attr in ("_incidence", "_differences"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -4,12 +4,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from planegraphs.cycles import labeling_for
-from planegraphs.gf import prime_powers_in
+from planegraphs.cycles import SlopeLabeling, base_path, labeling_for
+from planegraphs.gf import field_for, prime_powers_in
 from planegraphs.graphs import (
     ImpossibleDegree,
     embedding_to_json,
@@ -393,7 +394,12 @@ def test_pg_gear_routes_without_fallback_keep_none(q, n, name, patch, monkeypatc
         gear_plan(q, n)
 
 
-def test_pg_path_gear_falls_back_to_the_oracle_below_order_eight(monkeypatch):
+def _no_paths(n, lab):
+    pytest.fail(f"the path route was asked for G_{n} at q={lab.q}")
+
+
+def test_pg_gear_5_at_order_5_goes_to_the_oracle_alone(monkeypatch):
+    # G_5 in PG(2,5) lies outside the paper's routes, as G_4 does
     calls = []
 
     def counting(graph, plane):
@@ -401,5 +407,41 @@ def test_pg_path_gear_falls_back_to_the_oracle_below_order_eight(monkeypatch):
         return oracle(graph, plane)
 
     monkeypatch.setattr("planegraphs.wheelgear.oracle", counting)
+    monkeypatch.setattr("planegraphs.wheelgear._gear_paths_odd", _no_paths)
     assert gear_plan(5, 5).route == "ORACLE"
     assert calls == ["GEAR"]
+
+
+def _colliding_paths_odd(n, lab):
+    # one path candidate, with rim images 1 and 2 coinciding
+    images, route = next(_gear_paths_odd(n, lab))
+    images[2] = images[1]
+    yield images, route
+
+
+def test_pg_path_gear_has_no_fallback(monkeypatch):
+    # from q = 7, where the path route starts, spent candidates are refused
+    monkeypatch.setattr("planegraphs.wheelgear.oracle", _no_oracle)
+    monkeypatch.setattr("planegraphs.wheelgear._gear_paths_odd", _colliding_paths_odd)
+    with pytest.raises(ConstructionFailed, match="^path route exhausted for G_5 at q=7$"):
+        gear_plan(7, 5)
+
+
+@pytest.mark.parametrize("n,route", [(None, None), (256, "PATHS_EVEN"), (257, "PATHS_ODD"), (509, "PATHS_ODD")])
+def test_base_paths_and_path_gears_stay_linear(n, route, monkeypatch):
+    # a base path or one PATHS cell scales only the paths it reads: at
+    # q = 509 all q - 1 base paths hold 259,080 points (over 20 MB traced),
+    # one of them 510; the labeling is new, so nothing was scaled before
+    q = 509
+    lab = SlopeLabeling.make(field_for(q), labeling_for(q).kind, labeling_for(q).alpha)
+    monkeypatch.setattr("planegraphs.wheelgear.labeling_for", lambda q: lab)
+    tracemalloc.start()
+    try:
+        if n is None:
+            assert len(base_path(q, lab, 2)[0]) == q + 1
+        else:
+            assert gear_plan(q, n).route == route
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
