@@ -21,10 +21,9 @@ _EXPORTS = {
         cycle_graph edge_list_graph emit gear_graph read_embedding verify_embedding
         wheel_graph write_embedding""",
     "oracle": "DEFAULT_BUDGET OracleResult exists_embedding pancyclicity_table",
-    "cycles": """NoCertificate SlopeLabeling ag_cycle base_path cycle_q2 cyclic_plane
-        labeling_for long_cycle path_closed_form pg_cycle plane_for singer_cycle
-        singer_difference_set""",
-    "wheelgear": "Plan arc_points gear gear_plan wheel wheel_plan",
+    "cycles": """NoCertificate SlopeLabeling ag_cycle cyclic_plane labeling_for
+        path_closed_form pg_cycle plane_for singer_cycle singer_difference_set""",
+    "wheelgear": "Plan arc_points gear_plan wheel_plan",
 }
 _OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_OWNER)

@@ -105,7 +105,6 @@ def _cmd_plane(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
-    field_for(args.q)  # refuses a bad order before the sweep makes its directory
     q, build = args.q, ag_cycle if args.plane == "ag" else pg_cycle
     if args.mode == "sweep":
         ks = range(3, plane_for(args.plane.upper(), q).n_points + 1)

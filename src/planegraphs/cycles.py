@@ -10,15 +10,16 @@ produces a base path of q+1 points whose return to the vertical axis is
 multiplication by a constant m; when m generates GF(q)*, glued paths sweep
 the whole affine plane.  Everything longer or shorter is surgery on that
 chain.  A labeling walks its path from (0, 1) once and keeps the chain;
-``path(beta)`` scales that walk by beta on each call and keeps nothing, so
-a base path costs O(q) at any order; ``labeling_for`` keeps one labeling
-per order and kind.
+a base path is ``path(beta)``, which scales that walk by beta on each call
+and keeps nothing, so it costs O(q) at any order; ``labeling_for`` keeps
+one labeling per order and kind.
 
 Every chain is a walk of points in traversal order; its lines are never
 kept by hand.  ``ag_cycle`` and ``pg_cycle`` share one rung dispatcher,
 ``_cycle``: the oracle for q <= 3, the parabola, the ellipse, PG's Singer
 cycle, or ``_chain_rung``, which cuts every other rung from the full-orbit
-chain of the labeling it is handed: surgery, the chain through O, the ladder.
+chain of the labeling it is handed: surgery, the chain itself (the long
+cycle, k = q^2-1), the chain through O (k = q^2), the ladder.
 Each public constructor hands its walk to ``graphs.emit`` once and
 returns the verified ``Embedding`` of C_k that comes back: its vertex
 images are the walk, vertex i adjacent to i+1 mod k, its edge images the
@@ -124,9 +125,14 @@ class SlopeLabeling:
         return tuple(pts), affine_coords(spec, q0)[1]
 
     def path(self, beta: int) -> tuple:
-        """The base path from (0, beta), scaled anew on each call: the walk
-        under the homothety (X : Y : Z) -> (X : Y : Z/beta), which keeps class
-        lines parallel and, as no path meets O, triples canonical."""
+        """The base path P_0..P_q from (0, beta), P_i on l_i, scaled anew on
+        each call: the walk under the homothety (X : Y : Z) -> (X : Y :
+        Z/beta), which keeps class lines parallel and, as no path meets O,
+        triples canonical.  Its return line, the class-1 line through P_q,
+        meets l_0 at (0, m*beta), m = ``walk[1]``."""
+        self.spec.decode(beta)  # ValueError unless 0 <= beta < q
+        if beta == 0:
+            raise ValueError("base path must start off the origin")
         spec, s = self.spec, self.spec.einv(beta)
         return tuple((X, Y, spec.emul(Z, s)) for X, Y, Z in self.walk[0])
 
@@ -154,29 +160,8 @@ def _certified_labeling(q: int, kind: str) -> SlopeLabeling:
     return SlopeLabeling.make(spec, kind, cert.alpha)
 
 
-def _resolve_labeling(q: int, labeling) -> SlopeLabeling:
-    if labeling is None:
-        return labeling_for(q)
-    if isinstance(labeling, SlopeLabeling):
-        if labeling.q != q:
-            raise ValueError(f"labeling is for q={labeling.q}, not q={q}")
-        return labeling
-    raise TypeError("labeling must be None or a SlopeLabeling")
-
-
 # ---------------------------------------------------------------------------
-# base paths
-
-
-def base_path(q: int, labeling=None, beta: int = 1) -> tuple:
-    """The labeling's walk scaled by beta: ``(points, multiplier)``, the
-    base path P_0..P_q from (0, beta), P_i on l_i, and the encoding m with
-    Q_0 = (0, m*beta), where the class-1 line through P_q meets l_0."""
-    lab = _resolve_labeling(q, labeling)
-    lab.spec.decode(beta)  # ValueError unless 0 <= beta < q
-    if beta == 0:
-        raise ValueError("base path must start off the origin")
-    return lab.path(beta), lab.walk[1]
+# base paths in closed form
 
 
 def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
@@ -202,22 +187,6 @@ def path_closed_form(q: int, alpha: int, beta: int, i: int) -> tuple:
         return affine_triple(spec, 0, spec.eneg(mul(alpha, c)))
     except ZeroDivisionError:
         raise DegenerateAlpha(f"closed form undefined at alpha={alpha} in GF({q})")
-
-
-# ---------------------------------------------------------------------------
-# long cycles from glued paths
-
-
-def long_cycle(q: int, labeling=None) -> Embedding:
-    """Glue the beta-orbit of base paths along their class-1 return lines."""
-    points = _resolve_labeling(q, labeling).chain
-    return emit(cycle_graph(len(points)), points, ag_from_field(q))
-
-
-def cycle_q2(q: int, labeling=None) -> Embedding:
-    """Reroute one chain edge through the origin, covering all of AG(2,q)."""
-    points = _chain_rung(_resolve_labeling(q, labeling), q * q)
-    return emit(cycle_graph(q * q), points, ag_from_field(q))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v] if 0 <= v < self.n_vertices else 0
-
     @cached_property
     def max_degree(self) -> int:
         return max(self.degrees, default=0)

@@ -210,12 +210,14 @@ def oracle(graph: Graph, plane) -> list:
 
 
 def _search_in(graph: Graph, plane, budget: int) -> tuple:
-    # the search in point ids; a coordinate plane's images become its points
-    if not isinstance(plane, CoordPlane):
-        return _search(graph, plane, budget)
-    if plane.n_points > MAX_COORD_POINTS:
+    # the search in point ids; a coordinate plane's images become its points.
+    # A loaded plane is bounded by the size of its file, a plane a model
+    # builds (coordinates or the cyclic model) by MAX_COORD_POINTS
+    if plane.model != "GENERIC" and plane.n_points > MAX_COORD_POINTS:
         raise ValueError(f"exhaustive search refuses {plane.model}(2,{plane.q}): "
                          f"{plane.n_points} points exceed {MAX_COORD_POINTS}")
+    if not isinstance(plane, CoordPlane):
+        return _search(graph, plane, budget)
     status, img, count = _search(graph, plane.to_generic(), budget)
     pts = plane.points()
     return status, None if img is None else [pts[i] for i in img], count

@@ -116,10 +116,6 @@ def arc_points(q: int) -> list:
 # wheels
 
 
-def wheel(q: int, n: int, plane=None) -> Embedding:
-    return wheel_plan(q, n, plane).embedding
-
-
 def wheel_plan(q: int, n: int, plane=None) -> Plan:
     """Embed the wheel W_n (center 0, rim 1..n) in PG(2,q), or in a loaded
     generic plane when one is passed.
@@ -194,10 +190,6 @@ def _wheel_explicit(pgp: CoordPlane) -> Iterator[tuple]:
 
 # ---------------------------------------------------------------------------
 # gears
-
-
-def gear(q: int, n: int, plane=None) -> Embedding:
-    return gear_plan(q, n, plane).embedding
 
 
 def gear_plan(q: int, n: int, plane=None) -> Plan:

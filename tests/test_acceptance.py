@@ -16,11 +16,8 @@ import pytest
 from planegraphs.cli import _hypj_line, main
 from planegraphs.cycles import (
     ag_cycle,
-    base_path,
-    cycle_q2,
     cyclic_plane,
     labeling_for,
-    long_cycle,
     path_closed_form,
     pg_cycle,
     plane_for,
@@ -36,7 +33,7 @@ from planegraphs.graphs import (
 )
 from planegraphs.oracle import exists_embedding
 from planegraphs.plane import affine_triple, ag_from_field, intersect, pg_from_field
-from planegraphs.wheelgear import ConstructionFailed, gear, gear_plan, wheel, wheel_plan
+from planegraphs.wheelgear import ConstructionFailed, gear_plan, wheel_plan
 
 PANCYCLIC_QS = (4, 5, 7, 8, 9, 11, 13)
 
@@ -116,14 +113,14 @@ def test_criterion_04_long_cycle_law(report):
     bad = []
     for q in prime_powers_in(4, 49):
         lab = labeling_for(q)
-        chain = long_cycle(q, lab)
-        order = element_order(lab.spec, base_path(q, lab)[1])
+        chain = ag_cycle(q, q * q - 1)
+        order = element_order(lab.spec, lab.walk[1])
         length = len(chain.vertex_images)
         if length != (q + 1) * order or length != q * q - 1:
             bad.append((q, "length"))
         if not _chain_ok(chain, plane_for(chain.model, chain.q)):
             bad.append((q, "verify"))
-        cq2 = cycle_q2(q)
+        cq2 = ag_cycle(q, q * q)
         pts = set(cq2.vertex_images)
         if len(cq2.vertex_images) != q * q or pts != set(ag_from_field(q).points()):
             bad.append((q, "coverage"))
@@ -141,7 +138,7 @@ def test_criterion_05_closed_form_adjudication(report):
         spec = lab.spec
         alpha = lab.alpha
         for b in range(1, q):
-            points, m = base_path(q, lab, b)
+            points, m = lab.path(b), lab.walk[1]
             for i in range(q):
                 if path_closed_form(q, alpha, b, i) != points[i + 1]:
                     bad.append((q, b, i))
@@ -181,7 +178,7 @@ def test_criterion_06_wheels(report):
             else:
                 unverified.append((q, n))
         try:
-            wheel(q, q + 2)
+            wheel_plan(q, q + 2)
             guard.append(q)
         except ImpossibleDegree:
             pass
@@ -230,8 +227,8 @@ def test_criterion_08_oracle_equivalence(report):
         view = pg_from_field(q).to_generic()
         for n in range(3, q + 3):
             for name, build, graph in (
-                ("wheel", wheel, wheel_graph(n)),
-                ("gear", gear, gear_graph(n)),
+                ("wheel", wheel_plan, wheel_graph(n)),
+                ("gear", gear_plan, gear_graph(n)),
             ):
                 try:
                     build(q, n)

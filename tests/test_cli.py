@@ -718,9 +718,10 @@ def test_plane_check_passes_pg_64_in_seconds(tmp_path):
         0, "pass: 4161 points, 4161 lines, line size 65, 0 violations\n"), proc.stderr
 
 
-@pytest.mark.parametrize("plane", ["pg:256", "ag:1024"])
+@pytest.mark.parametrize("plane", ["pg:256", "ag:1024", "cyclic:101"])
 def test_search_refuses_a_large_coordinate_plane_before_building_it(plane, tmp_path):
-    # the id view and incidence index of PG(2,256) took minutes to build
+    # the id view and incidence index of PG(2,256) took minutes to build, the
+    # index of the cyclic model of PG(2,101) over 2 s and 178 MB on 2 vCPUs
     proc = _run_capped(["oracle", "--graph", "cycle:3", "--plane", plane], tmp_path)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("error: exhaustive search refuses "), proc.stderr

@@ -11,11 +11,8 @@ from planegraphs.cycles import (
     NoCertificate,
     SlopeLabeling,
     ag_cycle,
-    base_path,
-    cycle_q2,
     cyclic_plane,
     labeling_for,
-    long_cycle,
     path_closed_form,
     pg_cycle,
     plane_for,
@@ -69,7 +66,7 @@ def test_labeling_for_q3_has_no_certificate():
 def test_base_path_geometry():
     for q in (5, 7, 9):
         lab = labeling_for(q)
-        points, m = base_path(q, lab)
+        points, m = lab.path(1), lab.walk[1]
         spec = lab.spec
         assert len(points) == q + 1
         assert len(set(points)) == q + 1
@@ -89,29 +86,30 @@ def test_a_labeling_walks_once(q, monkeypatch):
     joins = []
     real = cycles.line_through
     monkeypatch.setattr(cycles, "line_through", lambda *a: joins.append(a) or real(*a))
-    first = base_path(q, lab, 2)
+    first = lab.path(2)
     assert len(joins) == 2 * q + 2
-    assert base_path(q, lab, 2) == first
-    assert len({base_path(q, lab, b) for b in range(1, q)}) == q - 1
-    assert len(lab.chain) == len(long_cycle(q, lab).vertex_images) == q * q - 1
+    assert lab.path(2) == first
+    assert len({lab.path(b) for b in range(1, q)}) == q - 1
+    long = emit(cycle_graph(len(lab.chain)), lab.chain, ag_from_field(q))
+    assert len(lab.chain) == len(long.vertex_images) == q * q - 1
     assert len(joins) == 2 * q + 2  # nothing after the first base path joined a line
     assert lab.o_lines == tuple(lab.class_line_through(i, ORIGIN) for i in range(q + 1))
     # each base path is the labeling's walk scaled on demand; the labeling
     # keeps its lines, its walk and its chain, and no scaled path
-    assert all(base_path(q, lab, b)[0] == lab.path(b) for b in range(1, q))
+    assert lab.path(1) == lab.walk[0]
     assert set(vars(lab)) == {"spec", "kind", "alpha", "slopes", "o_lines", "walk", "chain"}
 
 
 def test_multiplier_matches_field_maps():
     # kind A returns gamma(alpha); kind B returns gamma'(alpha)
     lab5 = labeling_for(5)
-    assert base_path(5, lab5)[1] == gamma_map(lab5.spec, lab5.alpha)
+    assert lab5.walk[1] == gamma_map(lab5.spec, lab5.alpha)
     lab8 = labeling_for(8)
-    assert base_path(8, lab8)[1] == gamma_prime_map(lab8.spec, lab8.alpha)
+    assert lab8.walk[1] == gamma_prime_map(lab8.spec, lab8.alpha)
     # kind B in odd characteristic follows the same law
     spec7 = make_field(7)
     lab7b = SlopeLabeling.make(spec7, "B", 3)
-    got = base_path(7, lab7b)[1]
+    got = lab7b.walk[1]
     assert got == gamma_prime_map(spec7, 3)
     assert got == 2
 
@@ -119,7 +117,7 @@ def test_multiplier_matches_field_maps():
 def test_base_path_q3_explicit_labeling():
     spec = make_field(3)
     lab = SlopeLabeling.make(spec, "A", 2)  # alpha = -1
-    assert base_path(3, lab)[1] == 2
+    assert lab.walk[1] == 2
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
@@ -127,7 +125,7 @@ def test_closed_form_matches_geometry(q):
     lab = labeling_for(q)
     alpha = lab.alpha
     for b in range(1, q):
-        points, _ = base_path(q, lab, b)
+        points = lab.path(b)
         # index i names the far endpoint of link i; i=q is the return point
         for i in range(q):
             want = points[i + 1]
@@ -146,7 +144,7 @@ def test_return_point_is_gamma_beta():
         lab = labeling_for(q)
         spec = lab.spec
         for b in (1, 2, q - 1):
-            points, m = base_path(q, lab, b)
+            points, m = lab.path(b), lab.walk[1]
             q0 = _return_point(lab, points)
             assert q0 == affine_triple(spec, 0, spec.emul(m, b))
             assert q0 == path_closed_form(q, lab.alpha, b, q)
@@ -155,8 +153,8 @@ def test_return_point_is_gamma_beta():
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_long_cycle_length_law(q):
     lab = labeling_for(q)
-    emb = long_cycle(q, lab)
-    order = element_order(lab.spec, base_path(q, lab)[1])
+    emb = ag_cycle(q, q * q - 1)
+    order = element_order(lab.spec, lab.walk[1])
     assert len(emb.vertex_images) == (q + 1) * order == q * q - 1
     assert verify_embedding(emb.graph, emb, plane_for(emb.model, emb.q)).ok
     # no chain line may pass through the origin
@@ -184,8 +182,8 @@ def test_long_chain_is_the_per_beta_walk(q, kind):
     # recurrence walked afresh from its own (0, beta)
     lab = labeling_for(q, kind=kind)
     walks = {b: _walk(lab, b) for b in range(1, q)}
-    assert {b: base_path(q, lab, b)[0] for b in range(1, q)} == walks
-    m = base_path(q, lab)[1]
+    assert {b: lab.path(b) for b in range(1, q)} == walks
+    m = lab.walk[1]
     chain, b = [], 1
     for _ in range(element_order(lab.spec, m)):
         chain.extend(walks[b])
@@ -202,7 +200,7 @@ def test_plane_for_hands_out_one_plane_per_order():
 
 @pytest.mark.parametrize("q", [4, 5, 7, 9])
 def test_cycle_q2_covers_affine_plane(q):
-    emb = cycle_q2(q)
+    emb = ag_cycle(q, q * q)
     assert len(emb.vertex_images) == q * q
     pts = set(emb.vertex_images)
     assert len(pts) == q * q
@@ -379,9 +377,7 @@ RUNGS = {
     "surgery_close": (ag_cycle, (5, 10)),
     "surgery_skip": (ag_cycle, (5, 13)),
     "long_in_ag": (ag_cycle, (5, 24)),
-    "long_cycle": (long_cycle, (5,)),
     "through_origin": (ag_cycle, (5, 25)),
-    "cycle_q2": (cycle_q2, (5,)),
     "pg_from_ag": (pg_cycle, (5, 20)),
     "ladder_1": (pg_cycle, (5, 29)),
     "ladder_2": (pg_cycle, (5, 28)),
@@ -436,11 +432,15 @@ def _frozen_builds(model, q):
     if model == "PG":
         return [lambda k=k: pg_cycle(q, k) for k in range(3, q * q + q + 2)]
     # LONG: the glued chain and its reroute through O, under both labeling kinds
-    return [
-        lambda build=build, kind=kind: build(q, labeling_for(q, kind=kind))
-        for kind in "AB"
-        for build in (long_cycle, cycle_q2)
-    ]
+    def chain(kind):
+        lab = labeling_for(q, kind=kind)
+        return emit(cycle_graph(len(lab.chain)), lab.chain, ag_from_field(q))
+
+    def through_o(kind):
+        lab = labeling_for(q, kind=kind)
+        return emit(cycle_graph(q * q), cycles._chain_rung(lab, q * q), ag_from_field(q))
+
+    return [lambda build=build, kind=kind: build(kind) for kind in "AB" for build in (chain, through_o)]
 
 
 # frozen: every cycle artifact of these orders, byte for byte

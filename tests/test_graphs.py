@@ -22,7 +22,7 @@ from planegraphs.plane import pg_from_field
 def test_cycle_graph_shape():
     g = cycle_graph(5)
     assert g.n_vertices == 5 and len(g.edges) == 5
-    assert all(g.degree(v) == 2 for v in range(5))
+    assert all(g.degrees[v] == 2 for v in range(5))
     with pytest.raises(ValueError):
         cycle_graph(2)
 
@@ -35,17 +35,17 @@ def test_cycle_graph_edges_are_the_normalised_cycle():
 def test_wheel_graph_shape():
     g = wheel_graph(6)
     assert g.n_vertices == 7 and len(g.edges) == 12
-    assert g.degree(0) == 6
-    assert all(g.degree(v) == 3 for v in range(1, 7))
+    assert g.degrees[0] == 6
+    assert all(g.degrees[v] == 3 for v in range(1, 7))
     assert g.max_degree == 6
 
 
 def test_gear_graph_shape():
     g = gear_graph(4)
     assert g.n_vertices == 9 and len(g.edges) == 12
-    assert g.degree(0) == 4
+    assert g.degrees[0] == 4
     # rim alternates spoked/unspoked starting at vertex 1
-    assert [g.degree(v) for v in range(1, 9)] == [3, 2, 3, 2, 3, 2, 3, 2]
+    assert [g.degrees[v] for v in range(1, 9)] == [3, 2, 3, 2, 3, 2, 3, 2]
     assert {v for u, v in g.edges if u == 0} == {1, 3, 5, 7}
 
 
@@ -131,18 +131,17 @@ def test_verify_degree_bound():
 def test_every_constructor_returns_a_verified_embedding():
     # the embedding emit returned is the one result type, with its edge lines
     from planegraphs import (
-        ag_cycle, cycle_q2, exists_embedding, gear, gear_plan, long_cycle, pg_cycle,
-        plane_for, singer_cycle, wheel, wheel_plan,
+        ag_cycle, exists_embedding, gear_plan, pg_cycle, plane_for, singer_cycle, wheel_plan,
     )
 
     built = {
         "ag_cycle": ag_cycle(5, 10),
         "pg_cycle": pg_cycle(5, 28),
-        "long_cycle": long_cycle(5),
-        "cycle_q2": cycle_q2(5),
+        "ag_cycle_long": ag_cycle(5, 24),
+        "ag_cycle_through_o": ag_cycle(5, 25),
         "singer_cycle": singer_cycle(4),
-        "wheel": wheel(5, 6),
-        "gear": gear(7, 5),
+        "wheel_plan_q5": wheel_plan(5, 6).embedding,
+        "gear_plan_q7": gear_plan(7, 5).embedding,
         "wheel_plan": wheel_plan(7, 8).embedding,
         "gear_plan": gear_plan(8, 9).embedding,
         "exists_embedding": exists_embedding(cycle_graph(5), pg_from_field(3)).embedding,
@@ -320,14 +319,13 @@ ConjectureViolation ConstructionFailed CoordPlane DEFAULT_BUDGET DegenerateAlpha
 Embedding FieldSpec FormatError GenericPlane Graph
 HypothesisJCertificate ImpossibleDegree NoCertificate OracleResult Plan
 PlaneReport SlopeLabeling VerifyReport ag_cycle ag_from_field arc_points
-base_path check_plane_axioms consecutive_primitive_pair cycle_graph cycle_q2
-cyclic_plane edge_list_graph element_order emit exists_embedding field_for
-first_primitive gamma_map gamma_prime_map gear gear_graph gear_plan
-hypothesis_j_search is_primitive labeling_for load_plane long_cycle make_field
-pancyclicity_table path_closed_form pg_cycle pg_from_field plane_for
-prime_power prime_powers_in primitive_iter read_embedding save_plane
-singer_cycle singer_difference_set verify_embedding wheel wheel_graph
-wheel_plan write_embedding
+check_plane_axioms consecutive_primitive_pair cycle_graph cyclic_plane
+edge_list_graph element_order emit exists_embedding field_for first_primitive
+gamma_map gamma_prime_map gear_graph gear_plan hypothesis_j_search
+is_primitive labeling_for load_plane make_field pancyclicity_table
+path_closed_form pg_cycle pg_from_field plane_for prime_power prime_powers_in
+primitive_iter read_embedding save_plane singer_cycle singer_difference_set
+verify_embedding wheel_graph wheel_plan write_embedding
 """.split()
 
 
@@ -344,6 +342,19 @@ def test_public_names_pinned():
         if not name.startswith("_") and not isinstance(getattr(planegraphs, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's one python block, run as written: an API change that
+    # leaves the docs behind fails here
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["AG 9 57", "PATHS_ODD"], out
 
 
 def test_package_loads_each_submodule_on_first_use(tmp_path):

@@ -28,7 +28,7 @@ from planegraphs.graphs import (
 )
 from planegraphs.oracle import DEFAULT_BUDGET, _search, exists_embedding, pancyclicity_table
 from planegraphs.plane import GenericPlane, ag_from_field, pg_from_field
-from planegraphs.wheelgear import ConstructionFailed, gear, wheel
+from planegraphs.wheelgear import ConstructionFailed, gear_plan, wheel_plan
 
 
 def _pg(q):
@@ -178,7 +178,7 @@ def test_constructions_agree_with_search_at_order_five():
     q, mismatches = 5, []
     view, agv = _pg(q), ag_from_field(q).to_generic()
     for n in range(3, q + 3):
-        for name, build, graph in (("wheel", wheel, wheel_graph(n)), ("gear", gear, gear_graph(n))):
+        for name, build, graph in (("wheel", wheel_plan, wheel_graph(n)), ("gear", gear_plan, gear_graph(n))):
             try:
                 build(q, n)
                 emitted = True

@@ -10,7 +10,6 @@ from planegraphs.cli import main
 from planegraphs.cycles import (
     SlopeLabeling,
     ag_cycle,
-    base_path,
     cyclic_plane,
     labeling_for,
     path_closed_form,
@@ -223,9 +222,9 @@ ENCODING_REFUSALS = {
     "make_alpha_q": (lambda: SlopeLabeling.make(field_for(7), "A", 7), "encoding 7 out of range for GF(7)"),
     "make_alpha_negative": (lambda: SlopeLabeling.make(field_for(7), "A", -1),
                             "encoding -1 out of range for GF(7)"),
-    "base_path_beta_zero": (lambda: base_path(7, labeling_for(7), 0), "base path must start off the origin"),
-    "base_path_beta_q": (lambda: base_path(7, labeling_for(7), 7), "encoding 7 out of range for GF(7)"),
-    "base_path_beta_negative": (lambda: base_path(7, labeling_for(7), -1), "encoding -1 out of range for GF(7)"),
+    "base_path_beta_zero": (lambda: labeling_for(7).path(0), "base path must start off the origin"),
+    "base_path_beta_q": (lambda: labeling_for(7).path(7), "encoding 7 out of range for GF(7)"),
+    "base_path_beta_negative": (lambda: labeling_for(7).path(-1), "encoding -1 out of range for GF(7)"),
     "closed_form_alpha": (lambda: path_closed_form(7, 9, 1, 0), "encoding 9 out of range for GF(7)"),
     "closed_form_beta": (lambda: path_closed_form(7, 3, 7, 0), "encoding 7 out of range for GF(7)"),
     "closed_form_beta_negative": (lambda: path_closed_form(7, 3, -1, 0),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planegraphs.cycles import SlopeLabeling, base_path, labeling_for
+from planegraphs.cycles import SlopeLabeling, labeling_for
 from planegraphs.gf import field_for, prime_powers_in
 from planegraphs.graphs import (
     ImpossibleDegree,
@@ -26,9 +26,7 @@ from planegraphs.wheelgear import (
     _gear_paths_even,
     _gear_paths_odd,
     arc_points,
-    gear,
     gear_plan,
-    wheel,
     wheel_plan,
 )
 
@@ -139,31 +137,31 @@ def test_verifier_failure_raises_under_python_O():
 def test_wheel_four_needs_order_four():
     # the rim-4 wheel exists from order four up but not at three
     with pytest.raises(ConstructionFailed):
-        wheel(3, 4)
+        wheel_plan(3, 4)
     assert wheel_plan(3, 3).route == "ARC"
     assert wheel_plan(4, 4).route == "ARC"
 
 
 def test_degree_guard():
     with pytest.raises(ImpossibleDegree):
-        wheel(4, 6)
+        wheel_plan(4, 6)
     with pytest.raises(ImpossibleDegree):
-        wheel(5, 7)
+        wheel_plan(5, 7)
     with pytest.raises(ImpossibleDegree):
-        gear(5, 7)
+        gear_plan(5, 7)
     with pytest.raises(ImpossibleDegree):
-        gear(2, 4)
+        gear_plan(2, 4)
 
 
 def test_bad_parameters():
     with pytest.raises(ValueError):
-        wheel(6, 3)
+        wheel_plan(6, 3)
     with pytest.raises(ValueError):
-        gear(6, 3)
+        gear_plan(6, 3)
     with pytest.raises(ValueError):
-        wheel(5, 2)
+        wheel_plan(5, 2)
     with pytest.raises(ValueError):
-        gear(5, 2)
+        gear_plan(5, 2)
 
 
 GEAR_ROUTES = {
@@ -214,13 +212,13 @@ def test_gear_invariants(q, n):
 
 
 def test_gear_reuses_wheel_vertices():
-    assert gear(9, 4).vertex_images == wheel(9, 8).vertex_images
-    assert gear(13, 5).vertex_images == wheel(13, 10).vertex_images
+    assert gear_plan(9, 4).embedding.vertex_images == wheel_plan(9, 8).embedding.vertex_images
+    assert gear_plan(13, 5).embedding.vertex_images == wheel_plan(13, 10).embedding.vertex_images
 
 
 def test_smallest_plane_has_no_gear():
     with pytest.raises(ConstructionFailed):
-        gear(2, 3)
+        gear_plan(2, 3)
 
 
 def test_generic_plane_routes():
@@ -236,7 +234,7 @@ def test_generic_plane_routes():
         gear_plan(0, 7, plane=gp)
 
 
-@pytest.mark.parametrize("build", [wheel_plan, gear_plan, wheel, gear])
+@pytest.mark.parametrize("build", [wheel_plan, gear_plan])
 @pytest.mark.parametrize(
     "plane", [ag_from_field(5), pg_from_field(5), "pg:5"], ids=["AG(2,5)", "PG(2,5)", "str"]
 )
@@ -438,7 +436,7 @@ def test_base_paths_and_path_gears_stay_linear(n, route, monkeypatch):
     tracemalloc.start()
     try:
         if n is None:
-            assert len(base_path(q, lab, 2)[0]) == q + 1
+            assert len(lab.path(2)) == q + 1
         else:
             assert gear_plan(q, n).route == route
         peak = tracemalloc.get_traced_memory()[1]
