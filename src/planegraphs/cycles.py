@@ -29,9 +29,7 @@ lines the verifier derived, and its model and order name the plane
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 from .gf import (
     DegenerateAlpha,
@@ -66,14 +64,31 @@ class NoCertificate(RuntimeError):
 # slope labelings of the pencil through O
 
 
-@dataclass(frozen=True)
 class SlopeLabeling:
-    """Assignment of the q+1 parallel classes to slopes; None is vertical."""
+    """Assignment of the q+1 parallel classes to slopes; None is vertical.
+    A labeling refuses every assignment.  Its fields, spec, kind, alpha and
+    slopes (index = class; entry None or a slope encoding), give equality
+    and hashing; the walks it caches sit beside them in its __dict__."""
 
-    spec: FieldSpec
-    kind: str
-    alpha: int
-    slopes: tuple  # index = class; entry None or a slope encoding
+    def __init__(self, spec: FieldSpec, kind: str, alpha: int, slopes: tuple):
+        self.__dict__.update(spec=spec, kind=kind, alpha=alpha, slopes=slopes)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"SlopeLabeling is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.spec, self.kind, self.alpha, self.slopes
+
+    def __eq__(self, other):
+        return type(other) is SlopeLabeling and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SlopeLabeling(spec={!r}, kind={!r}, alpha={!r}, slopes={!r})".format(*self._key())
 
     @classmethod
     def make(cls, spec: FieldSpec, kind: str, alpha: int) -> "SlopeLabeling":
@@ -145,7 +160,7 @@ class SlopeLabeling:
         return tuple(P for b in betas for P in self.path(b))
 
 
-def labeling_for(q: int, kind: Optional[str] = None) -> SlopeLabeling:
+def labeling_for(q: int, kind: str | None = None) -> SlopeLabeling:
     """Default labeling: certificate alpha, kind A for odd q and B for even.
     The process keeps one labeling per order and kind."""
     return _certified_labeling(q, ("A" if q % 2 else "B") if kind is None else kind)

@@ -53,11 +53,11 @@ last, and the primitive walk starts at p.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache, cached_property, lru_cache
 from itertools import compress
 from math import isqrt
-from typing import Iterator, Optional
 
 MAX_ORDER = 1 << 20
 
@@ -193,16 +193,19 @@ def _is_irreducible(spec: FieldSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "p a q modulus factors")):
     """Arithmetic context for GF(p^a).  modulus is little-endian, monic,
-    length a+1; factors are the primes dividing q - 1."""
+    length a+1; factors are the primes dividing q - 1.  Equality and
+    hashing read p, a, q and the modulus, not the factors."""
 
-    p: int
-    a: int
-    q: int
-    modulus: tuple
-    factors: tuple = field(compare=False)
+    def __eq__(self, other):
+        return type(other) is FieldSpec and self[:4] == other[:4]
+
+    def __ne__(self, other):  # tuple's own != would compare the factors
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
     def decode(self, enc: int) -> tuple:
         if not 0 <= enc < self.q:
@@ -533,18 +536,14 @@ ROUTE_ODD_GAMMA = "ODD_GAMMA"
 ROUTE_EVEN_GOLOMB = "EVEN_GOLOMB"
 ROUTE_NOT_FOUND = "NOT_FOUND"
 
-@dataclass(frozen=True)
-class HypothesisJCertificate:
+class HypothesisJCertificate(namedtuple("HypothesisJCertificate", "q route alpha gamma")):
     """Witness that alpha is primitive and its closure value gamma is too,
     so both have order q - 1."""
 
-    q: int
-    route: str
-    alpha: int
-    gamma: int
+    __slots__ = ()
 
 
-def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
+def hypothesis_j_search(q: int) -> HypothesisJCertificate | None:
     """Search GF(q) for a primitive alpha whose closure multiplier is primitive.
 
     Odd q: walk primitive alpha by encoding, take the first whose gamma is
@@ -602,7 +601,7 @@ def hypothesis_j_search(q: int) -> Optional[HypothesisJCertificate]:
     return None
 
 
-def certificate_line(q: int, cert: Optional[HypothesisJCertificate]) -> str:
+def certificate_line(q: int, cert: HypothesisJCertificate | None) -> str:
     """One JSONL record with the keys q, route, alpha, gamma and ord = q-1,
     in that order; a missing certificate becomes a NOT_FOUND row."""
     if cert is None:

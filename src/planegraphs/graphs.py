@@ -11,9 +11,8 @@ Stored edge images, as in an embedding file, are compared with those.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
-from typing import Optional
 
 from .plane import FormatError, format_errors
 
@@ -26,12 +25,9 @@ class ConstructionFailed(RuntimeError):
     """No verifier-passing embedding came out of the attempted routes."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    kind: str
-    n_vertices: int
-    edges: tuple  # sorted (u, v) pairs, u < v
-    param: Optional[int] = None
+class Graph(namedtuple("Graph", "kind n_vertices edges param", defaults=(None,))):
+    """A graph: its edges are sorted (u, v) pairs, u < v; param is the k
+    of a cycle or the n of a wheel or gear, None for an edge list."""
 
     @cached_property
     def degrees(self) -> tuple:
@@ -101,7 +97,7 @@ def gear_graph(n: int) -> Graph:
     return Graph("GEAR", 2 * n + 1, _norm_edges(rim + spokes), param=n)
 
 
-def edge_list_graph(edges, n_vertices: Optional[int] = None) -> Graph:
+def edge_list_graph(edges, n_vertices: int | None = None) -> Graph:
     edges = list(edges)
     _check_ids(*(v for pair in edges for v in pair))
     e = _norm_edges(edges)
@@ -126,7 +122,7 @@ def graph_from_json(doc: dict) -> Graph:
         raise FormatError(f"unknown graph kind {kind!r}")
 
 
-def declared_size(doc) -> Optional[int]:
+def declared_size(doc) -> int | None:
     """The vertex count a CYCLE, WHEEL or GEAR document declares, read
     without building the graph, when its parameter is an integer >= 3 (so
     the build cannot fail); None for any other document."""
@@ -140,19 +136,18 @@ def declared_size(doc) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
-    model: str  # PG | AG | CYCLIC | GENERIC
-    q: int
-    graph: Graph
-    vertex_images: tuple  # indexed by vertex id; triples or int ids
-    edge_images: Optional[tuple]  # aligned with graph.edges; None until derived
+# model is PG, AG, CYCLIC or GENERIC; vertex_images are indexed by vertex
+# id, triples or int ids; edge_images are aligned with graph.edges, None
+# until derived
+Embedding = namedtuple("Embedding", "model q graph vertex_images edge_images")
 
 
-@dataclass
-class VerifyReport:
-    violations: list  # empty exactly when the embedding passes
-    lines: tuple  # each edge's derived line, None where no line joins its ends
+class VerifyReport(namedtuple("VerifyReport", "violations lines")):
+    """A verifier's verdict: violations is empty exactly when the embedding
+    passes, and lines holds each edge's derived line, None where no line
+    joins its ends."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -222,7 +217,7 @@ def emit(graph: Graph, vertex_images, plane) -> Embedding:
         raise ConstructionFailed(
             f"{graph.kind} in {plane} fails verification: " + "; ".join(rep.violations)
         )
-    return replace(emb, edge_images=rep.lines)
+    return emb._replace(edge_images=rep.lines)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ tested against (``exists_embedding``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
-from typing import Optional
 
-from .graphs import ConstructionFailed, Embedding, Graph, cycle_graph, emit
+from .graphs import ConstructionFailed, Graph, cycle_graph, emit
 from .plane import CoordPlane, GenericPlane
 
 DEFAULT_BUDGET = 10**8
@@ -26,11 +25,8 @@ STATUS_NOTFOUND = "notfound"
 STATUS_BUDGET = "budget"
 
 
-@dataclass
-class OracleResult:
-    status: str
-    embedding: Optional[Embedding]
-    expansions: int
+# status is found, notfound or budget; embedding is None unless found
+OracleResult = namedtuple("OracleResult", "status embedding expansions")
 
 
 def _placement(graph: Graph) -> tuple:

@@ -29,10 +29,8 @@ import heapq
 import json
 from collections import Counter, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Optional
 
 from .gf import FieldSpec, field_for
 
@@ -116,15 +114,15 @@ def affine_coords(spec: FieldSpec, P: Triple) -> tuple:
 Incidence = namedtuple("Incidence", "masks pencil_masks pencils")
 
 
-@dataclass(frozen=True)
-class GenericPlane:
-    """Pure incidence structure: N points, lines as sorted point-id tuples."""
+class GenericPlane(namedtuple("GenericPlane", "q n_points lines model transitive",
+                              defaults=("GENERIC", False))):
+    """Pure incidence structure: N points, lines as sorted point-id tuples.
+    The model is GENERIC or CYCLIC, the translates of a difference set.
+    Its repr leaves the lines out."""
 
-    q: int
-    n_points: int
-    lines: tuple = field(repr=False)
-    model: str = "GENERIC"  # or CYCLIC: the translates of a difference set
-    transitive: bool = False
+    def __repr__(self):
+        return (f"GenericPlane(q={self.q!r}, n_points={self.n_points!r}, "
+                f"model={self.model!r}, transitive={self.transitive!r})")
 
     def incidence(self) -> Incidence:
         """The plane's incidence as int bitmasks, built once: ``masks[li]``
@@ -153,7 +151,7 @@ class GenericPlane:
     def contains(self, p) -> bool:
         return type(p) is int and 0 <= p < self.n_points  # True is no point id
 
-    def line_between(self, u: int, v: int) -> Optional[int]:
+    def line_between(self, u: int, v: int) -> int | None:
         n = self.n_points
         if u == v or not (0 <= u < n and 0 <= v < n):
             return None
@@ -228,7 +226,7 @@ class CoordPlane:
             and (z != 0 or self.model == "PG")
         )
 
-    def line_between(self, P: Triple, Q: Triple) -> Optional[Triple]:
+    def line_between(self, P: Triple, Q: Triple) -> Triple | None:
         if P == Q:
             return None
         key = (self.q, P, Q) if P < Q else (self.q, Q, P)
@@ -306,13 +304,7 @@ def format_errors(what: str):
 _MAX_VIOLATIONS = 50
 
 
-@dataclass
-class PlaneReport:
-    ok: bool
-    points: int
-    lines: int
-    line_size: Optional[int]
-    violations: list
+PlaneReport = namedtuple("PlaneReport", "ok points lines line_size violations")
 
 
 def line_faults(plane: GenericPlane):

@@ -21,15 +21,14 @@ returns an unchecked embedding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator
 
 from .cycles import labeling_for
 from .gf import field_for
 from .graphs import (
     ConstructionFailed,
-    Embedding,
     Graph,
     ImpossibleDegree,
     emit,
@@ -62,14 +61,12 @@ ROUTE_MAX_ODD = "MAX_ODD"
 ROUTE_ORACLE = "ORACLE"
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(namedtuple("Plan", "route embedding")):
     """A verified wheel or gear embedding with the route that built it.
     In the embedding the center is vertex 0's image, the rim the rest, in
     rim order, and the spokes are the edge images of the edges (0, i)."""
 
-    route: str
-    embedding: Embedding
+    __slots__ = ()
 
 
 def _plan(kind: str, q: int, n: int, plane, routes) -> Plan:

@@ -436,3 +436,75 @@ def test_only_graphs_builds_embeddings():
                 if getattr(f, "id", getattr(f, "attr", None)) == "Embedding":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # every command starts cold, so what ``import planegraphs.cli`` pulls in
+    # is paid on each run: dataclasses alone (inspect, ast, dis, tokenize)
+    # cost more than the package.  -S keeps what site imports out of it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import planegraphs
+
+    src = str(Path(planegraphs.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import planegraphs.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_records_keep_their_contract(tmp_path, capsys):
+    # the records are namedtuples and plain classes: value equality and
+    # hashing, fields that refuse assignment, and the plane repr that
+    # refusal messages carry are what callers see of them
+    from planegraphs.cli import main
+    from planegraphs.cycles import SlopeLabeling, labeling_for
+    from planegraphs.gf import FieldSpec, field_for, hypothesis_j_search
+    from planegraphs.oracle import exists_embedding
+    from planegraphs.plane import save_plane
+    from planegraphs.wheelgear import Plan, wheel_plan
+
+    def twins(make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b), a
+        return a
+
+    plane = pg_from_field(3).to_generic()
+    graph = twins(lambda: cycle_graph(5))
+    assert graph != cycle_graph(6)
+    found = twins(lambda: exists_embedding(cycle_graph(3), plane))
+    emb = twins(lambda: emit(found.embedding.graph, found.embedding.vertex_images, plane))
+    plan = wheel_plan(5, 4)
+    twins(lambda: Plan(plan.route, plan.embedding))
+    cert = twins(lambda: hypothesis_j_search(7))
+    # a spec is its order and modulus; the factors of q - 1 follow from them
+    spec = field_for(9)
+    assert FieldSpec(spec.p, spec.a, spec.q, spec.modulus, ()) == spec
+    assert not FieldSpec(spec.p, spec.a, spec.q, spec.modulus, ()) != spec
+    assert hash(FieldSpec(spec.p, spec.a, spec.q, spec.modulus, ())) == hash(spec)
+    assert FieldSpec(spec.p, spec.a, spec.q, (2, 1, 1), spec.factors) != spec
+    lab = twins(lambda: SlopeLabeling.make(field_for(7), "A", labeling_for(7).alpha))
+    # the process shares one spec, plane and labeling per order: none may change
+    for record, name in [
+        (spec, "factors"), (cert, "alpha"), (plane, "lines"), (graph, "edges"),
+        (emb, "vertex_images"), (labeling_for(7), "alpha"), (plan, "route"),
+        (cert, "extra"), (plan, "extra"), (labeling_for(7), "extra"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert labeling_for(7) == lab and field_for(9).factors == (2,)
+    assert repr(plane) == "GenericPlane(q=3, n_points=13, model='GENERIC', transitive=True)"
+    # a refusal that names a generic plane keeps its bytes
+    save_plane(pg_from_field(2).to_generic(), tmp_path / "p2.json")
+    write_embedding(found.embedding, tmp_path / "c3.json")
+    assert main(["verify", str(tmp_path / "c3.json"), "--plane", str(tmp_path / "p2.json")]) == 1
+    assert capsys.readouterr().err == (
+        "fail: not an embedding in this plane: embedding targets GENERIC(2,3), "
+        "got GenericPlane(q=2, n_points=7, model='GENERIC', transitive=False)\n"
+    )
