@@ -4,8 +4,13 @@ An embedding maps vertices to distinct plane points and edges to distinct
 plane lines, each edge's line passing through both endpoint images.  Since
 two points span one line, the edge map is determined by the vertex map:
 a construction hands ``emit`` vertex images alone, and the edge images of
-the embedding it returns are the lines the verifier derives, once each.
-Stored edge images, as in an embedding file, are compared with those.
+the embedding it returns are the lines the verifier derives, once each,
+from the point ids the plane gives the images (``point_ids``, then
+``edge_lines``).  Stored edge images, as in an embedding file, are compared
+with those.  The writer joins a file from the JSON text of each vertex id,
+image and edge, into the bytes ``json`` writes; it remembers the text of
+each item of the tuples the graph builders, the verifier and ``emit`` make
+(``_Exact``), whose items are ints, tuples of ints or None.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 from collections import namedtuple
 from functools import cached_property
 
-from .plane import FormatError, format_errors
+from .plane import FormatError, format_errors, remember
 
 
 class ImpossibleDegree(ValueError):
@@ -48,11 +53,13 @@ class Graph(namedtuple("Graph", "kind n_vertices edges param", defaults=(None,))
             return {"kind": "CYCLE", "k": self.param}
         if self.kind in ("WHEEL", "GEAR"):
             return {"kind": self.kind, "n": self.param}
-        return {
-            "kind": "EDGE_LIST",
-            "vertices": self.n_vertices,
-            "edges": [list(e) for e in self.edges],
-        }
+        return {"kind": "EDGE_LIST", "vertices": self.n_vertices, "edges": self.edges}
+
+
+class _Exact(tuple):
+    # items that are ints, tuples of ints or None, as the graph builders and
+    # the verifier make them, so the writer need not check their types
+    __slots__ = ()
 
 
 def _check_ids(*ids) -> None:
@@ -68,14 +75,14 @@ def _norm_edges(edges) -> tuple:
         if u == v:
             raise ValueError(f"loop edge at {u}")
         out.add((u, v) if u < v else (v, u))
-    return tuple(sorted(out))
+    return _Exact(sorted(out))  # of the ids its callers have checked or made
 
 
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle needs at least 3 vertices")
     # in sorted order, as Graph.edges requires
-    edges = ((0, 1), (0, k - 1)) + tuple((i, i + 1) for i in range(1, k - 1))
+    edges = _Exact(((0, 1), (0, k - 1)) + tuple(zip(range(1, k - 1), range(2, k))))
     return Graph("CYCLE", k, edges, param=k)
 
 
@@ -158,11 +165,11 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
     """Check an embedding against the plane it claims to live in, a
     coordinate plane or a generic one.
 
-    Each edge's line is derived once, from its endpoint images, and handed
-    back as ``lines``; stored edge images, where the embedding has them,
-    are compared with the derived ones.  Structural mismatches (wrong
-    plane, image outside the plane) raise; mathematical failures are
-    collected into the report.
+    Each edge's line is derived once, from the point ids of its endpoint
+    images, and handed back as ``lines``; stored edge images, where the
+    embedding has them, are compared with the derived ones.  Structural
+    mismatches (wrong plane, image outside the plane) raise; mathematical
+    failures are collected into the report.
     """
     if emb.graph.edges != graph.edges or emb.graph.n_vertices != graph.n_vertices:
         raise ValueError("embedding was built for a different graph")
@@ -173,29 +180,28 @@ def verify_embedding(graph: Graph, emb: Embedding, plane) -> VerifyReport:
         raise ValueError("one image per edge required")
     if emb.model != plane.model or emb.q != plane.q:
         raise ValueError(f"embedding targets {emb.model}(2,{emb.q}), got {plane}")
-    for v, P in enumerate(emb.vertex_images):
-        if not plane.contains(P):
-            raise ValueError(f"vertex {v} image {P!r} is not a point of {plane}")
+    images = emb.vertex_images
+    ids = plane.point_ids(images)
+    if type(ids) is int:
+        raise ValueError(f"vertex {ids} image {images[ids]!r} is not a point of {plane}")
 
-    violations, lines = [], []
-    for i, (u, v) in enumerate(graph.edges):
-        P, Q = emb.vertex_images[u], emb.vertex_images[v]
-        line = plane.line_between(P, Q)
-        lines.append(line)
+    violations, lines = [], _Exact(plane.edge_lines(ids, graph.edges))
+    failing = None in lines or stored is not None and tuple(stored) != lines
+    for i, (u, v) in enumerate(graph.edges if failing else ()):  # in order, once one fails
+        P, Q, line = images[u], images[v], lines[i]
         if line is None:
             why = " endpoints map to one point" if P == Q else f": no line joins points {P},{Q}"
             violations.append(f"edge {(u, v)}{why}")
         elif stored is not None and stored[i] != line:
             violations.append(f"edge {(u, v)} stores line {stored[i]}, its endpoints span {line}")
 
-    if len(set(emb.vertex_images)) != graph.n_vertices:
+    if len(set(ids)) != graph.n_vertices:
         violations.append("vertex images collide")
-    defined = [l for l in lines if l is not None]
-    if len(set(defined)) != len(defined):
+    if len(set(lines) - {None}) != len(lines) - lines.count(None):
         violations.append("edge lines collide")
     if graph.max_degree > plane.max_pencil:
         violations.append(f"max degree {graph.max_degree} exceeds pencil size {plane.max_pencil}")
-    return VerifyReport(violations, tuple(lines))
+    return VerifyReport(violations, lines)
 
 
 def emit(graph: Graph, vertex_images, plane) -> Embedding:
@@ -208,7 +214,8 @@ def emit(graph: Graph, vertex_images, plane) -> Embedding:
     failed verification, or images that do not even fit the graph or the
     plane, raises ConstructionFailed.
     """
-    emb = Embedding(plane.model, plane.q, graph, tuple(vertex_images), None)
+    # the images are _Exact once the verifier passes them, and returned only then
+    emb = Embedding(plane.model, plane.q, graph, _Exact(vertex_images), None)
     try:
         rep = verify_embedding(graph, emb, plane)
     except ValueError as e:
@@ -229,15 +236,32 @@ def emit(graph: Graph, vertex_images, plane) -> Embedding:
 _JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
+# the JSON text of each item of an _Exact tuple written, by value; items of
+# other tuples are encoded afresh, since (0, 0, True) would find (0, 0, 1)
+_texts = {}
+
+
+def _json_texts(items) -> list:
+    if type(items) is not _Exact:
+        return list(map(_JSON.encode, items))
+    texts = list(map(_texts.get, items))
+    if not all(texts):
+        texts = [t or remember(_texts, x, _JSON.encode(x)) for t, x in zip(texts, items)]
+    return texts
+
+
 def embedding_to_json(emb: Embedding) -> str:
-    doc = {
-        "plane": {"model": emb.model, "q": emb.q},
-        "graph": emb.graph.json_dict(),
-        # json writes each tuple, an image or a (vertex, image) pair, as a list
-        "vertices": list(enumerate(emb.vertex_images)),
-        "edges": list(zip(emb.graph.edges, emb.edge_images)),
-    }
-    return _JSON.encode(doc) + "\n"
+    """The bytes ``json`` writes for the document, from remembered texts."""
+    head = _JSON.encode({"plane": dict(model=emb.model, q=emb.q), "graph": emb.graph.json_dict()})
+    lists = []  # the bodies of [vertex, image] and of [edge, image] pairs
+    ids = _Exact(range(len(emb.vertex_images)))
+    for heads, tails in (ids, emb.vertex_images), (emb.graph.edges, emb.edge_images):
+        heads, tails = _json_texts(heads), _json_texts(tails)
+        n = min(len(heads), len(tails))  # as zip pairs them
+        parts = ["[", None, ",", None, "],"] * n
+        parts[1::5], parts[3::5] = heads[:n], tails[:n]
+        lists.append("".join(parts)[:-1])
+    return f'{head[:-1]},"vertices":[{lists[0]}],"edges":[{lists[1]}]}}\n'
 
 
 def _img_load(raw, model: str):

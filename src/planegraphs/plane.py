@@ -16,11 +16,13 @@ of a planar ternary ring; ``CoordPlane.to_generic`` is that of x*m + b.
 
 Both kinds of plane give what the verifier and the embedding builder ask
 of a plane: ``model``, ``q``, ``n_points``, ``contains``, ``line_between``
-(None when the points coincide or no line joins them) and ``max_pencil``.
-Each order has one shared CoordPlane per model.  A process keeps one memo
-of the lines ``line_between`` derived, keyed by order and point pair, up
-to a bound; AG(2,q) and PG(2,q) share it, since the line through two
-affine points is the same triple in both.
+(None when the points coincide or no line joins them), ``max_pencil``, and
+in batch ``point_ids`` (a GenericPlane's ids are its points, a CoordPlane's
+id of (x : y : z) is (x*q + y)*q + z) and ``edge_lines`` from those ids.
+Each order has one shared CoordPlane per model, which remembers the points
+it checked.  A process keeps one memo of the lines CoordPlanes derived,
+keyed by order and id pair, up to a bound; AG(2,q) and PG(2,q) share it,
+since the line through two affine points is the same triple in both.
 """
 
 from __future__ import annotations
@@ -40,10 +42,18 @@ LINE_INF: Triple = (0, 0, 1)
 ORIGIN: Triple = (0, 0, 1)  # the affine point (0, 0)
 DIR_VERTICAL: Triple = (0, 1, 0)
 
-# CoordPlane.line_between's memo, by (q, P, Q) with P < Q (an order names
-# one field); cleared whole once it holds LINE_MEMO_BOUND lines
+# CoordPlane's memo of derived lines, by (q, a, b) with a < b the ids of
+# two points (an order names one field)
 _line_memo = {}
 LINE_MEMO_BOUND = 1 << 16
+
+
+def remember(memo: dict, key, value):
+    # every memo here is cleared whole once it holds LINE_MEMO_BOUND entries
+    if len(memo) >= LINE_MEMO_BOUND:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def canon(spec: FieldSpec, t) -> Triple:
@@ -151,6 +161,12 @@ class GenericPlane(namedtuple("GenericPlane", "q n_points lines model transitive
     def contains(self, p) -> bool:
         return type(p) is int and 0 <= p < self.n_points  # True is no point id
 
+    def point_ids(self, images):  # a point is its own id
+        return next((i for i, p in enumerate(images) if not self.contains(p)), images)
+
+    def edge_lines(self, ids, edges) -> list:
+        return [self.line_between(ids[u], ids[v]) for u, v in edges]
+
     def line_between(self, u: int, v: int) -> int | None:
         n = self.n_points
         if u == v or not (0 <= u < n and 0 <= v < n):
@@ -195,6 +211,7 @@ class CoordPlane:
         self.q = spec.q
         self._points = None
         self._generic = None
+        self._ids = {}  # the id of each point point_ids has checked
 
     def __repr__(self):
         return f"{self.model}(2,{self.q})"
@@ -214,28 +231,44 @@ class CoordPlane:
             self._points = tuple(sorted(pts))
         return self._points
 
+    def point_ids(self, images):
+        """Each image's point id, or the index of the first that is no point:
+        3 ints (no JSON true or 1.0) in 0..q-1, the first nonzero 1, z = 0
+        only in PG(2,q)."""
+        known, q, pg, ids = self._ids, self.q, self.model == "PG", []
+        for P in images:
+            if type(P) is not tuple or len(P) != 3:
+                return len(ids)
+            x, y, z = P
+            if not type(x) is type(y) is type(z) is int:  # (0, 0, True) would find (0, 0, 1)
+                return len(ids)
+            p = known.get(P)
+            if p is None:
+                if (x or y or z) != 1 or min(P) < 0 or max(P) >= q or not (z or pg):
+                    return len(ids)
+                p = remember(known, P, (x * q + y) * q + z)
+            ids.append(p)
+        return ids
+
     def contains(self, P: Triple) -> bool:
-        if type(P) is not tuple or len(P) != 3:
-            return False
-        x, y, z = P
-        q = self.q
-        # canonical: the first nonzero entry is 1, so the zero triple is out
-        return (
-            (x or y or z) == 1
-            and 0 <= x < q and 0 <= y < q and 0 <= z < q
-            and (z != 0 or self.model == "PG")
-        )
+        return type(self.point_ids((P,))) is list
+
+    def edge_lines(self, ids, edges) -> list:
+        # each edge's line, from the ids of its ends; None where they coincide
+        memo, q, lines = _line_memo, self.q, []
+        for u, v in edges:
+            a, b = ids[u], ids[v]
+            key = (q, a, b) if a < b else (q, b, a)
+            line = memo.get(key)
+            if line is None and a != b:
+                P, Q = ((i // q // q, i // q % q, i % q) for i in key[1:])
+                line = remember(memo, key, line_through(self.spec, P, Q))
+            lines.append(line)
+        return lines
 
     def line_between(self, P: Triple, Q: Triple) -> Triple | None:
-        if P == Q:
-            return None
-        key = (self.q, P, Q) if P < Q else (self.q, Q, P)
-        line = _line_memo.get(key)
-        if line is None:
-            if len(_line_memo) >= LINE_MEMO_BOUND:
-                _line_memo.clear()
-            line = _line_memo[key] = line_through(self.spec, P, Q)
-        return line
+        ids = self.point_ids((P, Q))
+        return None if type(ids) is int else self.edge_lines(ids, ((0, 1),))[0]
 
     @property
     def max_pencil(self) -> int:

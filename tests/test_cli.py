@@ -105,6 +105,7 @@ def test_cycle_sweep_derives_each_line_once(tmp_path, capsys, monkeypatch):
                      "--out-dir", str(tmp_path))
     assert rc == 0 and "271 cycles" in out
     assert pairs and max(pairs.values()) == 1
+    assert len(plane_mod._line_memo) == len(pairs)  # each derived line is remembered
 
 
 def test_cycle_bad_range(capsys):

@@ -275,6 +275,91 @@ def test_verifier_agrees_on_both_plane_kinds():
     assert seen == 2 * (2 + 3 + 4) - 1 + 14 + 23
 
 
+def _every_small_embedding():
+    # every cycle of AG(2,q) and PG(2,q) and every wheel and gear of PG(2,q)
+    # that the package builds, q <= 9 (the Singer rung in the cyclic model),
+    # and a wheel and a gear of the Hall plane of order 9
+    from planegraphs.cycles import ag_cycle, pg_cycle, plane_for
+    from planegraphs.gf import prime_powers_in
+    from planegraphs.graphs import ConstructionFailed
+    from planegraphs.wheelgear import gear_plan, wheel_plan
+    from test_hall_plane import HALL
+
+    for q in prime_powers_in(2, 9):
+        for k in range(3, q * q + 1):
+            yield plane_for("AG", q), ag_cycle(q, k)
+        for k in range(3, q * q + q + 2):
+            emb = pg_cycle(q, k)
+            yield plane_for(emb.model, q), emb
+        for build in (wheel_plan, gear_plan):
+            for n in range(3, q + 2):
+                try:
+                    yield pg_from_field(q), build(q, n).embedding
+                except (ConstructionFailed, ValueError):  # no such wheel or gear
+                    pass
+    for build in (wheel_plan, gear_plan):
+        yield HALL, build(9, 5, plane=HALL).embedding
+
+
+def _seeded_faults(plane, emb):
+    # the embedding as built, then with one fault each: vertex 1 on vertex
+    # 0's image, edge 0 storing edge 1's line, and vertex 2's image replaced
+    # by one that is no point, or is not in a PG(2,q) either: a coordinate
+    # true (though the plane has just checked the equal int triple), floats,
+    # a list, a triple off canon, the point (1 : 0 : 0) at infinity, an id
+    # out of range
+    yield emb
+    verts, edges = emb.vertex_images, emb.edge_images
+    yield emb._replace(vertex_images=(verts[0], verts[0], *verts[2:]))
+    yield emb._replace(edge_images=(edges[1], *edges[1:]))
+    P = verts[2]
+    if type(P) is int:
+        bad = [P == 1, float(P), plane.n_points, -1]
+    else:
+        bad = [tuple(True if c == 1 else c for c in P), tuple(map(float, P)), list(P),
+               tuple(2 if c == 1 else c for c in P), (1, 0, 0)]
+    for image in bad:
+        yield emb._replace(vertex_images=(*verts[:2], image, *verts[3:]))
+
+
+def _verdict(verify, emb, plane):
+    try:
+        return verify(emb.graph, emb, plane)
+    except ValueError as e:
+        return str(e)
+
+
+def test_verifier_matches_the_per_edge_reference():
+    from verify_reference import reference_verify
+
+    seen = verdicts = 0
+    for plane, emb in _every_small_embedding():
+        for case in _seeded_faults(plane, emb):
+            want = _verdict(reference_verify, case, plane)
+            assert _verdict(verify_embedding, case, plane) == want, (plane, case)
+            verdicts += type(want) is str
+        seen += 1
+    # 234 AG and 279 PG cycles, 60 PG wheels and gears, 2 in the Hall plane
+    assert seen == 234 + 279 + 60 + 2 and verdicts > seen
+
+
+def test_writer_matches_json(monkeypatch):
+    # byte for byte, also when the memo of texts is cleared every few items
+    import planegraphs.graphs as graphs_mod
+    import planegraphs.plane as plane_mod
+    from planegraphs.graphs import embedding_to_json
+    from verify_reference import reference_json
+
+    cases = [case for plane, emb in _every_small_embedding() for case in _seeded_faults(plane, emb)]
+    for case in cases:
+        assert embedding_to_json(case) == reference_json(case), case
+    monkeypatch.setattr(plane_mod, "LINE_MEMO_BOUND", 7)
+    monkeypatch.setattr(graphs_mod, "_texts", {})
+    for case in cases:
+        assert embedding_to_json(case) == reference_json(case), case
+        assert len(graphs_mod._texts) <= 7
+
+
 def test_package_holds_no_assert_statement():
     # checks are raised, so that ``python -O`` cannot switch one off
     import ast

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle_reference import reference_joins
-from planegraphs.cycles import ag_cycle, cyclic_plane, labeling_for
+from planegraphs.cycles import ag_cycle, cyclic_plane, labeling_for, pg_cycle
 from planegraphs.gf import field_for, make_field, prime_power, prime_powers_in
-from planegraphs.graphs import emit
+from planegraphs.graphs import cycle_graph, emit
 from planegraphs.plane import (
     LINE_INF,
     CoordPlane,
@@ -462,24 +462,35 @@ def test_line_between_is_line_through(plane):
 
 
 def test_line_memo_stays_within_its_bound(monkeypatch):
+    # line_between and the verifier's edge_lines both write the one memo, and
+    # it is cleared whole at the bound, as the plane's memo of checked points
     import planegraphs.plane as plane_mod
 
     monkeypatch.setattr(plane_mod, "LINE_MEMO_BOUND", 5)
     monkeypatch.setattr(plane_mod, "_line_memo", {})
     plane = CoordPlane("PG", make_field(3))
     pts = plane.points()
+    sizes = []
     for P, Q in product(pts, repeat=2):
         want = None if P == Q else line_through(plane.spec, P, Q)
         assert plane.line_between(P, Q) == want, (P, Q)
-        assert len(plane_mod._line_memo) <= 5
+        sizes.append(len(plane_mod._line_memo))
+        assert len(plane._ids) <= 5
+    assert max(sizes) == 5 and 1 in sizes[sizes.index(5):]
+    images = pg_cycle(3, 12).vertex_images
+    emb = emit(cycle_graph(12), images, plane)
+    assert 0 < len(plane_mod._line_memo) <= 5 and 0 < len(plane._ids) <= 5
+    assert emb.edge_images == tuple(line_through(plane.spec, images[u], images[v]) for u, v in emb.graph.edges)
 
 
 def test_line_memo_is_shared_by_both_models(monkeypatch):
-    # the line through two affine points is one triple in AG(2,q) and PG(2,q)
+    # the line through two affine points is one triple in AG(2,q) and PG(2,q),
+    # keyed by the same order and id pair
     import planegraphs.plane as plane_mod
 
     monkeypatch.setattr(plane_mod, "_line_memo", {})
     emb = ag_cycle(7, 20)
+    assert emb.edge_images == tuple(plane_mod._line_memo.values())
     derived = []
     real = plane_mod.line_through
     monkeypatch.setattr(
@@ -487,7 +498,7 @@ def test_line_memo_is_shared_by_both_models(monkeypatch):
     )
     again = emit(emb.graph, emb.vertex_images, pg_from_field(7))
     assert again.model == "PG" and again.edge_images == emb.edge_images
-    assert derived == []
+    assert derived == [] and len(plane_mod._line_memo) == 20
 
 
 def test_points_are_built_once():

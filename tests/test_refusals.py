@@ -18,6 +18,7 @@ from planegraphs.cycles import (
     singer_difference_set,
 )
 from planegraphs.gf import field_for, hypothesis_j_search
+from planegraphs.graphs import ConstructionFailed, cycle_graph, emit
 from planegraphs.plane import ag_from_field, pg_from_field
 from planegraphs.wheelgear import arc_points, gear_plan, wheel_plan
 
@@ -239,3 +240,23 @@ def test_out_of_range_encodings_refused(cell):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == text
+
+
+# vertex images with a coordinate that is no int, as JSON true or 1.0 in a
+# file the reader refuses: emit refuses them too, also once the plane has
+# checked the equal int triple
+QUADRANGLE = [(0, 0, 1), (1, 0, 0), (1, 1, 1), (0, 1, 0)]
+NON_INT_IMAGES = {
+    "bool_coordinate": (0, (0, 0, True)),
+    "float_coordinates": (2, (1.0, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(NON_INT_IMAGES))
+def test_non_int_coordinates_refused(cell):
+    v, image = NON_INT_IMAGES[cell]
+    plane = pg_from_field(5)
+    emit(cycle_graph(4), QUADRANGLE, plane)
+    with pytest.raises(ConstructionFailed) as info:
+        emit(cycle_graph(4), QUADRANGLE[:v] + [image] + QUADRANGLE[v + 1:], plane)
+    assert str(info.value) == f"CYCLE in PG(2,5): vertex {v} image {image!r} is not a point of PG(2,5)"

@@ -343,20 +343,23 @@ def test_gear_path_candidates_frozen():
 
 
 def test_wheel_derives_each_edge_line_once(monkeypatch):
-    # the verifier's derivation is the only one: one line_between per edge
-    from planegraphs.plane import CoordPlane
+    # the verifier's derivation is the only one: from an empty memo, one
+    # line_through per edge, each remembered
+    import planegraphs.plane as plane_mod
 
+    monkeypatch.setattr(plane_mod, "_line_memo", {})
     calls = []
-    real = CoordPlane.line_between
+    real = plane_mod.line_through
 
-    def counting(self, P, Q):
+    def counting(spec, P, Q):
         calls.append((P, Q))
-        return real(self, P, Q)
+        return real(spec, P, Q)
 
-    monkeypatch.setattr(CoordPlane, "line_between", counting)
+    monkeypatch.setattr(plane_mod, "line_through", counting)
     plan = wheel_plan(7, 5)
     assert plan.route == "ARC"
     assert len(calls) == len(plan.embedding.graph.edges) == 10
+    assert sorted(plane_mod._line_memo.values()) == sorted(plan.embedding.edge_images)
 
 
 def _no_oracle(graph, plane):
